@@ -17,15 +17,9 @@ from trustgate import (
     EdrEvent,
     Severity,
     Triplet,
-    apply_rules,
-    average_length,
-    build_codebook,
-    build_graph,
-    collect_patterns,
+    archive_batch,
     decode,
     encode,
-    records_from_events,
-    reduce_to_skeleton,
     reduction_stats,
 )
 
@@ -74,12 +68,13 @@ def entropy_bits(table) -> float:
 
 def main() -> None:
     log = synthetic_log(random.Random(11))
-    graph = apply_rules(build_graph(log), [BURST])
+    # Both stages in one call: keep alerts and their ancestry, collapse
+    # unary runs, then build the pattern code for what survives.
+    batch = archive_batch(log, [BURST])
+    graph, skeleton = batch.graph, batch.skeleton
     print(f"log of {len(log)} events, "
           f"{len(graph.alerts)} alert(s) from rule {BURST.rule_name!r}")
 
-    # Stage one: keep alerts and their ancestry, collapse unary runs.
-    skeleton = reduce_to_skeleton(graph)
     stats = reduction_stats(graph, skeleton)
     collapsed = sum(s.collapsed_count for s in skeleton.summary_edges)
     print(f"\nstage 1 -- causal skeleton")
@@ -88,13 +83,8 @@ def main() -> None:
     print(f"  summary : {len(skeleton.summary_edges)} edge(s) standing in "
           f"for {collapsed} collapsed events")
 
-    # Stage two: pattern-code the surviving records.
-    records = records_from_events(
-        skeleton.nodes[eid] for eid in sorted(skeleton.nodes)
-    )
-    table = build_codebook(collect_patterns(records))
+    records, table, avg = batch.records, batch.table, batch.avg_code_length
     archive = encode(records, table)
-    avg = average_length(table)
     entropy = entropy_bits(table)
     print(f"\nstage 2 -- pattern coding of {len(records)} kept records")
     print(f"  distinct patterns : {len(table.patterns)}")

@@ -121,12 +121,11 @@ from .cache import (
 )
 from .store import (
     AccessTable,
-    ColdStore,
+    ArchiveBatch,
     HotStore,
-    ManifestEntry,
     ResourceEntry,
-    Store,
     StoreError,
+    archive_batch,
 )
 from .simnet import (
     AttributeProfile,
@@ -187,8 +186,8 @@ __all__ = [
     "CacheConfig", "CacheError", "CacheMetrics", "HitKind", "ScoreStore",
     "TrustScoreCache",
     # store
-    "AccessTable", "ColdStore", "HotStore", "ManifestEntry",
-    "ResourceEntry", "Store", "StoreError",
+    "AccessTable", "ArchiveBatch", "HotStore", "ResourceEntry",
+    "StoreError", "archive_batch",
     # simnet
     "AttributeProfile", "BehaviorProfile", "CompromisePlan", "DeviceSpec",
     "FailureWindow", "ReplayError", "ResourceSpec", "ScenarioConfig",

@@ -31,10 +31,7 @@ from .logcodec import (
 )
 from .model import ModelError, Triplet, read_events
 from .provenance import (
-    apply_rules,
-    build_graph,
     load_rules,
-    reduce_to_skeleton,
     reduction_stats,
     skeleton_to_obj,
     write_skeleton,
@@ -54,7 +51,7 @@ from .secretshare import (
     split_integer,
     write_share_file,
 )
-from .store import HotStore
+from .store import HotStore, archive_batch
 
 
 def _emit(obj: object) -> None:
@@ -164,21 +161,19 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
 
 def _cmd_skeleton(args: argparse.Namespace) -> int:
     events = read_events(args.infile)
-    rules = load_rules(args.rules)
-    graph = apply_rules(build_graph(events), rules)
-    skeleton = reduce_to_skeleton(graph)
+    batch = archive_batch(events, load_rules(args.rules))
     if args.out is not None:
-        write_skeleton(args.out, skeleton)
-    stats = reduction_stats(graph, skeleton)
+        write_skeleton(args.out, batch.skeleton)
+    stats = reduction_stats(batch.graph, batch.skeleton)
     result = {
         "nodes_before": stats.nodes_before,
         "nodes_after": stats.nodes_after,
         "ratio": stats.ratio,
-        "alerts": len(graph.alerts),
-        "summary_edges": len(skeleton.summary_edges),
+        "alerts": len(batch.graph.alerts),
+        "summary_edges": len(batch.skeleton.summary_edges),
     }
     if args.out is None:
-        result["skeleton"] = skeleton_to_obj(skeleton)
+        result["skeleton"] = skeleton_to_obj(batch.skeleton)
     _emit(result)
     return 0
 

@@ -23,6 +23,7 @@ from .secretshare import Share, ShareError, ThresholdPolicy, reconstruct
 
 SENSITIVITY_STANDARD = "standard"
 SENSITIVITY_HIGH = "high"
+SENSITIVITY_LEVELS = (SENSITIVITY_STANDARD, SENSITIVITY_HIGH)
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_THRESHOLD_STANDARD = 0.5
@@ -135,7 +136,7 @@ class TrustPolicy:
             if not 0.0 <= theta <= 1.0:
                 raise PolicyError(f"threshold for {rid} must lie in [0, 1]")
         for rid, level in self.sensitivity.items():
-            if level not in (SENSITIVITY_STANDARD, SENSITIVITY_HIGH):
+            if level not in SENSITIVITY_LEVELS:
                 raise PolicyError(f"unknown sensitivity {level!r} for {rid}")
 
     def sensitivity_for(self, resource_id: str) -> str:

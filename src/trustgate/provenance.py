@@ -93,9 +93,6 @@ class ProvenanceGraph:
     edges: frozenset[tuple[int, int]]
     alerts: tuple[Alert, ...] = ()
 
-    def parents_of(self, event_id: int) -> list[int]:
-        return sorted(u for (u, v) in self.edges if v == event_id)
-
     def alert_event_ids(self) -> frozenset[int]:
         return frozenset(a.event_id for a in self.alerts)
 

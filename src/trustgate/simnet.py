@@ -37,15 +37,12 @@ from .model import (
     Triplet,
     write_events,
 )
-from .provenance import (
+from .provenance import (  # noqa: F401 -- keeps simnet.reduce_to_skeleton importable
     AlertRule,
-    ProvenanceGraph,
-    apply_rules,
     reduce_to_skeleton,
     reduction_stats,
     rule_from_obj,
 )
-from .logcodec import average_length, build_codebook, collect_patterns, records_from_events
 from .reputation import (
     InteractionLedger,
     global_trust,
@@ -53,6 +50,9 @@ from .reputation import (
 )
 from .secretshare import FieldParams, Share, ThresholdPolicy, split
 from .engine import (
+    SENSITIVITY_HIGH,
+    SENSITIVITY_LEVELS,
+    SENSITIVITY_STANDARD,
     ActiveAlert,
     QuorumClient,
     TrustPolicy,
@@ -67,7 +67,7 @@ from .engine import (
     token_digest,
 )
 from .cache import CacheConfig, ScoreStore, TrustScoreCache
-from .store import AccessTable, HotStore, ResourceEntry
+from .store import AccessTable, HotStore, ResourceEntry, archive_batch
 
 FLAG_NO_DEVICES = "no_devices"
 FLAG_NO_MALICIOUS_TRAFFIC = "no_malicious_traffic"
@@ -138,14 +138,14 @@ class DeviceSpec:
 class ResourceSpec:
     resource_id: str
     threshold: float
-    sensitivity: str = "standard"
+    sensitivity: str = SENSITIVITY_STANDARD
 
     def __post_init__(self) -> None:
         if not self.resource_id:
             raise ScenarioError("resource_id must be non-empty")
         if not 0.0 <= self.threshold <= 1.0:
             raise ScenarioError("resource threshold must lie in [0, 1]")
-        if self.sensitivity not in ("standard", "high"):
+        if self.sensitivity not in SENSITIVITY_LEVELS:
             raise ScenarioError(f"unknown sensitivity {self.sensitivity!r}")
 
 
@@ -364,7 +364,7 @@ def config_from_obj(obj: object) -> ScenarioConfig:
         ResourceSpec(
             resource_id=r["resource_id"],
             threshold=float(r["threshold"]),
-            sensitivity=r.get("sensitivity", "standard"),
+            sensitivity=r.get("sensitivity", SENSITIVITY_STANDARD),
         )
         for r in obj.get("resources", [])
     )
@@ -469,7 +469,7 @@ def default_policy(
         },
         "sensitivity": {
             r.resource_id: r.sensitivity for r in resources
-            if r.sensitivity != "standard"
+            if r.sensitivity != SENSITIVITY_STANDARD
         },
         "quorum": {"n": quorum_n, "z": quorum_z},
     }
@@ -551,10 +551,10 @@ def reference_scenario(seed: int = 42) -> ScenarioConfig:
         for i in range(1, 21)
     )
     resources = (
-        ResourceSpec("res-files", 0.5, "standard"),
-        ResourceSpec("res-mail", 0.5, "standard"),
-        ResourceSpec("res-db", 0.75, "high"),
-        ResourceSpec("res-vault", 0.75, "high"),
+        ResourceSpec("res-files", 0.5, SENSITIVITY_STANDARD),
+        ResourceSpec("res-mail", 0.5, SENSITIVITY_STANDARD),
+        ResourceSpec("res-db", 0.75, SENSITIVITY_HIGH),
+        ResourceSpec("res-vault", 0.75, SENSITIVITY_HIGH),
     )
     start = int(duration * 0.3)
     return ScenarioConfig(
@@ -815,7 +815,7 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
     for spec in sorted(config.resources, key=lambda r: r.resource_id):
         digest = None
         holders: tuple[str, ...] = ()
-        if spec.sensitivity == "high":
+        if spec.sensitivity == SENSITIVITY_HIGH:
             token = rng.randrange(field_params.prime)
             shares = split(token, quorum, field_params, rng)
             for share, aid in zip(shares, config.approver_ids()):
@@ -1026,35 +1026,16 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
                     ledger.record_sat(host, action.device_id)
 
     # End-of-run archival statistics over the full event log.
-    graph = apply_rules(
-        ProvenanceGraph(
-            nodes={e.event_id: e for e in all_events},
-            edges=frozenset(
-                (pid, e.event_id) for e in all_events for pid in e.parent_ids
-            ),
-        ),
-        sorted_rules,
-    )
-    skeleton = reduce_to_skeleton(graph)
-    stats = reduction_stats(graph, skeleton)
-    if skeleton.nodes:
-        records = records_from_events(
-            skeleton.nodes[eid] for eid in sorted(skeleton.nodes)
-        )
-        table = build_codebook(collect_patterns(records))
-        avg_len = average_length(table)
-        avg_len_float: float | None = float(avg_len)
-        avg_len_exact: str | None = str(avg_len)
-    else:
-        avg_len_float = None
-        avg_len_exact = None
+    batch = archive_batch(all_events, sorted_rules)
+    stats = reduction_stats(batch.graph, batch.skeleton)
+    avg_len = batch.avg_code_length
     reduction = {
         "nodes_before": stats.nodes_before,
         "nodes_after": stats.nodes_after,
         "ratio": stats.ratio,
-        "avg_code_length": avg_len_float,
-        "avg_code_length_exact": avg_len_exact,
-        "alerts": len(graph.alerts),
+        "avg_code_length": None if avg_len is None else float(avg_len),
+        "avg_code_length_exact": None if avg_len is None else str(avg_len),
+        "alerts": len(batch.graph.alerts),
     }
 
     summary = _decision_summary(config, audit_rows)

@@ -1,54 +1,45 @@
-"""Week-pool event storage, compressed long-term archives, and the
-access-control table.
+"""Event storage, the archival pipeline, and the access-control table.
 
-Fresh telemetry lives in a hot JSON Lines pool for seven simulated
-days. Rollover reduces anything older to its alert skeleton, encodes
-the surviving attribute records into a self-contained archive, records
-a manifest entry, and only then prunes the hot pool, so an encoding
-failure leaves everything untouched. The access table holds the
-principals, the resource registry, and a schema version that moves
-only through migrations.
+Fresh telemetry lives in a hot JSON Lines pool indexed by triplet.
+Archival runs a batch of events through both reduction stages: alert
+rules and skeleton reduction keep only alert ancestry, then the
+surviving attribute records are tallied into patterns and given an
+optimal prefix code. The access table holds the principals, the
+resource registry, and the attribute schema with its version.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .engine import SENSITIVITY_HIGH, SENSITIVITY_LEVELS
 from .model import (
     AttributeKind,
     EdrEvent,
-    ModelError,
     Triplet,
     dumps_event,
-    event_from_obj,
     iter_events,
 )
 from .logcodec import (
     AttributeRecord,
-    CompressedArchive,
-    archive_to_bytes,
+    PatternTable,
+    average_length,
     build_codebook,
     collect_patterns,
-    average_length,
-    encode,
-    read_archive,
+    records_from_events,
 )
 from .provenance import (
     AlertRule,
     ProvenanceGraph,
+    Skeleton,
     apply_rules,
+    build_graph,
     reduce_to_skeleton,
 )
-
-RETENTION_SECONDS = 7 * 86400  # the hot pool keeps one simulated week
-
-SENSITIVITY_STANDARD = "standard"
-SENSITIVITY_HIGH = "high"
 
 
 class StoreError(ValueError):
@@ -118,126 +109,37 @@ class HotStore:
     def __len__(self) -> int:
         return len(self._events)
 
-    def _rewrite(self, events: Sequence[EdrEvent]) -> None:
-        self._events = list(events)
-        self._ids = {e.event_id for e in self._events}
-        self._by_triplet = {}
-        for event in self._events:
-            self._by_triplet.setdefault(event.triplet, []).append(event)
-        if self.path is not None:
-            tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for event in self._events:
-                    fh.write(dumps_event(event))
-                    fh.write("\n")
-            os.replace(tmp, self.path)
-
 
 @dataclass(frozen=True)
-class ManifestEntry:
-    """One archived rollover batch."""
+class ArchiveBatch:
+    """Both reduction stages of one batch, ready to encode.
 
-    archive: str | None
-    ts_min: int | None
-    ts_max: int | None
-    record_count: int
-    source_events: int
+    ``table`` and ``avg_code_length`` are ``None`` when no event fired
+    an alert, because then the skeleton and the records are empty.
+    """
+
+    graph: ProvenanceGraph
+    skeleton: Skeleton
+    records: list[AttributeRecord]
+    table: PatternTable | None
     avg_code_length: Fraction | None
 
-    @property
-    def empty(self) -> bool:
-        return self.source_events == 0
 
-    def to_obj(self) -> dict:
-        return {
-            "archive": self.archive,
-            "ts_min": self.ts_min,
-            "ts_max": self.ts_max,
-            "record_count": self.record_count,
-            "source_events": self.source_events,
-            "avg_code_length": (
-                None if self.avg_code_length is None
-                else float(self.avg_code_length)
-            ),
-            "avg_code_length_exact": (
-                None if self.avg_code_length is None
-                else str(self.avg_code_length)
-            ),
-        }
+def archive_batch(
+    events: Sequence[EdrEvent], rules: Sequence[AlertRule]
+) -> ArchiveBatch:
+    """Reduce a batch to its alert skeleton, then build the pattern code
+    for the skeleton's records, taken in event-id order."""
 
-    @classmethod
-    def from_obj(cls, obj: dict) -> "ManifestEntry":
-        exact = obj.get("avg_code_length_exact")
-        return cls(
-            archive=obj["archive"],
-            ts_min=obj["ts_min"],
-            ts_max=obj["ts_max"],
-            record_count=obj["record_count"],
-            source_events=obj["source_events"],
-            avg_code_length=None if exact is None else Fraction(exact),
-        )
-
-
-class ColdStore:
-    """Archive files plus a manifest with disjoint, ordered time ranges."""
-
-    def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.manifest_path = self.directory / "manifest.json"
-        self.entries: list[ManifestEntry] = []
-        if self.manifest_path.exists():
-            with open(self.manifest_path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            self.entries = [ManifestEntry.from_obj(obj) for obj in data]
-
-    def _check_range(self, entry: ManifestEntry) -> None:
-        if entry.ts_min is None or entry.ts_max is None:
-            raise StoreError("archived entries need a time range")
-        if entry.ts_min > entry.ts_max:
-            raise StoreError("manifest time range is inverted")
-        for existing in self.entries:
-            if existing.ts_min is None:
-                continue
-            if not (entry.ts_min > existing.ts_max
-                    or entry.ts_max < existing.ts_min):
-                raise StoreError("manifest time ranges must be disjoint")
-        if self.entries and self.entries[-1].ts_max is not None:
-            if entry.ts_min <= self.entries[-1].ts_max:
-                raise StoreError("manifest time ranges must be ordered")
-
-    def append_archive(
-        self, archive: CompressedArchive, entry: ManifestEntry
-    ) -> ManifestEntry:
-        self._check_range(entry)
-        name = f"archive-{len(self.entries):04d}.ztlc"
-        entry = ManifestEntry(
-            archive=name,
-            ts_min=entry.ts_min,
-            ts_max=entry.ts_max,
-            record_count=entry.record_count,
-            source_events=entry.source_events,
-            avg_code_length=entry.avg_code_length,
-        )
-        path = self.directory / name
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(archive_to_bytes(archive))
-        os.replace(tmp, path)
-        self.entries.append(entry)
-        self._save_manifest()
-        return entry
-
-    def _save_manifest(self) -> None:
-        tmp = self.manifest_path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump([e.to_obj() for e in self.entries], fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, self.manifest_path)
-
-    def read_entry(self, entry: ManifestEntry) -> CompressedArchive:
-        if entry.archive is None:
-            raise StoreError("entry has no archive file")
-        return read_archive(self.directory / entry.archive)
+    graph = apply_rules(build_graph(events), rules)
+    skeleton = reduce_to_skeleton(graph)
+    records = records_from_events(
+        skeleton.nodes[eid] for eid in sorted(skeleton.nodes)
+    )
+    if not records:
+        return ArchiveBatch(graph, skeleton, records, None, None)
+    table = build_codebook(collect_patterns(records))
+    return ArchiveBatch(graph, skeleton, records, table, average_length(table))
 
 
 @dataclass(frozen=True)
@@ -250,7 +152,7 @@ class ResourceEntry:
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise StoreError("resource threshold must lie in [0, 1]")
-        if self.sensitivity not in (SENSITIVITY_STANDARD, SENSITIVITY_HIGH):
+        if self.sensitivity not in SENSITIVITY_LEVELS:
             raise StoreError(f"unknown sensitivity {self.sensitivity!r}")
 
 
@@ -258,7 +160,7 @@ class AccessTable:
     """Principals, resource registry, active attribute schema, version.
 
     Every high-sensitivity resource must name exactly ``quorum_n``
-    share holders. The version advances by one on every migration.
+    share holders.
     """
 
     def __init__(
@@ -291,30 +193,6 @@ class AccessTable:
                         f"{len(entry.share_holders)}"
                     )
 
-    def schema_migrate(
-        self, action: str, kind_name: str, weighted: Iterable[str] = ()
-    ) -> int:
-        """Add or remove an attribute from the active schema.
-
-        Removal refuses any attribute still referenced by active policy
-        weights. Returns the new version.
-        """
-
-        if action == "add":
-            if kind_name in self.attributes:
-                raise StoreError(f"attribute already present: {kind_name}")
-            self.attributes = sorted([*self.attributes, kind_name])
-        elif action == "remove":
-            if kind_name not in self.attributes:
-                raise StoreError(f"attribute not in schema: {kind_name}")
-            if kind_name in set(weighted):
-                raise StoreError(f"attribute in use: {kind_name}")
-            self.attributes = [a for a in self.attributes if a != kind_name]
-        else:
-            raise StoreError(f"unknown migration action {action!r}")
-        self.version += 1
-        return self.version
-
     def to_obj(self) -> dict:
         return {
             "version": self.version,
@@ -333,113 +211,7 @@ class AccessTable:
             },
         }
 
-    @classmethod
-    def from_obj(cls, obj: dict) -> "AccessTable":
-        resources = {
-            rid: ResourceEntry(
-                threshold=spec["threshold"],
-                sensitivity=spec["sensitivity"],
-                token_digest=spec.get("token_digest"),
-                share_holders=tuple(spec.get("share_holders", ())),
-            )
-            for rid, spec in obj.get("resources", {}).items()
-        }
-        return cls(
-            users=obj.get("users", ()),
-            devices=obj.get("devices", ()),
-            resources=resources,
-            attributes=obj.get("attributes"),
-            quorum_n=obj.get("quorum_n"),
-            version=obj.get("version", 1),
-        )
-
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_obj(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "AccessTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_obj(json.load(fh))
-
-
-class Store:
-    """Facade over the hot pool, the cold archives, and the access table."""
-
-    def __init__(
-        self,
-        directory: str | Path | None = None,
-        access: AccessTable | None = None,
-    ):
-        self.directory = Path(directory) if directory is not None else None
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            self.hot = HotStore(self.directory / "events.jsonl")
-            self.cold = ColdStore(self.directory / "cold")
-            access_path = self.directory / "access.json"
-            if access is None and access_path.exists():
-                access = AccessTable.load(access_path)
-        else:
-            self.hot = HotStore(None)
-            self.cold = None
-        self.access = access if access is not None else AccessTable()
-
-    def save_access(self) -> None:
-        if self.directory is None:
-            raise StoreError("in-memory store has no access table file")
-        self.access.save(self.directory / "access.json")
-
-    def rollover(self, now: int, rules: Sequence[AlertRule]) -> ManifestEntry:
-        """Archive everything older than the retention horizon.
-
-        The aged batch is reduced to its alert skeleton, the skeleton's
-        attribute records are pattern-coded into an archive, a manifest
-        entry is written, and the hot pool is pruned last. Parent
-        references that leave the batch (to younger events or earlier
-        archives) are treated as batch-external and do not contribute
-        edges. Any failure before the prune leaves the store unchanged.
-        """
-
-        if self.cold is None:
-            raise StoreError("in-memory store cannot roll over")
-        cutoff = now - RETENTION_SECONDS
-        batch = [e for e in self.hot.events if e.timestamp < cutoff]
-        if not batch:
-            return ManifestEntry(
-                archive=None, ts_min=None, ts_max=None,
-                record_count=0, source_events=0, avg_code_length=None,
-            )
-        batch_ids = {e.event_id for e in batch}
-        nodes = {e.event_id: e for e in batch}
-        edges = frozenset(
-            (pid, e.event_id)
-            for e in batch for pid in e.parent_ids if pid in batch_ids
-        )
-        graph = apply_rules(
-            ProvenanceGraph(nodes=nodes, edges=edges), rules
-        )
-        skeleton = reduce_to_skeleton(graph)
-        records = [
-            AttributeRecord.from_event(skeleton.nodes[eid])
-            for eid in sorted(skeleton.nodes)
-        ]
-        if records:
-            table = build_codebook(collect_patterns(records))
-            archive = encode(records, table)
-            avg_len = average_length(table)
-        else:
-            archive = CompressedArchive(codebook={}, record_count=0, payload=b"")
-            avg_len = None
-        entry = ManifestEntry(
-            archive=None,
-            ts_min=min(e.timestamp for e in batch),
-            ts_max=max(e.timestamp for e in batch),
-            record_count=len(records),
-            source_events=len(batch),
-            avg_code_length=avg_len,
-        )
-        entry = self.cold.append_archive(archive, entry)
-        survivors = [e for e in self.hot.events if e.timestamp >= cutoff]
-        self.hot._rewrite(survivors)
-        return entry

@@ -1,5 +1,5 @@
-"""Storage layer: hot pool queries, rollover archival, manifest
-discipline, and access-table migrations."""
+"""Storage layer: hot pool queries, the archival pipeline, and the
+access table."""
 
 from __future__ import annotations
 
@@ -7,18 +7,15 @@ import json
 
 import pytest
 
-from trustgate.logcodec import decode
+from trustgate.logcodec import average_length, decode, encode
 from trustgate.model import AttributeKind, Severity, Triplet
-from trustgate.provenance import AlertRule
+from trustgate.provenance import AlertRule, SummaryEdge
 from trustgate.store import (
-    RETENTION_SECONDS,
     AccessTable,
-    ColdStore,
     HotStore,
-    ManifestEntry,
     ResourceEntry,
-    Store,
     StoreError,
+    archive_batch,
 )
 
 from conftest import DEFAULT_TRIPLET, make_event
@@ -117,56 +114,6 @@ class TestHotStore:
         assert store.query_window(DEFAULT_TRIPLET, 100, 100) == {}
 
 
-class TestColdStoreManifest:
-    def _entry(self, lo, hi):
-        return ManifestEntry(
-            archive=None, ts_min=lo, ts_max=hi,
-            record_count=1, source_events=1, avg_code_length=None,
-        )
-
-    def _tiny_archive(self):
-        from trustgate.logcodec import (
-            AttributeRecord, build_codebook, collect_patterns, encode,
-        )
-        records = [AttributeRecord.from_event(make_event(1, 0))]
-        table = build_codebook(collect_patterns(records))
-        return encode(records, table)
-
-    def test_ranges_must_be_disjoint(self, tmp_path):
-        cold = ColdStore(tmp_path)
-        cold.append_archive(self._tiny_archive(), self._entry(0, 100))
-        with pytest.raises(StoreError, match="disjoint"):
-            cold.append_archive(self._tiny_archive(), self._entry(100, 200))
-
-    def test_ranges_must_be_ordered(self, tmp_path):
-        cold = ColdStore(tmp_path)
-        cold.append_archive(self._tiny_archive(), self._entry(500, 600))
-        with pytest.raises(StoreError, match="disjoint|ordered"):
-            cold.append_archive(self._tiny_archive(), self._entry(0, 100))
-
-    def test_inverted_range_rejected(self, tmp_path):
-        cold = ColdStore(tmp_path)
-        with pytest.raises(StoreError, match="inverted"):
-            cold.append_archive(self._tiny_archive(), self._entry(100, 50))
-
-    def test_manifest_survives_reopen(self, tmp_path):
-        cold = ColdStore(tmp_path)
-        entry = cold.append_archive(self._tiny_archive(), self._entry(0, 100))
-        reopened = ColdStore(tmp_path)
-        assert reopened.entries == [entry]
-        archive = reopened.read_entry(entry)
-        assert archive.record_count == 1
-
-    def test_archive_files_numbered(self, tmp_path):
-        cold = ColdStore(tmp_path)
-        first = cold.append_archive(self._tiny_archive(), self._entry(0, 10))
-        second = cold.append_archive(self._tiny_archive(),
-                                     self._entry(20, 30))
-        assert first.archive == "archive-0000.ztlc"
-        assert second.archive == "archive-0001.ztlc"
-        assert (tmp_path / "archive-0001.ztlc").exists()
-
-
 class TestAccessTable:
     def test_principals_sorted_and_deduped(self):
         table = AccessTable(users=["u2", "u1", "u2"], devices=["d9", "d1"])
@@ -202,199 +149,54 @@ class TestAccessTable:
         )
         path = tmp_path / "access.json"
         table.save(path)
-        loaded = AccessTable.load(path)
-        assert loaded.to_obj() == table.to_obj()
+        assert json.loads(path.read_text(encoding="utf-8")) == table.to_obj()
 
 
-class TestSchemaMigration:
-    def test_add_bumps_version(self):
-        table = AccessTable(attributes=["alpha"])
-        assert table.schema_migrate("add", "beta") == 2
-        assert table.attributes == ["alpha", "beta"]
+def alert_batch():
+    """Two alert neighbourhoods plus noise.
 
-    def test_add_duplicate_rejected(self):
-        table = AccessTable(attributes=["alpha"])
-        with pytest.raises(StoreError, match="already present"):
-            table.schema_migrate("add", "alpha")
-        assert table.version == 1
-
-    def test_remove(self):
-        table = AccessTable(attributes=["alpha", "beta"])
-        table.schema_migrate("remove", "beta")
-        assert table.attributes == ["alpha"]
-        assert table.version == 2
-
-    def test_remove_missing_rejected(self):
-        table = AccessTable(attributes=["alpha"])
-        with pytest.raises(StoreError, match="not in schema"):
-            table.schema_migrate("remove", "beta")
-
-    def test_remove_weighted_attribute_rejected(self):
-        table = AccessTable(attributes=["alpha", "beta"])
-        with pytest.raises(StoreError, match="in use"):
-            table.schema_migrate("remove", "beta", weighted=["beta"])
-        assert table.version == 1
-        assert "beta" in table.attributes
-
-    def test_unknown_action(self):
-        table = AccessTable()
-        with pytest.raises(StoreError, match="unknown migration"):
-            table.schema_migrate("rename", "alpha")
-
-    def test_versions_accumulate(self):
-        table = AccessTable(attributes=["a"])
-        table.schema_migrate("add", "b")
-        table.schema_migrate("add", "c")
-        table.schema_migrate("remove", "a")
-        assert table.version == 4
-
-
-def aged_batch():
-    """Events far enough in the past to roll over at now=RETENTION+1000.
-
-    A 5-node chain whose head bursts past the alert threshold, so the
-    skeleton keeps the alert node and its ancestor path end-points, plus
-    one younger event that must survive the prune.
+    Alert 3 has two parents, so both survive verbatim. Alerts 10 and 14
+    end a chain whose three interior non-alert nodes collapse into one
+    summary edge. Events 20 and 21 lie on no path to an alert.
     """
 
-    chain = [
-        make_event(1, 100, value=200, parents=()),       # alert (>=100)
-        make_event(2, 110, value=1, parents=(1,)),
-        make_event(3, 120, value=1, parents=(2,)),
-        make_event(4, 130, value=1, parents=(3,)),
-        make_event(5, 140, value=300, parents=(4,)),     # alert
+    return [
+        make_event(1, 100, value=1),
+        make_event(2, 105, value=2),
+        make_event(3, 110, value=200, parents=(1, 2)),     # alert
+        make_event(10, 200, value=300),                    # alert
+        make_event(11, 210, value=1, parents=(10,)),
+        make_event(12, 220, value=1, parents=(11,)),
+        make_event(13, 230, value=1, parents=(12,)),
+        make_event(14, 240, value=400, parents=(13,)),     # alert
+        make_event(20, 300, value=1),
+        make_event(21, 310, value=1, parents=(20,)),
     ]
-    young = make_event(100, RETENTION_SECONDS + 900, value=1)
-    return chain + [young]
 
 
-class TestRollover:
-    def test_rollover_prunes_and_archives(self, tmp_path):
-        store = Store(tmp_path)
-        store.hot.append_events(aged_batch())
-        entry = store.rollover(RETENTION_SECONDS + 1000, [BURST_RULE])
-        assert entry.source_events == 5
-        # Skeleton of a 2-alert chain: both alerts survive, the three
-        # interior non-alert nodes collapse away.
-        assert entry.record_count == 2
-        assert entry.ts_min == 100
-        assert entry.ts_max == 140
-        assert not entry.empty
-        # The young event is the only survivor in the hot pool.
-        assert [e.event_id for e in store.hot.events] == [100]
+class TestArchiveBatch:
+    def test_alert_ancestry_kept(self):
+        batch = archive_batch(alert_batch(), [BURST_RULE])
+        assert sorted(a.event_id for a in batch.graph.alerts) == [3, 10, 14]
+        assert sorted(batch.skeleton.nodes) == [1, 2, 3, 10, 14]
+        assert batch.skeleton.summary_edges == (SummaryEdge(10, 14, 3),)
 
-    def test_rollover_archive_decodes(self, tmp_path):
-        store = Store(tmp_path)
-        store.hot.append_events(aged_batch())
-        entry = store.rollover(RETENTION_SECONDS + 1000, [BURST_RULE])
-        archive = store.cold.read_entry(entry)
-        records = decode(archive)
-        assert len(records) == entry.record_count
-        values = sorted(dict(r.items)["io_operation_count"]
-                        for r in records)
-        assert values == [200, 300]
+    def test_records_decode_after_encode(self):
+        # Records follow event-id order whatever order the batch came in.
+        batch = archive_batch(alert_batch()[::-1], [BURST_RULE])
+        values = [dict(r.items)["io_operation_count"] for r in batch.records]
+        assert values == [1, 2, 200, 300, 400]
+        assert batch.avg_code_length == average_length(batch.table)
+        assert decode(encode(batch.records, batch.table)) == batch.records
 
-    def test_rollover_without_alerts_archives_nothing(self, tmp_path):
-        store = Store(tmp_path)
-        store.hot.append_events([
-            make_event(1, 100, value=1),
-            make_event(2, 110, value=2),
-        ])
-        entry = store.rollover(RETENTION_SECONDS + 1000, [BURST_RULE])
-        assert entry.source_events == 2
-        assert entry.record_count == 0
-        assert entry.avg_code_length is None
-        assert len(store.hot) == 0
-
-    def test_rollover_with_nothing_aged_is_noop(self, tmp_path):
-        store = Store(tmp_path)
-        store.hot.append_events([make_event(1, RETENTION_SECONDS + 500)])
-        entry = store.rollover(RETENTION_SECONDS + 1000, [BURST_RULE])
-        assert entry.empty
-        assert entry.archive is None
-        assert store.cold.entries == []
-        assert len(store.hot) == 1
-
-    def test_cutoff_is_exclusive_of_boundary(self, tmp_path):
-        store = Store(tmp_path)
-        now = RETENTION_SECONDS + 1000
-        cutoff = now - RETENTION_SECONDS
-        store.hot.append_events([
-            make_event(1, cutoff - 1, value=200),
-            make_event(2, cutoff, value=200),
-        ])
-        entry = store.rollover(now, [BURST_RULE])
-        assert entry.source_events == 1
-        assert [e.event_id for e in store.hot.events] == [2]
-
-    def test_parent_links_leaving_batch_are_severed(self, tmp_path):
-        store = Store(tmp_path)
-        now = RETENTION_SECONDS + 1000
-        old = make_event(1, 100, value=200)
-        young = make_event(2, RETENTION_SECONDS + 900, value=200,
-                           parents=(1,))
-        store.hot.append_events([old, young])
-        entry = store.rollover(now, [BURST_RULE])
-        # Only the old event rolls over; the younger child's edge into
-        # the batch is external and must not break graph construction.
-        assert entry.source_events == 1
-        assert entry.record_count == 1
-        assert [e.event_id for e in store.hot.events] == [2]
-
-    def test_encoding_failure_leaves_store_untouched(self, tmp_path,
-                                                     monkeypatch):
-        store = Store(tmp_path)
-        store.hot.append_events(aged_batch())
-        before = store.hot.events
-
-        def exploding(records, table):
-            raise RuntimeError("codec fault injected")
-
-        monkeypatch.setattr("trustgate.store.encode", exploding)
-        with pytest.raises(RuntimeError, match="codec fault"):
-            store.rollover(RETENTION_SECONDS + 1000, [BURST_RULE])
-        assert store.hot.events == before
-        assert store.cold.entries == []
-        reopened = Store(tmp_path)
-        assert reopened.hot.events == before
-
-    def test_in_memory_store_cannot_roll_over(self):
-        store = Store(None)
-        with pytest.raises(StoreError, match="in-memory"):
-            store.rollover(RETENTION_SECONDS + 1000, [BURST_RULE])
-
-    def test_rollover_durable_across_reopen(self, tmp_path):
-        store = Store(tmp_path)
-        store.hot.append_events(aged_batch())
-        entry = store.rollover(RETENTION_SECONDS + 1000, [BURST_RULE])
-        reopened = Store(tmp_path)
-        assert [e.event_id for e in reopened.hot.events] == [100]
-        assert reopened.cold.entries == [entry]
-        assert decode(reopened.cold.read_entry(entry))
-
-
-class TestStoreFacade:
-    def test_access_table_round_trip_through_directory(self, tmp_path):
-        table = AccessTable(users=["u1"], devices=["d1"])
-        store = Store(tmp_path, access=table)
-        store.save_access()
-        reopened = Store(tmp_path)
-        assert reopened.access.to_obj() == table.to_obj()
-
-    def test_in_memory_store_has_no_access_file(self):
-        store = Store(None)
-        with pytest.raises(StoreError, match="in-memory"):
-            store.save_access()
-
-    def test_manifest_entry_serialization(self):
-        from fractions import Fraction
-        entry = ManifestEntry(
-            archive="archive-0000.ztlc", ts_min=0, ts_max=10,
-            record_count=3, source_events=9,
-            avg_code_length=Fraction(56, 25),
+    def test_no_alerts_gives_empty_skeleton(self):
+        batch = archive_batch(
+            [make_event(1, 100, value=1), make_event(2, 110, value=2,
+                                                     parents=(1,))],
+            [BURST_RULE],
         )
-        obj = json.loads(json.dumps(entry.to_obj()))
-        restored = ManifestEntry.from_obj(obj)
-        assert restored == entry
-        assert obj["avg_code_length"] == 2.24
-        assert obj["avg_code_length_exact"] == "56/25"
+        assert len(batch.graph.nodes) == 2
+        assert batch.skeleton.nodes == {}
+        assert batch.records == []
+        assert batch.table is None
+        assert batch.avg_code_length is None
