@@ -20,7 +20,7 @@ def main() -> None:
     report = run(config, out_dir)
 
     print(f"scenario: {len(config.devices)} devices, "
-          f"{len(config.resources)} resources, "
+          f"{len(config.policy.resources)} resources, "
           f"{config.duration}s, seed {config.seed}")
     compromised = ", ".join(
         f"{p.device_id}@t={p.start_time}" for p in config.compromises

@@ -97,6 +97,7 @@ from .engine import (
     PolicyError,
     QuorumClient,
     QuorumResult,
+    ResourceSpec,
     TrustPolicy,
     TrustRecord,
     audit_line,
@@ -123,7 +124,6 @@ from .store import (
     AccessTable,
     ArchiveBatch,
     HotStore,
-    ResourceEntry,
     StoreError,
     archive_batch,
 )
@@ -134,7 +134,6 @@ from .simnet import (
     DeviceSpec,
     FailureWindow,
     ReplayError,
-    ResourceSpec,
     ScenarioConfig,
     ScenarioError,
     SimReport,
@@ -178,22 +177,22 @@ __all__ = [
     "secrecy_probe", "split", "split_integer", "write_share_file",
     # engine
     "ActiveAlert", "Decision", "EngineError", "PiecewiseNormalizer",
-    "PolicyError", "QuorumClient", "QuorumResult", "TrustPolicy",
-    "TrustRecord", "audit_line", "behavioral_score", "combined_score",
-    "decide", "load_policy", "make_record", "parse_audit_line",
-    "policy_from_obj", "policy_to_obj", "quorum_approve", "token_digest",
+    "PolicyError", "QuorumClient", "QuorumResult", "ResourceSpec",
+    "TrustPolicy", "TrustRecord", "audit_line", "behavioral_score",
+    "combined_score", "decide", "load_policy", "make_record",
+    "parse_audit_line", "policy_from_obj", "policy_to_obj",
+    "quorum_approve", "token_digest",
     # cache
     "CacheConfig", "CacheError", "CacheMetrics", "HitKind", "ScoreStore",
     "TrustScoreCache",
     # store
-    "AccessTable", "ArchiveBatch", "HotStore", "ResourceEntry",
-    "StoreError", "archive_batch",
+    "AccessTable", "ArchiveBatch", "HotStore", "StoreError",
+    "archive_batch",
     # simnet
     "AttributeProfile", "BehaviorProfile", "CompromisePlan", "DeviceSpec",
-    "FailureWindow", "ReplayError", "ResourceSpec", "ScenarioConfig",
-    "ScenarioError", "SimReport", "benign_profile", "config_digest",
-    "config_from_obj", "config_to_obj", "default_policy", "default_rules",
-    "load_config", "malicious_profile", "reference_scenario", "replay",
-    "run",
+    "FailureWindow", "ReplayError", "ScenarioConfig", "ScenarioError",
+    "SimReport", "benign_profile", "config_digest", "config_from_obj",
+    "config_to_obj", "default_policy", "default_rules", "load_config",
+    "malicious_profile", "reference_scenario", "replay", "run",
     "__version__",
 ]

@@ -177,16 +177,24 @@ class TrustScoreCache:
             if flight is None:
                 flight = self._inflight[triplet] = threading.Lock()
         with flight:
-            # Double check: another caller may have recomputed while we
-            # waited on the flight lock.
-            with self._lock:
-                entry = self._entries.get(triplet)
-                if entry is not None and self._fresh(entry.record, now):
-                    entry.last_access = now
-                    self.metrics.cache_hits += 1
-                    self._note_served(entry.record, now)
-                    return entry.record, HitKind.CACHE_HIT
-            record = self._recompute_locked(triplet, now, recompute)
+            try:
+                # Double check: another caller may have recomputed while
+                # we waited on the flight lock.
+                with self._lock:
+                    entry = self._entries.get(triplet)
+                    if entry is not None and self._fresh(entry.record, now):
+                        entry.last_access = now
+                        self.metrics.cache_hits += 1
+                        self._note_served(entry.record, now)
+                        return entry.record, HitKind.CACHE_HIT
+                record = self._recompute_locked(triplet, now, recompute)
+            finally:
+                # The flight is over; later misses start a new one. Drop
+                # only this flight's lock: a caller queued on it may end
+                # after a failed recompute let a newer flight begin.
+                with self._lock:
+                    if self._inflight.get(triplet) is flight:
+                        del self._inflight[triplet]
         return record, HitKind.RECOMPUTED
 
     def refresh_sweep(self, now: int, recompute: Recompute) -> SweepResult:

@@ -102,14 +102,39 @@ class PiecewiseNormalizer:
 
 
 @dataclass(frozen=True)
+class ResourceSpec:
+    """A registered resource: its trust bar and sensitivity level."""
+
+    resource_id: str
+    threshold: float
+    sensitivity: str = SENSITIVITY_STANDARD
+
+    def __post_init__(self) -> None:
+        if not self.resource_id:
+            raise PolicyError("resource_id must be non-empty")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise PolicyError(
+                f"threshold for {self.resource_id} must lie in [0, 1]"
+            )
+        if self.sensitivity not in SENSITIVITY_LEVELS:
+            raise PolicyError(
+                f"unknown sensitivity {self.sensitivity!r} "
+                f"for {self.resource_id}"
+            )
+
+
+@dataclass(frozen=True)
 class TrustPolicy:
-    """Weights, normalizers, blend, thresholds, and quorum shape."""
+    """Weights, normalizers, blend, resource registry, and quorum shape.
+
+    ``resources`` may be given as any iterable of ``ResourceSpec``; it
+    is stored as a dict keyed by resource id, in the order given.
+    """
 
     weights: Mapping[AttributeKind, Fraction]
     normalizers: Mapping[AttributeKind, PiecewiseNormalizer]
     alpha: float = DEFAULT_ALPHA
-    resource_thresholds: Mapping[str, float] = field(default_factory=dict)
-    sensitivity: Mapping[str, str] = field(default_factory=dict)
+    resources: Mapping[str, ResourceSpec] = field(default_factory=dict)
     quorum: ThresholdPolicy = field(
         default_factory=lambda: ThresholdPolicy(n=5, z=3)
     )
@@ -132,23 +157,22 @@ class TrustPolicy:
             raise PolicyError("weights must sum to 1 exactly")
         if not 0.0 <= self.alpha <= 1.0:
             raise PolicyError("alpha must lie in [0, 1]")
-        for rid, theta in self.resource_thresholds.items():
-            if not 0.0 <= theta <= 1.0:
-                raise PolicyError(f"threshold for {rid} must lie in [0, 1]")
-        for rid, level in self.sensitivity.items():
-            if level not in SENSITIVITY_LEVELS:
-                raise PolicyError(f"unknown sensitivity {level!r} for {rid}")
+        specs = (
+            self.resources.values() if isinstance(self.resources, Mapping)
+            else tuple(self.resources)
+        )
+        registry = {spec.resource_id: spec for spec in specs}
+        if len(registry) != len(specs):
+            raise PolicyError("duplicate resource ids")
+        object.__setattr__(self, "resources", registry)
 
     def sensitivity_for(self, resource_id: str) -> str:
-        return self.sensitivity.get(resource_id, SENSITIVITY_STANDARD)
+        spec = self.resources.get(resource_id)
+        return SENSITIVITY_STANDARD if spec is None else spec.sensitivity
 
     def threshold_for(self, resource_id: str) -> float:
-        theta = self.resource_thresholds.get(resource_id)
-        if theta is not None:
-            return theta
-        if self.sensitivity_for(resource_id) == SENSITIVITY_HIGH:
-            return DEFAULT_THRESHOLD_HIGH
-        return DEFAULT_THRESHOLD_STANDARD
+        spec = self.resources.get(resource_id)
+        return DEFAULT_THRESHOLD_STANDARD if spec is None else spec.threshold
 
 
 def behavioral_score(
@@ -448,15 +472,23 @@ def policy_from_obj(obj: object) -> TrustPolicy:
         quorum = ThresholdPolicy(n=quorum_spec["n"], z=quorum_spec["z"])
     except ShareError as exc:
         raise PolicyError(str(exc)) from None
+    thresholds = obj.get("thresholds", {})
+    sensitivity = obj.get("sensitivity", {})
+    if not isinstance(thresholds, dict) or not isinstance(sensitivity, dict):
+        raise PolicyError("thresholds and sensitivity must be JSON objects")
+    resources = []
+    for rid in {**thresholds, **sensitivity}:
+        level = sensitivity.get(rid, SENSITIVITY_STANDARD)
+        default = (DEFAULT_THRESHOLD_HIGH if level == SENSITIVITY_HIGH
+                   else DEFAULT_THRESHOLD_STANDARD)
+        resources.append(
+            ResourceSpec(rid, float(thresholds.get(rid, default)), level)
+        )
     return TrustPolicy(
         weights=weights,
         normalizers=normalizers,
         alpha=float(obj.get("alpha", DEFAULT_ALPHA)),
-        resource_thresholds={
-            rid: float(theta)
-            for rid, theta in obj.get("thresholds", {}).items()
-        },
-        sensitivity=dict(obj.get("sensitivity", {})),
+        resources=resources,
         quorum=quorum,
     )
 
@@ -471,6 +503,7 @@ def load_policy(path: str | Path) -> TrustPolicy:
 
 
 def policy_to_obj(policy: TrustPolicy) -> dict:
+    resources = [policy.resources[rid] for rid in sorted(policy.resources)]
     return {
         "weights": {
             kind.value: str(weight) for kind, weight in
@@ -486,7 +519,10 @@ def policy_to_obj(policy: TrustPolicy) -> dict:
             )
         },
         "alpha": policy.alpha,
-        "thresholds": dict(sorted(policy.resource_thresholds.items())),
-        "sensitivity": dict(sorted(policy.sensitivity.items())),
+        "thresholds": {r.resource_id: r.threshold for r in resources},
+        "sensitivity": {
+            r.resource_id: r.sensitivity for r in resources
+            if r.sensitivity != SENSITIVITY_STANDARD
+        },
         "quorum": {"n": policy.quorum.n, "z": policy.quorum.z},
     }

@@ -25,7 +25,7 @@ import hashlib
 import heapq
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -51,10 +51,10 @@ from .reputation import (
 from .secretshare import FieldParams, Share, ThresholdPolicy, split
 from .engine import (
     SENSITIVITY_HIGH,
-    SENSITIVITY_LEVELS,
     SENSITIVITY_STANDARD,
     ActiveAlert,
     QuorumClient,
+    ResourceSpec,
     TrustPolicy,
     TrustRecord,
     audit_line,
@@ -67,7 +67,7 @@ from .engine import (
     token_digest,
 )
 from .cache import CacheConfig, ScoreStore, TrustScoreCache
-from .store import AccessTable, HotStore, ResourceEntry, archive_batch
+from .store import AccessTable, HotStore, archive_batch
 
 FLAG_NO_DEVICES = "no_devices"
 FLAG_NO_MALICIOUS_TRAFFIC = "no_malicious_traffic"
@@ -135,21 +135,6 @@ class DeviceSpec:
 
 
 @dataclass(frozen=True)
-class ResourceSpec:
-    resource_id: str
-    threshold: float
-    sensitivity: str = SENSITIVITY_STANDARD
-
-    def __post_init__(self) -> None:
-        if not self.resource_id:
-            raise ScenarioError("resource_id must be non-empty")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ScenarioError("resource threshold must lie in [0, 1]")
-        if self.sensitivity not in SENSITIVITY_LEVELS:
-            raise ScenarioError(f"unknown sensitivity {self.sensitivity!r}")
-
-
-@dataclass(frozen=True)
 class CompromisePlan:
     device_id: str
     start_time: int
@@ -171,7 +156,6 @@ class ScenarioConfig:
     seed: int
     duration: int
     devices: tuple[DeviceSpec, ...]
-    resources: tuple[ResourceSpec, ...]
     benign: BehaviorProfile
     policy: TrustPolicy
     alert_rules: tuple[AlertRule, ...]
@@ -192,9 +176,6 @@ class ScenarioConfig:
         device_ids = [d.device_id for d in self.devices]
         if len(set(device_ids)) != len(device_ids):
             raise ScenarioError("duplicate device ids")
-        resource_ids = [r.resource_id for r in self.resources]
-        if len(set(resource_ids)) != len(resource_ids):
-            raise ScenarioError("duplicate resource ids")
         known = set(device_ids)
         for plan in self.compromises:
             if plan.device_id not in known:
@@ -297,7 +278,7 @@ def config_to_obj(config: ScenarioConfig) -> dict:
                 "threshold": r.threshold,
                 "sensitivity": r.sensitivity,
             }
-            for r in config.resources
+            for r in config.policy.resources.values()
         ],
         "benign_profile": _profile_to_obj(config.benign),
         "compromises": [
@@ -333,14 +314,37 @@ def config_to_obj(config: ScenarioConfig) -> dict:
     }
 
 
+_TUNABLES = (
+    "attribute_window", "refresh_interval", "cache_capacity", "damping",
+    "epsilon",
+)
+
+
 def config_from_obj(obj: object) -> ScenarioConfig:
+    """Parse a scenario document; any malformed part raises ScenarioError.
+
+    The ``"resources"`` list is the resource registry. A ``"policy"``
+    block, when given, must list the same thresholds and sensitivity
+    levels.
+    """
+
+    try:
+        return _config_from_obj(obj)
+    except ScenarioError:
+        raise
+    except KeyError as exc:
+        raise ScenarioError(f"missing scenario field {exc}") from None
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ScenarioError(f"malformed scenario: {exc}") from None
+
+
+def _config_from_obj(obj: object) -> ScenarioConfig:
     if not isinstance(obj, dict):
         raise ScenarioError("scenario must be a JSON object")
     allowed = {
         "seed", "duration", "devices", "resources", "benign_profile",
         "compromises", "failures", "approvers", "pretrusted", "policy",
-        "alert_rules", "attribute_window", "refresh_interval",
-        "cache_capacity", "damping", "epsilon",
+        "alert_rules", *_TUNABLES,
     }
     unknown = set(obj) - allowed
     if unknown:
@@ -360,23 +364,32 @@ def config_from_obj(obj: object) -> ScenarioConfig:
             DeviceSpec(device_id=d["device_id"], user_id=d["user_id"])
             for d in devices_spec
         )
+    resources_obj = obj.get("resources", [])
+    if not isinstance(resources_obj, list):
+        raise ScenarioError("resources must be a list")
     resources = tuple(
         ResourceSpec(
             resource_id=r["resource_id"],
             threshold=float(r["threshold"]),
             sensitivity=r.get("sensitivity", SENSITIVITY_STANDARD),
         )
-        for r in obj.get("resources", [])
+        for r in resources_obj
     )
     approvers = obj.get("approvers", {"n": 5, "z": 3})
     policy_obj = obj.get("policy")
-    policy = (
-        policy_from_obj(policy_obj) if policy_obj is not None
-        else default_policy(
+    if policy_obj is None:
+        policy = default_policy(
             quorum_n=approvers["n"], quorum_z=approvers["z"],
             resources=resources,
         )
-    )
+    else:
+        policy = policy_from_obj(policy_obj)
+        if policy.resources != {r.resource_id: r for r in resources}:
+            raise ScenarioError(
+                "policy thresholds and sensitivity must agree with the "
+                "resources list"
+            )
+        policy = replace(policy, resources=resources)
     rules_obj = obj.get("alert_rules")
     rules = (
         tuple(rule_from_obj(r) for r in rules_obj)
@@ -389,7 +402,6 @@ def config_from_obj(obj: object) -> ScenarioConfig:
         seed=obj.get("seed", 0),
         duration=obj.get("duration", 0),
         devices=devices,
-        resources=resources,
         benign=_profile_from_obj(obj.get("benign_profile", {})),
         compromises=tuple(
             CompromisePlan(
@@ -408,11 +420,7 @@ def config_from_obj(obj: object) -> ScenarioConfig:
         pretrusted=tuple(pretrusted),
         policy=policy,
         alert_rules=rules,
-        attribute_window=obj.get("attribute_window", 900),
-        refresh_interval=obj.get("refresh_interval", 300),
-        cache_capacity=obj.get("cache_capacity", 256),
-        damping=obj.get("damping", 0.1),
-        epsilon=obj.get("epsilon", 1e-9),
+        **{key: obj[key] for key in _TUNABLES if key in obj},
     )
 
 
@@ -464,16 +472,9 @@ def default_policy(
             },
         },
         "alpha": 0.5,
-        "thresholds": {
-            r.resource_id: r.threshold for r in resources
-        },
-        "sensitivity": {
-            r.resource_id: r.sensitivity for r in resources
-            if r.sensitivity != SENSITIVITY_STANDARD
-        },
         "quorum": {"n": quorum_n, "z": quorum_z},
     }
-    return policy_from_obj(obj)
+    return replace(policy_from_obj(obj), resources=resources)
 
 
 def default_rules() -> tuple[AlertRule, ...]:
@@ -561,7 +562,6 @@ def reference_scenario(seed: int = 42) -> ScenarioConfig:
         seed=seed,
         duration=duration,
         devices=devices,
-        resources=resources,
         benign=benign_profile(),
         policy=default_policy(resources=resources),
         alert_rules=default_rules(),
@@ -578,8 +578,9 @@ def reference_scenario(seed: int = 42) -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Run outcome. ``from_audit`` fields are recomputable from the
-    decision audit log plus the scenario; the rest are run-internal."""
+    """Run outcome. The fields ``_decision_summary`` returns are
+    recomputable from the decision audit log plus the scenario; the
+    rest are run-internal."""
 
     config_digest: str
     flags: tuple[str, ...]
@@ -601,65 +602,12 @@ class SimReport:
     reduction: Mapping[str, object]
     reputation_convergence: Mapping[str, object]
 
-    AUDIT_DERIVED = (
-        "config_digest", "flags", "total_requests", "grants", "denies",
-        "per_device", "first_compromise_time", "malicious_total",
-        "malicious_granted", "malicious_grant_fraction",
-        "post_containment_malicious", "post_containment_granted",
-        "time_to_containment", "containment_latency",
-    )
-
     def to_obj(self) -> dict:
-        return {
-            "config_digest": self.config_digest,
-            "flags": list(self.flags),
-            "total_events": self.total_events,
-            "total_requests": self.total_requests,
-            "grants": self.grants,
-            "denies": self.denies,
-            "per_device": {
-                d: {
-                    phase: dict(counts) for phase, counts in phases.items()
-                }
-                for d, phases in self.per_device.items()
-            },
-            "first_compromise_time": self.first_compromise_time,
-            "malicious_total": self.malicious_total,
-            "malicious_granted": self.malicious_granted,
-            "malicious_grant_fraction": self.malicious_grant_fraction,
-            "post_containment_malicious": self.post_containment_malicious,
-            "post_containment_granted": self.post_containment_granted,
-            "time_to_containment": self.time_to_containment,
-            "containment_latency": self.containment_latency,
-            "cache_metrics": dict(self.cache_metrics),
-            "max_served_age": self.max_served_age,
-            "reduction": dict(self.reduction),
-            "reputation_convergence": dict(self.reputation_convergence),
-        }
+        return {**asdict(self), "flags": list(self.flags)}
 
     @classmethod
     def from_obj(cls, obj: dict) -> "SimReport":
-        return cls(
-            config_digest=obj["config_digest"],
-            flags=tuple(obj["flags"]),
-            total_events=obj["total_events"],
-            total_requests=obj["total_requests"],
-            grants=obj["grants"],
-            denies=obj["denies"],
-            per_device=obj["per_device"],
-            first_compromise_time=obj["first_compromise_time"],
-            malicious_total=obj["malicious_total"],
-            malicious_granted=obj["malicious_granted"],
-            malicious_grant_fraction=obj["malicious_grant_fraction"],
-            post_containment_malicious=obj["post_containment_malicious"],
-            post_containment_granted=obj["post_containment_granted"],
-            time_to_containment=obj["time_to_containment"],
-            containment_latency=obj["containment_latency"],
-            cache_metrics=obj["cache_metrics"],
-            max_served_age=obj["max_served_age"],
-            reduction=obj["reduction"],
-            reputation_convergence=obj["reputation_convergence"],
-        )
+        return cls(**{**obj, "flags": tuple(obj["flags"])})
 
     def dumps(self) -> str:
         return json.dumps(self.to_obj(), sort_keys=True, indent=2) + "\n"
@@ -675,7 +623,7 @@ class _AuditRow:
 def _decision_summary(
     config: ScenarioConfig, rows: Sequence[_AuditRow]
 ) -> dict:
-    """Everything in SimReport.AUDIT_DERIVED, computed from audit rows."""
+    """The decision-derived SimReport fields, computed from audit rows."""
 
     first_compromise = config.first_compromise_time()
     per_device: dict[str, dict[str, dict[str, int]]] = {
@@ -794,7 +742,7 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
     rng = random.Random(config.seed)
     device_ids = [d.device_id for d in config.devices]
     users = {d.device_id: d.user_id for d in config.devices}
-    resource_ids = sorted(r.resource_id for r in config.resources)
+    resource_ids = sorted(config.policy.resources)
     down_windows: dict[str, list[FailureWindow]] = {}
     for w in config.failures:
         down_windows.setdefault(w.node, []).append(w)
@@ -811,30 +759,21 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
     quorum = ThresholdPolicy(n=config.approver_n, z=config.approver_z)
     digests: dict[str, str] = {}
     scheme_ids: dict[str, str] = {}
-    resources: dict[str, ResourceEntry] = {}
-    for spec in sorted(config.resources, key=lambda r: r.resource_id):
-        digest = None
-        holders: tuple[str, ...] = ()
-        if spec.sensitivity == SENSITIVITY_HIGH:
-            token = rng.randrange(field_params.prime)
-            shares = split(token, quorum, field_params, rng)
-            for share, aid in zip(shares, config.approver_ids()):
-                approvers[aid].shares[spec.resource_id] = share
-            digest = token_digest(shares[0].scheme_id, token)
-            digests[spec.resource_id] = digest
-            scheme_ids[spec.resource_id] = shares[0].scheme_id
-            holders = config.approver_ids()
-        resources[spec.resource_id] = ResourceEntry(
-            threshold=spec.threshold,
-            sensitivity=spec.sensitivity,
-            token_digest=digest,
-            share_holders=holders,
-        )
+    for rid in resource_ids:
+        if config.policy.sensitivity_for(rid) != SENSITIVITY_HIGH:
+            continue
+        token = rng.randrange(field_params.prime)
+        shares = split(token, quorum, field_params, rng)
+        for share, aid in zip(shares, config.approver_ids()):
+            approvers[aid].shares[rid] = share
+        digests[rid] = token_digest(shares[0].scheme_id, token)
+        scheme_ids[rid] = shares[0].scheme_id
     access = AccessTable(
-        users=sorted(set(users.values())),
+        users=users.values(),
         devices=device_ids,
-        resources=resources,
-        quorum_n=config.approver_n if digests else None,
+        resources=config.policy.resources.values(),
+        token_digests=digests,
+        share_holders=config.approver_ids(),
     )
     quorum_client = QuorumClient(
         approvers=approvers, digests=digests, scheme_ids=scheme_ids
@@ -1082,6 +1021,14 @@ def replay(out_dir: str | Path) -> SimReport:
             stored = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ReplayError(f"cannot load report: {exc}") from None
+    if not isinstance(stored, dict):
+        raise ReplayError("report must be a JSON object")
+    expected = {f.name for f in fields(SimReport)}
+    if set(stored) != expected:
+        raise ReplayError(
+            f"report fields differ: missing {sorted(expected - set(stored))}, "
+            f"extra {sorted(set(stored) - expected)}"
+        )
     rows: list[_AuditRow] = []
     try:
         with open(out / "audit.jsonl", "r", encoding="utf-8") as fh:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .engine import SENSITIVITY_HIGH, SENSITIVITY_LEVELS
+from .engine import ResourceSpec
 from .model import (
     AttributeKind,
     EdrEvent,
@@ -142,56 +142,31 @@ def archive_batch(
     return ArchiveBatch(graph, skeleton, records, table, average_length(table))
 
 
-@dataclass(frozen=True)
-class ResourceEntry:
-    threshold: float
-    sensitivity: str
-    token_digest: str | None = None
-    share_holders: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.threshold <= 1.0:
-            raise StoreError("resource threshold must lie in [0, 1]")
-        if self.sensitivity not in SENSITIVITY_LEVELS:
-            raise StoreError(f"unknown sensitivity {self.sensitivity!r}")
-
-
 class AccessTable:
-    """Principals, resource registry, active attribute schema, version.
+    """Principals, resource registry, and the attribute schema.
 
-    Every high-sensitivity resource must name exactly ``quorum_n``
-    share holders.
+    Each resource with an unlock-token digest lists the share holders
+    of its token; ``quorum_n`` is their number, or ``None`` when no
+    resource has a token.
     """
+
+    version = 1
+    attributes = tuple(sorted(k.value for k in AttributeKind))
 
     def __init__(
         self,
         users: Iterable[str] = (),
         devices: Iterable[str] = (),
-        resources: Mapping[str, ResourceEntry] | None = None,
-        attributes: Iterable[str] | None = None,
-        quorum_n: int | None = None,
-        version: int = 1,
+        resources: Iterable[ResourceSpec] = (),
+        token_digests: Mapping[str, str] | None = None,
+        share_holders: Sequence[str] = (),
     ):
         self.users = tuple(sorted(set(users)))
         self.devices = tuple(sorted(set(devices)))
-        self.resources = dict(resources or {})
-        self.attributes = sorted(
-            set(attributes) if attributes is not None
-            else (k.value for k in AttributeKind)
-        )
-        self.quorum_n = quorum_n
-        self.version = version
-        self._validate()
-
-    def _validate(self) -> None:
-        for rid, entry in self.resources.items():
-            if entry.sensitivity == SENSITIVITY_HIGH and self.quorum_n is not None:
-                if len(entry.share_holders) != self.quorum_n:
-                    raise StoreError(
-                        f"high-sensitivity resource {rid} must have exactly "
-                        f"{self.quorum_n} share holders, has "
-                        f"{len(entry.share_holders)}"
-                    )
+        self.resources = {spec.resource_id: spec for spec in resources}
+        self.token_digests = dict(token_digests or {})
+        self.share_holders = tuple(share_holders)
+        self.quorum_n = len(self.share_holders) if self.token_digests else None
 
     def to_obj(self) -> dict:
         return {
@@ -202,12 +177,15 @@ class AccessTable:
             "quorum_n": self.quorum_n,
             "resources": {
                 rid: {
-                    "threshold": entry.threshold,
-                    "sensitivity": entry.sensitivity,
-                    "token_digest": entry.token_digest,
-                    "share_holders": list(entry.share_holders),
+                    "threshold": spec.threshold,
+                    "sensitivity": spec.sensitivity,
+                    "token_digest": self.token_digests.get(rid),
+                    "share_holders": (
+                        list(self.share_holders)
+                        if rid in self.token_digests else []
+                    ),
                 }
-                for rid, entry in sorted(self.resources.items())
+                for rid, spec in sorted(self.resources.items())
             },
         }
 

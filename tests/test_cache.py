@@ -4,6 +4,7 @@ sweeps, and single-flight recomputation."""
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import pytest
@@ -271,6 +272,7 @@ class TestSingleFlight:
         assert tiers.count("cache_hit") == 4
         records = {id(r) for r, _ in results}
         assert len({r.computed_at for r, _ in results}) == 1
+        assert cache._inflight == {}
 
     def test_distinct_triplets_do_not_serialize(self):
         cache = TrustScoreCache(CacheConfig(capacity=8, max_refresh=100))
@@ -296,6 +298,55 @@ class TestSingleFlight:
             th.join()
         assert not errors
         assert cache.metrics.recomputes == 3
+
+    def test_finished_flights_are_freed(self):
+        cache = TrustScoreCache(CacheConfig(capacity=8, max_refresh=100))
+
+        def recompute(tr: Triplet, now: int) -> TrustRecord:
+            return record_for(tr, now)
+
+        def failing(tr: Triplet, now: int) -> TrustRecord:
+            raise RuntimeError("score source down")
+
+        for i in range(500):
+            cache.get_score(triplet(i), 0, recompute)
+        with pytest.raises(RuntimeError):
+            cache.get_score(triplet(999), 0, failing)
+        assert cache.metrics.recomputes == 500
+        assert cache._inflight == {}
+
+    def test_overlapping_flights_stress(self):
+        # More threads than cores, each missing on the same triplets in
+        # its own order: every triplet is still recomputed exactly once,
+        # and no flight lock outlives its flight.
+        cache = TrustScoreCache(CacheConfig(capacity=256, max_refresh=100))
+        universe = [triplet(i) for i in range(200)]
+        calls: list[Triplet] = []
+
+        def recompute(tr: Triplet, now: int) -> TrustRecord:
+            calls.append(tr)
+            return record_for(tr, now)
+
+        def worker(seed: int):
+            order = list(universe)
+            random.Random(seed).shuffle(order)
+            for tr in order:
+                cache.get_score(tr, 0, recompute)
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert sorted(calls) == sorted(universe)
+        assert cache._inflight == {}
 
 
 class TestConfig:

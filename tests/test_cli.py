@@ -11,10 +11,11 @@ from trustgate.cli import main
 from trustgate.engine import policy_to_obj
 from trustgate.model import write_events
 from trustgate.reputation import InteractionLedger, save_ledger
+from trustgate.engine import ResourceSpec
 from trustgate.simnet import (
-    ResourceSpec,
     config_to_obj,
     default_policy,
+    reference_scenario,
 )
 
 from conftest import make_event
@@ -123,6 +124,48 @@ class TestSimulateReplay:
             "--seed", "2", "--out", str(tmp_path / "b"),
         )
         assert first["config_digest"] != second["config_digest"]
+
+
+def _empty_policy_registry(obj: dict) -> None:
+    obj["policy"]["thresholds"] = {}
+    obj["policy"]["sensitivity"] = {}
+
+
+MALFORMED_SCENARIOS = {
+    "resource_without_id": lambda o: o["resources"][0].pop("resource_id"),
+    "resource_without_threshold":
+        lambda o: o["resources"][0].pop("threshold"),
+    "resources_not_a_list": lambda o: o.update(resources={"res-open": 0.5}),
+    "device_without_user": lambda o: o["devices"][0].pop("user_id"),
+    "duration_not_a_number": lambda o: o.update(duration="x"),
+    "approvers_without_z": lambda o: o["approvers"].pop("z"),
+    "policy_disagrees_with_resources": _empty_policy_registry,
+}
+
+
+class TestMalformedScenario:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
+    def test_exits_1_with_one_line(self, capsys, tmp_path, case):
+        obj = config_to_obj(small_scenario())
+        MALFORMED_SCENARIOS[case](obj)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path),
+                                 "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_reference_policy_drift_is_rejected(self, capsys, tmp_path):
+        obj = config_to_obj(reference_scenario(42))
+        _empty_policy_registry(obj)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path),
+                               "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert "agree with the resources" in err
 
 
 class TestScore:

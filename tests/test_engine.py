@@ -15,6 +15,7 @@ from trustgate.engine import (
     PiecewiseNormalizer,
     PolicyError,
     QuorumClient,
+    ResourceSpec,
     TrustPolicy,
     audit_line,
     behavioral_score,
@@ -61,7 +62,7 @@ def simple_policy(**overrides) -> TrustPolicy:
                 default=Fraction(1),
             ),
         },
-        sensitivity={"res-high": "high"},
+        resources=(ResourceSpec("res-high", 0.75, "high"),),
         quorum=ThresholdPolicy(n=5, z=3),
     )
     defaults.update(overrides)
@@ -235,7 +236,7 @@ class TestPolicyValidation:
         policy = simple_policy()
         assert policy.threshold_for("res-std") == 0.5
         assert policy.threshold_for("res-high") == 0.75
-        explicit = simple_policy(resource_thresholds={"res-std": 0.9})
+        explicit = simple_policy(resources=(ResourceSpec("res-std", 0.9),))
         assert explicit.threshold_for("res-std") == 0.9
 
 
@@ -346,7 +347,7 @@ class TestDecide:
         assert decision.reasons == ("low_trust",)
 
     def test_score_equal_to_threshold_grants(self):
-        policy = simple_policy(resource_thresholds={"res-std": 0.5})
+        policy = simple_policy(resources=(ResourceSpec("res-std", 0.5),))
 
         def exactly_half(triplet, now):
             return make_record(triplet, 0.5, 0.5, 0.5, now)
@@ -496,6 +497,27 @@ class TestPolicyDocuments:
         policy = policy_from_obj(self.doc())
         again = policy_from_obj(policy_to_obj(policy))
         assert again == policy
+
+    def test_thresholds_and_sensitivity_build_the_registry(self):
+        policy = policy_from_obj(self.doc())
+        assert policy.resources == {
+            "res-std": ResourceSpec("res-std", 0.5),
+            "res-high": ResourceSpec("res-high", 0.75, "high"),
+        }
+        obj = policy_to_obj(policy)
+        assert obj["thresholds"] == {"res-high": 0.75, "res-std": 0.5}
+        assert obj["sensitivity"] == {"res-high": "high"}
+
+    def test_bad_registry_entries_rejected(self):
+        with pytest.raises(PolicyError, match="threshold"):
+            policy_from_obj({**self.doc(), "thresholds": {"res-std": 2}})
+        with pytest.raises(PolicyError, match="sensitivity"):
+            policy_from_obj({**self.doc(), "sensitivity": {"res-x": "top"}})
+        with pytest.raises(PolicyError, match="JSON objects"):
+            policy_from_obj({**self.doc(), "thresholds": ["res-std"]})
+        with pytest.raises(PolicyError, match="duplicate"):
+            simple_policy(resources=(ResourceSpec("res-a", 0.5),
+                                     ResourceSpec("res-a", 0.6)))
 
     def test_weights_as_decimal_strings_exact(self):
         policy = policy_from_obj(self.doc())

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from trustgate.engine import parse_audit_line
+from trustgate.engine import PolicyError, parse_audit_line
 from trustgate.model import read_events, validate_log
 from trustgate.simnet import (
     AttributeProfile,
@@ -55,7 +55,6 @@ def small_scenario(
         seed=seed,
         duration=duration,
         devices=devices,
-        resources=RESOURCES,
         benign=benign_profile(),
         policy=default_policy(resources=RESOURCES),
         alert_rules=default_rules(),
@@ -76,7 +75,7 @@ class TestScenarioValidation:
             )
             ScenarioConfig(
                 seed=1, duration=10, devices=small_scenario_devices,
-                resources=RESOURCES, benign=benign_profile(),
+                benign=benign_profile(),
                 policy=default_policy(resources=RESOURCES),
                 alert_rules=(), pretrusted=("dev-01",),
             )
@@ -102,7 +101,7 @@ class TestScenarioValidation:
             ScenarioConfig(
                 seed=1, duration=10,
                 devices=(DeviceSpec("dev-01", "user-01"),),
-                resources=RESOURCES, benign=benign_profile(),
+                benign=benign_profile(),
                 policy=default_policy(resources=RESOURCES),  # 5/3
                 alert_rules=(), approver_n=4, approver_z=2,
             )
@@ -131,7 +130,7 @@ class TestScenarioValidation:
         config = ScenarioConfig(
             seed=1, duration=10,
             devices=(DeviceSpec("dev-01", "user-01"),),
-            resources=RESOURCES, benign=benign_profile(),
+            benign=benign_profile(),
             policy=default_policy(resources=RESOURCES),
             alert_rules=(),
         )
@@ -159,9 +158,11 @@ class TestScenarioValidation:
             AttributeProfile(rate=0.1, values=((1, 0),))
 
     def test_resource_spec_validation(self):
-        with pytest.raises(ScenarioError, match="threshold"):
+        with pytest.raises(PolicyError, match="threshold"):
             ResourceSpec("res-x", 1.5)
-        with pytest.raises(ScenarioError, match="sensitivity"):
+        with pytest.raises(PolicyError, match="threshold"):
+            ResourceSpec("res-x", -0.1)
+        with pytest.raises(PolicyError, match="sensitivity"):
             ResourceSpec("res-x", 0.5, "nuclear")
 
 
@@ -207,10 +208,40 @@ class TestConfigSerialization:
             small_scenario(seed=2)
         )
 
+    def test_policy_without_the_registry_is_rejected(self):
+        obj = config_to_obj(reference_scenario(42))
+        obj["policy"]["thresholds"] = {}
+        obj["policy"]["sensitivity"] = {}
+        with pytest.raises(ScenarioError, match="agree with the resources"):
+            config_from_obj(obj)
+
+    def test_policy_only_sensitivity_is_rejected(self):
+        obj = config_to_obj(reference_scenario(42))
+        obj["policy"]["sensitivity"]["res-files"] = "high"
+        with pytest.raises(ScenarioError, match="agree with the resources"):
+            config_from_obj(obj)
+
+    def test_resources_keep_scenario_order(self):
+        obj = config_to_obj(reference_scenario(42))
+        assert [r["resource_id"] for r in obj["resources"]] == [
+            "res-files", "res-mail", "res-db", "res-vault",
+        ]
+        assert config_to_obj(config_from_obj(obj)) == obj
+
+    def test_policy_errors_surface_as_scenario_errors(self):
+        obj = config_to_obj(small_scenario())
+        obj["resources"][0]["threshold"] = 1.5
+        with pytest.raises(ScenarioError, match="threshold"):
+            config_from_obj(obj)
+        obj = config_to_obj(small_scenario())
+        obj["resources"].append(dict(obj["resources"][0]))
+        with pytest.raises(ScenarioError, match="duplicate resource"):
+            config_from_obj(obj)
+
     def test_reference_scenario_shape(self):
         config = reference_scenario()
         assert len(config.devices) == 20
-        assert len(config.resources) == 4
+        assert len(config.policy.resources) == 4
         assert config.first_compromise_time() == 1080
         assert config.cache_capacity == 48
 
@@ -249,7 +280,9 @@ class TestArtifacts:
     def test_audit_lines_parse_and_match_policy(self, tmp_path):
         config = small_scenario()
         run(config, tmp_path)
-        thresholds = {r.resource_id: r.threshold for r in config.resources}
+        thresholds = {
+            rid: r.threshold for rid, r in config.policy.resources.items()
+        }
         lines = (tmp_path / "audit.jsonl").read_text().splitlines()
         assert lines
         for line in lines:
@@ -309,6 +342,30 @@ class TestReplay:
         run(small_scenario(), tmp_path)
         (tmp_path / "config.json").unlink()
         with pytest.raises(ReplayError, match="cannot load scenario"):
+            replay(tmp_path)
+
+    @pytest.mark.parametrize("edit", ["not_object", "missing", "extra"])
+    def test_replay_rejects_malformed_report(self, tmp_path, edit):
+        run(small_scenario(), tmp_path)
+        path = tmp_path / "report.json"
+        stored = json.loads(path.read_text())
+        if edit == "not_object":
+            stored = [stored]
+        elif edit == "missing":
+            del stored["reduction"]
+        else:
+            stored["surprise"] = 1
+        path.write_text(json.dumps(stored))
+        with pytest.raises(ReplayError, match="report"):
+            replay(tmp_path)
+
+    def test_replay_rejects_invalid_policy(self, tmp_path):
+        run(small_scenario(), tmp_path)
+        path = tmp_path / "config.json"
+        obj = json.loads(path.read_text())
+        obj["policy"]["alpha"] = 2
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ReplayError, match="alpha"):
             replay(tmp_path)
 
     def test_replay_detects_flipped_verdict(self, tmp_path):
@@ -426,8 +483,7 @@ class TestEdgeCases:
 
     def test_no_devices(self):
         config = ScenarioConfig(
-            seed=1, duration=600, devices=(), resources=RESOURCES,
-            benign=benign_profile(),
+            seed=1, duration=600, devices=(), benign=benign_profile(),
             policy=default_policy(resources=RESOURCES),
             alert_rules=default_rules(),
         )
@@ -446,7 +502,7 @@ class TestEdgeCases:
         config = ScenarioConfig(
             seed=3, duration=600,
             devices=(DeviceSpec("dev-01", "user-01"),),
-            resources=RESOURCES, benign=benign_profile(),
+            benign=benign_profile(),
             policy=default_policy(resources=RESOURCES),
             alert_rules=default_rules(),
         )

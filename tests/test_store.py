@@ -7,13 +7,13 @@ import json
 
 import pytest
 
+from trustgate.engine import ResourceSpec
 from trustgate.logcodec import average_length, decode, encode
 from trustgate.model import AttributeKind, Severity, Triplet
 from trustgate.provenance import AlertRule, SummaryEdge
 from trustgate.store import (
     AccessTable,
     HotStore,
-    ResourceEntry,
     StoreError,
     archive_batch,
 )
@@ -124,28 +124,22 @@ class TestAccessTable:
         table = AccessTable()
         assert set(table.attributes) == {k.value for k in AttributeKind}
 
-    def test_high_sensitivity_needs_exact_holder_count(self):
-        entry = ResourceEntry(threshold=0.75, sensitivity="high",
-                              share_holders=("a", "b"))
-        with pytest.raises(StoreError, match="exactly 3"):
-            AccessTable(resources={"res-x": entry}, quorum_n=3)
-
-    def test_holder_count_unchecked_without_quorum(self):
-        entry = ResourceEntry(threshold=0.75, sensitivity="high",
-                              share_holders=("a",))
-        AccessTable(resources={"res-x": entry})  # no quorum_n: accepted
-
-    def test_resource_entry_validation(self):
-        with pytest.raises(StoreError, match="threshold"):
-            ResourceEntry(threshold=1.5, sensitivity="standard")
-        with pytest.raises(StoreError, match="sensitivity"):
-            ResourceEntry(threshold=0.5, sensitivity="secretive")
+    def test_quorum_shape_follows_token_resources(self):
+        specs = [ResourceSpec("res-a", 0.5), ResourceSpec("res-v", 0.75, "high")]
+        table = AccessTable(resources=specs, token_digests={"res-v": "ab"},
+                            share_holders=("h1", "h2", "h3"))
+        obj = table.to_obj()
+        assert obj["quorum_n"] == 3
+        assert obj["resources"]["res-v"]["share_holders"] == ["h1", "h2", "h3"]
+        assert obj["resources"]["res-v"]["token_digest"] == "ab"
+        assert obj["resources"]["res-a"]["share_holders"] == []
+        assert obj["resources"]["res-a"]["token_digest"] is None
+        assert AccessTable(resources=specs).quorum_n is None
 
     def test_round_trip(self, tmp_path):
         table = AccessTable(
             users=["u1"], devices=["d1"],
-            resources={"res-a": ResourceEntry(0.5, "standard")},
-            quorum_n=None, version=4,
+            resources=[ResourceSpec("res-a", 0.5, "standard")],
         )
         path = tmp_path / "access.json"
         table.save(path)
