@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from trustgate.engine import ResourceSpec
+from trustgate.engine import PolicyError, ResourceSpec
 from trustgate.logcodec import average_length, decode, encode
 from trustgate.model import AttributeKind, Severity, Triplet
 from trustgate.provenance import AlertRule, SummaryEdge
@@ -135,6 +135,14 @@ class TestAccessTable:
         assert obj["resources"]["res-a"]["share_holders"] == []
         assert obj["resources"]["res-a"]["token_digest"] is None
         assert AccessTable(resources=specs).quorum_n is None
+
+    def test_resource_entry_validation(self):
+        # Table entries are ResourceSpecs, so a bad threshold or an
+        # unknown sensitivity is refused before it can reach access.json.
+        with pytest.raises(PolicyError, match="threshold"):
+            AccessTable(resources=[ResourceSpec("res-x", 1.5)])
+        with pytest.raises(PolicyError, match="sensitivity"):
+            AccessTable(resources=[ResourceSpec("res-x", 0.5, "secretive")])
 
     def test_round_trip(self, tmp_path):
         table = AccessTable(
