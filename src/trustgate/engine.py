@@ -28,6 +28,7 @@ SENSITIVITY_LEVELS = (SENSITIVITY_STANDARD, SENSITIVITY_HIGH)
 DEFAULT_ALPHA = 0.5
 DEFAULT_THRESHOLD_STANDARD = 0.5
 DEFAULT_THRESHOLD_HIGH = 0.75
+DEFAULT_QUORUM = ThresholdPolicy(n=5, z=3)
 
 REASON_CRITICAL_ALERT = "critical_alert"
 REASON_LOW_TRUST = "low_trust"
@@ -135,9 +136,7 @@ class TrustPolicy:
     normalizers: Mapping[AttributeKind, PiecewiseNormalizer]
     alpha: float = DEFAULT_ALPHA
     resources: Mapping[str, ResourceSpec] = field(default_factory=dict)
-    quorum: ThresholdPolicy = field(
-        default_factory=lambda: ThresholdPolicy(n=5, z=3)
-    )
+    quorum: ThresholdPolicy = DEFAULT_QUORUM
 
     def __post_init__(self) -> None:
         if not self.weights:
@@ -432,6 +431,17 @@ def parse_audit_line(line: str) -> dict:
 # --- policy documents -------------------------------------------------------
 
 def policy_from_obj(obj: object) -> TrustPolicy:
+    """Parse a policy document; any malformed part raises PolicyError."""
+
+    try:
+        return _policy_from_obj(obj)
+    except PolicyError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
+        raise PolicyError(f"malformed policy: {exc}") from None
+
+
+def _policy_from_obj(obj: object) -> TrustPolicy:
     if not isinstance(obj, dict):
         raise PolicyError("policy must be a JSON object")
     allowed = {"weights", "normalizers", "alpha", "thresholds",
@@ -461,17 +471,19 @@ def policy_from_obj(obj: object) -> TrustPolicy:
             (parse_rational(x), parse_rational(y))
             for x, y in spec["breakpoints"]
         )
-        default = parse_rational(spec.get("default", points[0][1] if points else 0))
+        default = (
+            parse_rational(spec["default"]) if "default" in spec
+            else points[0][1] if points else Fraction(0)
+        )
         normalizers[kind] = PiecewiseNormalizer(
             breakpoints=points, default=default
         )
-    quorum_spec = obj.get("quorum", {"n": 5, "z": 3})
-    if not isinstance(quorum_spec, dict) or set(quorum_spec) != {"n", "z"}:
-        raise PolicyError("quorum must be an object with fields n and z")
-    try:
-        quorum = ThresholdPolicy(n=quorum_spec["n"], z=quorum_spec["z"])
-    except ShareError as exc:
-        raise PolicyError(str(exc)) from None
+    quorum = DEFAULT_QUORUM
+    if "quorum" in obj:
+        spec = obj["quorum"]
+        if not isinstance(spec, dict) or set(spec) != {"n", "z"}:
+            raise PolicyError("quorum must be an object with fields n and z")
+        quorum = ThresholdPolicy(n=spec["n"], z=spec["z"])
     thresholds = obj.get("thresholds", {})
     sensitivity = obj.get("sensitivity", {})
     if not isinstance(thresholds, dict) or not isinstance(sensitivity, dict):

@@ -204,8 +204,11 @@ def validate_event(event: EdrEvent, log: Sequence[EdrEvent]) -> Verdict:
     * ``causality``: a parent exists but is not strictly earlier.
     """
 
+    return _verdict(event, {e.event_id: e for e in log})
+
+
+def _verdict(event: EdrEvent, by_id: Mapping[int, EdrEvent]) -> Verdict:
     reasons: list[str] = []
-    by_id = {e.event_id: e for e in log}
     if event.event_id in by_id:
         reasons.append(REASON_ID_UNIQUENESS)
     dangling = False
@@ -227,11 +230,11 @@ def validate_log(events: Sequence[EdrEvent]) -> list[tuple[EdrEvent, Verdict]]:
     """Validate a whole log event by event; returns the failures."""
 
     failures: list[tuple[EdrEvent, Verdict]] = []
-    accepted: list[EdrEvent] = []
+    accepted: dict[int, EdrEvent] = {}
     for event in events:
-        verdict = validate_event(event, accepted)
+        verdict = _verdict(event, accepted)
         if verdict:
-            accepted.append(event)
+            accepted[event.event_id] = event
         else:
             failures.append((event, verdict))
     return failures

@@ -22,12 +22,11 @@ Conventions baked into this module rather than the engine:
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import random
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .model import (
     Alert,
@@ -50,6 +49,7 @@ from .reputation import (
 )
 from .secretshare import FieldParams, Share, ThresholdPolicy, split
 from .engine import (
+    DEFAULT_QUORUM,
     SENSITIVITY_HIGH,
     SENSITIVITY_STANDARD,
     ActiveAlert,
@@ -161,8 +161,6 @@ class ScenarioConfig:
     alert_rules: tuple[AlertRule, ...]
     compromises: tuple[CompromisePlan, ...] = ()
     failures: tuple[FailureWindow, ...] = ()
-    approver_n: int = 5
-    approver_z: int = 3
     pretrusted: tuple[str, ...] = ()
     attribute_window: int = 900
     refresh_interval: int = 300
@@ -182,11 +180,6 @@ class ScenarioConfig:
                 raise ScenarioError(f"unknown compromised device {plan.device_id}")
             if not 0 <= plan.start_time < max(self.duration, 1):
                 raise ScenarioError("compromise start must fall inside the run")
-        quorum = ThresholdPolicy(n=self.approver_n, z=self.approver_z)
-        if (self.policy.quorum.n, self.policy.quorum.z) != (quorum.n, quorum.z):
-            raise ScenarioError(
-                "policy quorum must match the scenario approver shape"
-            )
         approver_ids = set(self.approver_ids())
         for window in self.failures:
             if window.node not in known and window.node not in approver_ids:
@@ -210,7 +203,7 @@ class ScenarioConfig:
             raise ScenarioError("damping must lie in [0, 1)")
 
     def approver_ids(self) -> tuple[str, ...]:
-        return tuple(f"approver-{i}" for i in range(1, self.approver_n + 1))
+        return tuple(f"approver-{i}" for i in range(1, self.policy.quorum.n + 1))
 
     def compromise_time(self, device_id: str) -> int | None:
         times = [
@@ -293,7 +286,7 @@ def config_to_obj(config: ScenarioConfig) -> dict:
             {"node": w.node, "down": [w.start, w.end]}
             for w in config.failures
         ],
-        "approvers": {"n": config.approver_n, "z": config.approver_z},
+        "approvers": {"n": config.policy.quorum.n, "z": config.policy.quorum.z},
         "pretrusted": list(config.pretrusted),
         "policy": policy_to_obj(config.policy),
         "alert_rules": [
@@ -334,7 +327,7 @@ def config_from_obj(obj: object) -> ScenarioConfig:
         raise
     except KeyError as exc:
         raise ScenarioError(f"missing scenario field {exc}") from None
-    except (TypeError, ValueError, IndexError) as exc:
+    except (AttributeError, TypeError, ValueError, IndexError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from None
 
 
@@ -375,13 +368,12 @@ def _config_from_obj(obj: object) -> ScenarioConfig:
         )
         for r in resources_obj
     )
-    approvers = obj.get("approvers", {"n": 5, "z": 3})
+    quorum = DEFAULT_QUORUM
+    if "approvers" in obj:
+        quorum = ThresholdPolicy(n=obj["approvers"]["n"], z=obj["approvers"]["z"])
     policy_obj = obj.get("policy")
     if policy_obj is None:
-        policy = default_policy(
-            quorum_n=approvers["n"], quorum_z=approvers["z"],
-            resources=resources,
-        )
+        policy = default_policy(quorum=quorum, resources=resources)
     else:
         policy = policy_from_obj(policy_obj)
         if policy.resources != {r.resource_id: r for r in resources}:
@@ -389,6 +381,8 @@ def _config_from_obj(obj: object) -> ScenarioConfig:
                 "policy thresholds and sensitivity must agree with the "
                 "resources list"
             )
+        if policy.quorum != quorum:
+            raise ScenarioError("approvers must match the policy quorum")
         policy = replace(policy, resources=resources)
     rules_obj = obj.get("alert_rules")
     rules = (
@@ -415,8 +409,6 @@ def _config_from_obj(obj: object) -> ScenarioConfig:
             FailureWindow(node=w["node"], start=w["down"][0], end=w["down"][1])
             for w in obj.get("failures", [])
         ),
-        approver_n=approvers["n"],
-        approver_z=approvers["z"],
         pretrusted=tuple(pretrusted),
         policy=policy,
         alert_rules=rules,
@@ -438,8 +430,7 @@ def config_digest(config: ScenarioConfig) -> str:
 # --- reference material -----------------------------------------------------
 
 def default_policy(
-    quorum_n: int = 5,
-    quorum_z: int = 3,
+    quorum: ThresholdPolicy = DEFAULT_QUORUM,
     resources: Sequence[ResourceSpec] = (),
 ) -> TrustPolicy:
     """A balanced default: escalation and file-access anomalies carry
@@ -472,9 +463,8 @@ def default_policy(
             },
         },
         "alpha": 0.5,
-        "quorum": {"n": quorum_n, "z": quorum_z},
     }
-    return replace(policy_from_obj(obj), resources=resources)
+    return replace(policy_from_obj(obj), resources=resources, quorum=quorum)
 
 
 def default_rules() -> tuple[AlertRule, ...]:
@@ -705,7 +695,6 @@ def _decision_summary(
 class _Action:
     time: int
     priority: int
-    seq: int
     kind: str
     device_id: str = ""
     attribute: AttributeKind | None = None
@@ -714,10 +703,9 @@ class _Action:
 
 
 class _SimApprover:
-    def __init__(self, approver_id: str, windows: Sequence[FailureWindow]):
-        self.approver_id = approver_id
+    def __init__(self, windows: Sequence[FailureWindow]):
         self.shares: dict[str, Share] = {}
-        self.windows = [w for w in windows if w.node == approver_id]
+        self.windows = windows
 
     def respond(self, resource_id: str, now: int) -> Share | None:
         if any(w.covers(now) for w in self.windows):
@@ -729,6 +717,54 @@ def _draw_value(rng: random.Random, profile: AttributeProfile) -> int | str:
     values = [v for v, _ in profile.values]
     weights = [w for _, w in profile.values]
     return rng.choices(values, weights=weights, k=1)[0]
+
+
+def _draw_activity(
+    rng: random.Random,
+    device_id: str,
+    profile: BehaviorProfile,
+    start: int,
+    window: int,
+    resource_ids: Sequence[str],
+) -> list[_Action]:
+    """A device's emissions and requests over [start, start + window).
+
+    The draw order (per attribute kind by name: time, value, target;
+    then requests: time, target) is what lets a seed fix the schedule.
+    """
+
+    actions = []
+    for kind in sorted(profile.attributes, key=lambda k: k.value):
+        prof = profile.attributes[kind]
+        for _ in range(round(prof.rate * window)):
+            t = start + rng.randrange(window)
+            value = _draw_value(rng, prof)
+            target = rng.choice(resource_ids) if resource_ids else ""
+            actions.append(_Action(t, _PRIORITY_EMIT, "emit", device_id,
+                                   kind, value, target))
+    for _ in range(round(profile.request_rate * window)):
+        t = start + rng.randrange(window)
+        target = rng.choice(resource_ids) if resource_ids else ""
+        actions.append(_Action(t, _PRIORITY_REQUEST, "request", device_id,
+                               resource_id=target))
+    return actions
+
+
+def _audit_rows(lines: Iterable[str]) -> list[_AuditRow]:
+    """Parse audit lines into rows; a malformed line raises ReplayError."""
+
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = parse_audit_line(line)
+        except (ValueError, KeyError) as exc:
+            raise ReplayError(f"audit line {lineno}: {exc}") from None
+        rows.append(_AuditRow(ts=obj["ts"], device_id=obj["triplet"][1],
+                              granted=obj["verdict"] == "grant"))
+    return rows
 
 
 def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
@@ -747,23 +783,19 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
     for w in config.failures:
         down_windows.setdefault(w.node, []).append(w)
 
-    def is_down(node: str, t: int) -> bool:
-        return any(w.covers(t) for w in down_windows.get(node, ()))
-
     # Resource registry, unlock tokens, approvers.
     approvers = {
-        aid: _SimApprover(aid, config.failures)
+        aid: _SimApprover(down_windows.get(aid, ()))
         for aid in config.approver_ids()
     }
     field_params = FieldParams()
-    quorum = ThresholdPolicy(n=config.approver_n, z=config.approver_z)
     digests: dict[str, str] = {}
     scheme_ids: dict[str, str] = {}
     for rid in resource_ids:
         if config.policy.sensitivity_for(rid) != SENSITIVITY_HIGH:
             continue
         token = rng.randrange(field_params.prime)
-        shares = split(token, quorum, field_params, rng)
+        shares = split(token, config.policy.quorum, field_params, rng)
         for share, aid in zip(shares, config.approver_ids()):
             approvers[aid].shares[rid] = share
         digests[rid] = token_digest(shares[0].scheme_id, token)
@@ -779,61 +811,21 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
         approvers=approvers, digests=digests, scheme_ids=scheme_ids
     )
 
-    # Pre-draw the whole schedule so replaying a config is exact.
-    actions: list[_Action] = []
-    seq = 0
-
-    def push(time: int, priority: int, kind: str, **kw) -> None:
-        nonlocal seq
-        actions.append(_Action(time=time, priority=priority, seq=seq,
-                               kind=kind, **kw))
-        seq += 1
-
-    if config.duration > 0:
-        for t in range(0, config.duration, config.refresh_interval):
-            push(t, _PRIORITY_SWEEP, "sweep")
-        for device in config.devices:
-            for kind in sorted(config.benign.attributes, key=lambda k: k.value):
-                prof = config.benign.attributes[kind]
-                for _ in range(round(prof.rate * config.duration)):
-                    t = rng.randrange(config.duration)
-                    push(
-                        t, _PRIORITY_EMIT, "emit",
-                        device_id=device.device_id,
-                        attribute=kind,
-                        value=_draw_value(rng, prof),
-                        resource_id=rng.choice(resource_ids) if resource_ids else "",
-                    )
-            for _ in range(round(config.benign.request_rate * config.duration)):
-                t = rng.randrange(config.duration)
-                push(
-                    t, _PRIORITY_REQUEST, "request",
-                    device_id=device.device_id,
-                    resource_id=rng.choice(resource_ids) if resource_ids else "",
-                )
-        for plan in config.compromises:
-            window = config.duration - plan.start_time
-            for kind in sorted(plan.profile.attributes, key=lambda k: k.value):
-                prof = plan.profile.attributes[kind]
-                for _ in range(round(prof.rate * window)):
-                    t = plan.start_time + rng.randrange(window)
-                    push(
-                        t, _PRIORITY_EMIT, "emit",
-                        device_id=plan.device_id,
-                        attribute=kind,
-                        value=_draw_value(rng, prof),
-                        resource_id=rng.choice(resource_ids) if resource_ids else "",
-                    )
-            for _ in range(round(plan.profile.request_rate * window)):
-                t = plan.start_time + rng.randrange(window)
-                push(
-                    t, _PRIORITY_REQUEST, "request",
-                    device_id=plan.device_id,
-                    resource_id=rng.choice(resource_ids) if resource_ids else "",
-                )
-
-    heap = [(a.time, a.priority, a.seq, a) for a in actions]
-    heapq.heapify(heap)
+    # Pre-draw the whole schedule so replaying a config is exact. The
+    # sort is stable, so equal (time, priority) keep their draw order.
+    actions = [
+        _Action(time=t, priority=_PRIORITY_SWEEP, kind="sweep")
+        for t in range(0, config.duration, config.refresh_interval)
+    ]
+    for device in config.devices:
+        actions += _draw_activity(rng, device.device_id, config.benign, 0,
+                                  config.duration, resource_ids)
+    for plan in config.compromises:
+        actions += _draw_activity(rng, plan.device_id, plan.profile,
+                                  plan.start_time,
+                                  config.duration - plan.start_time,
+                                  resource_ids)
+    actions.sort(key=lambda a: (a.time, a.priority))
 
     # Engine wiring.
     hot = HotStore(None)
@@ -881,23 +873,23 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
             sweeps=int(convergence["sweeps"]) + 1,
         )
 
-    next_event_id = 0
+    def score_source(triplet: Triplet, now: int) -> TrustRecord:
+        record, _ = cache.get_score(triplet, now, recompute)
+        return record
+
     next_alert_id = 0
     last_event: dict[str, EdrEvent] = {}
-    all_events: list[EdrEvent] = []
     critical_alerts: list[ActiveAlert] = []
     sorted_rules = sorted(config.alert_rules, key=lambda r: r.rule_name)
-    audit_rows: list[_AuditRow] = []
     audit_lines: list[str] = []
 
-    while heap:
-        _, _, _, action = heapq.heappop(heap)
+    for action in actions:
         t = action.time
         if action.kind == "sweep":
             refresh_reputation(t)
             cache.refresh_sweep(t, recompute)
             continue
-        if is_down(action.device_id, t):
+        if any(w.covers(t) for w in down_windows.get(action.device_id, ())):
             continue
         if action.kind == "emit":
             parent = last_event.get(action.device_id)
@@ -906,7 +898,7 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
                 if parent is not None and parent.timestamp < t else ()
             )
             event = EdrEvent(
-                event_id=next_event_id,
+                event_id=len(hot),
                 triplet=Triplet(
                     user_id=users[action.device_id],
                     device_id=action.device_id,
@@ -917,9 +909,7 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
                 timestamp=t,
                 parent_ids=parents,
             )
-            next_event_id += 1
             hot.append_events([event])
-            all_events.append(event)
             last_event[action.device_id] = event
             for rule in sorted_rules:
                 if rule.matches(event):
@@ -941,20 +931,11 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
             device_id=action.device_id,
             resource_id=action.resource_id or "none",
         )
-
-        def score_source(trip: Triplet, now: int) -> TrustRecord:
-            record, _ = cache.get_score(trip, now, recompute)
-            return record
-
         decision = decide(
             triplet, policy, score_source, critical_alerts,
             quorum_client, now=t,
         )
         audit_lines.append(audit_line(t, triplet, decision))
-        audit_rows.append(
-            _AuditRow(ts=t, device_id=action.device_id,
-                      granted=decision.granted)
-        )
         if decision.granted:
             host = host_of.get(action.resource_id, "")
             if ledger is not None and host and host != action.device_id:
@@ -965,7 +946,8 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
                     ledger.record_sat(host, action.device_id)
 
     # End-of-run archival statistics over the full event log.
-    batch = archive_batch(all_events, sorted_rules)
+    events = hot.events
+    batch = archive_batch(events, sorted_rules)
     stats = reduction_stats(batch.graph, batch.skeleton)
     avg_len = batch.avg_code_length
     reduction = {
@@ -977,9 +959,9 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
         "alerts": len(batch.graph.alerts),
     }
 
-    summary = _decision_summary(config, audit_rows)
+    summary = _decision_summary(config, _audit_rows(audit_lines))
     report = SimReport(
-        total_events=len(all_events),
+        total_events=len(events),
         cache_metrics=cache.metrics.to_obj(),
         max_served_age=cache.metrics.max_served_age,
         reduction=reduction,
@@ -993,7 +975,7 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
         with open(out / "config.json", "w", encoding="utf-8") as fh:
             json.dump(config_to_obj(config), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        write_events(out / "events.jsonl", all_events)
+        write_events(out / "events.jsonl", events)
         with open(out / "audit.jsonl", "w", encoding="utf-8") as fh:
             for line in audit_lines:
                 fh.write(line)
@@ -1029,24 +1011,9 @@ def replay(out_dir: str | Path) -> SimReport:
             f"report fields differ: missing {sorted(expected - set(stored))}, "
             f"extra {sorted(set(stored) - expected)}"
         )
-    rows: list[_AuditRow] = []
     try:
         with open(out / "audit.jsonl", "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = parse_audit_line(line)
-                except (ValueError, KeyError) as exc:
-                    raise ReplayError(f"audit line {lineno}: {exc}") from None
-                rows.append(
-                    _AuditRow(
-                        ts=obj["ts"],
-                        device_id=obj["triplet"][1],
-                        granted=obj["verdict"] == "grant",
-                    )
-                )
+            rows = _audit_rows(fh)
     except OSError as exc:
         raise ReplayError(f"cannot read audit log: {exc}") from None
     summary = _decision_summary(config, rows)

@@ -139,6 +139,10 @@ MALFORMED_SCENARIOS = {
     "device_without_user": lambda o: o["devices"][0].pop("user_id"),
     "duration_not_a_number": lambda o: o.update(duration="x"),
     "approvers_without_z": lambda o: o["approvers"].pop("z"),
+    "approvers_disagree_with_policy_quorum":
+        lambda o: o.update(approvers={"n": 4, "z": 2}),
+    "profile_attributes_not_an_object":
+        lambda o: o["benign_profile"].update(attributes=[]),
     "policy_disagrees_with_resources": _empty_policy_registry,
 }
 
@@ -166,6 +170,31 @@ class TestMalformedScenario:
                                "--out", str(tmp_path / "run"))
         assert code == 1
         assert "agree with the resources" in err
+
+
+MALFORMED_POLICIES = {
+    "weights_not_an_object": lambda o: o.update(weights=[]),
+    "normalizers_not_an_object": lambda o: o.update(normalizers=[]),
+    "breakpoints_not_a_list":
+        lambda o: o["normalizers"]["io_operation_count"].update(breakpoints=5),
+    "threshold_null": lambda o: o.update(thresholds={"r": None}),
+}
+
+
+class TestMalformedPolicy:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_POLICIES))
+    def test_exits_1_with_one_line(self, capsys, tmp_path, events_path, case):
+        obj = policy_to_obj(default_policy())
+        MALFORMED_POLICIES[case](obj)
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "score", "--events", str(events_path),
+                                 "--policy", str(path),
+                                 "--triplet", "user-a,dev-a,res-a")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
 
 class TestScore:

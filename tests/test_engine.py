@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from trustgate.engine import (
+    DEFAULT_QUORUM,
     ActiveAlert,
     EngineError,
     PiecewiseNormalizer,
@@ -518,6 +519,20 @@ class TestPolicyDocuments:
         with pytest.raises(PolicyError, match="duplicate"):
             simple_policy(resources=(ResourceSpec("res-a", 0.5),
                                      ResourceSpec("res-a", 0.6)))
+
+    def test_normalizer_default_falls_back_to_first_breakpoint(self):
+        doc = self.doc()
+        doc["normalizers"]["io_operation_count"] = {
+            "breakpoints": [[0, "0.8"], [10, 0]],
+        }
+        policy = policy_from_obj(doc)
+        normalizer = policy.normalizers[AttributeKind.IO_OPERATION_COUNT]
+        assert normalizer.default == fr("0.8")
+
+    def test_missing_quorum_is_the_default(self):
+        doc = self.doc()
+        del doc["quorum"]
+        assert policy_from_obj(doc).quorum == DEFAULT_QUORUM
 
     def test_weights_as_decimal_strings_exact(self):
         policy = policy_from_obj(self.doc())

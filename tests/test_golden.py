@@ -1,4 +1,4 @@
-"""Golden digests: the five artifacts of two pinned scenarios, byte for byte.
+"""Golden digests: the five artifacts of three pinned scenarios, byte for byte.
 
 Determinism elsewhere is checked as "a rerun equals the run", which a
 refactor that changes the output on every run would still pass. These
@@ -32,6 +32,22 @@ def fleet_200(seed: int) -> simnet.ScenarioConfig:
     return simnet.config_from_obj(obj)
 
 
+def quorum_4_with_outages(seed: int) -> simnet.ScenarioConfig:
+    """The reference scenario with an n=4, z=2 approver quorum, one device
+    down for a while, and two approvers down over overlapping windows,
+    so the failure lookup and a non-default quorum shape are pinned."""
+
+    obj = simnet.config_to_obj(simnet.reference_scenario(seed))
+    obj["approvers"] = {"n": 4, "z": 2}
+    obj["policy"]["quorum"] = {"n": 4, "z": 2}
+    obj["failures"] = [
+        {"node": "dev-05", "down": [600, 1500]},
+        {"node": "approver-1", "down": [0, 1800]},
+        {"node": "approver-2", "down": [1200, 2400]},
+    ]
+    return simnet.config_from_obj(obj)
+
+
 GOLDEN = {
     "reference-42": {
         "config.json": "a35898ab6e2e1a736187b1d99256b8d3b9044c9cc5a275a2d76ee7f66fd2eb85",
@@ -47,11 +63,19 @@ GOLDEN = {
         "access.json": "a713eb87361628dd8590812551207173d2936c19db1f8a7952e5e4f7b70ef86e",
         "report.json": "0ab6f9ce2cf86f318e0b287ee9ecfca06f8e833de1cfc9c26a838393861022a2",
     },
+    "quorum-4-outages-42": {
+        "config.json": "70ab23e1d5749ef5594397c59c8498e64369ffef43d1f51405c7ccf228f65ab2",
+        "events.jsonl": "6b139eb8ed432fcd8368318a96351799cb6cda0ded0732ab25a08ef0b02590a6",
+        "audit.jsonl": "681bf7893ee066b1896120f17362f11c204fd366de4f4126e99b730dd0cf00e2",
+        "access.json": "73b85f2173e1000298a7b1254a7f318583af7ffd50bddb2f65c8e7327d684f95",
+        "report.json": "c889916ecbbe09b597bb14c7d3ca11b50fea43f84ec1fc4c2c6c5207502cb3bb",
+    },
 }
 
 SCENARIOS = {
     "reference-42": lambda: simnet.reference_scenario(42),
     "fleet-200-42": lambda: fleet_200(42),
+    "quorum-4-outages-42": lambda: quorum_4_with_outages(42),
 }
 
 

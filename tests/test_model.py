@@ -177,6 +177,25 @@ class TestValidation:
         assert [e.event_id for e, _ in failures] == [1, 2]
         assert failures[1][1].reasons == (REASON_DANGLING_PARENT,)
 
+    def test_validate_log_agrees_with_validate_event(self):
+        # Reference: each event checked against the list of events
+        # accepted before it, the definition validate_log follows.
+        rng = random.Random(5)
+        events = [
+            make_event(rng.randrange(150), rng.randrange(50),
+                       parents=tuple(rng.sample(range(150), rng.randrange(3))))
+            for _ in range(200)
+        ]
+        expected, accepted = [], []
+        for event in events:
+            verdict = validate_event(event, accepted)
+            if verdict:
+                accepted.append(event)
+            else:
+                expected.append((event, verdict))
+        assert validate_log(events) == expected
+        assert 0 < len(expected) < len(events)
+
 
 class TestSerialization:
     def test_round_trip_object(self):

@@ -97,14 +97,14 @@ class TestScenarioValidation:
             )
 
     def test_quorum_shape_must_match_policy(self):
+        obj = config_to_obj(small_scenario())  # policy quorum 5/3
+        obj["approvers"] = {"n": 4, "z": 2}
         with pytest.raises(ScenarioError, match="quorum"):
-            ScenarioConfig(
-                seed=1, duration=10,
-                devices=(DeviceSpec("dev-01", "user-01"),),
-                benign=benign_profile(),
-                policy=default_policy(resources=RESOURCES),  # 5/3
-                alert_rules=(), approver_n=4, approver_z=2,
-            )
+            config_from_obj(obj)
+        del obj["approvers"]  # absent means the default 5/3
+        obj["policy"]["quorum"] = {"n": 4, "z": 2}
+        with pytest.raises(ScenarioError, match="quorum"):
+            config_from_obj(obj)
 
     def test_unknown_failure_node(self):
         with pytest.raises(ScenarioError, match="unknown failure node"):
@@ -237,6 +237,17 @@ class TestConfigSerialization:
         obj["resources"].append(dict(obj["resources"][0]))
         with pytest.raises(ScenarioError, match="duplicate resource"):
             config_from_obj(obj)
+
+    def test_approvers_set_the_quorum_of_the_default_policy(self, tmp_path):
+        obj = config_to_obj(small_scenario())
+        del obj["policy"]
+        obj["approvers"] = {"n": 4, "z": 2}
+        run(config_from_obj(obj), tmp_path)
+        access = json.loads((tmp_path / "access.json").read_text())
+        assert access["quorum_n"] == 4
+        written = json.loads((tmp_path / "config.json").read_text())
+        assert written["approvers"] == {"n": 4, "z": 2}
+        assert written["policy"]["quorum"] == {"n": 4, "z": 2}
 
     def test_reference_scenario_shape(self):
         config = reference_scenario()
