@@ -20,7 +20,6 @@ from __future__ import annotations
 from .model import (
     Alert,
     AttributeKind,
-    Domain,
     EdrEvent,
     MAX_NUMERIC_VALUE,
     ModelError,
@@ -42,7 +41,6 @@ from .provenance import (
     ancestors,
     apply_rules,
     build_graph,
-    expand_skeleton,
     load_rules,
     reduce_to_skeleton,
     reduction_stats,
@@ -154,14 +152,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     # model
-    "Alert", "AttributeKind", "Domain", "EdrEvent", "MAX_NUMERIC_VALUE",
-    "ModelError", "Severity", "Triplet", "Verdict", "read_events",
-    "validate_event", "validate_log", "write_events",
+    "Alert", "AttributeKind", "EdrEvent", "MAX_NUMERIC_VALUE", "ModelError",
+    "Severity", "Triplet", "Verdict", "read_events", "validate_event",
+    "validate_log", "write_events",
     # provenance
     "AlertRule", "GraphError", "ProvenanceGraph", "ReductionStats",
     "Skeleton", "SummaryEdge", "ancestors", "apply_rules", "build_graph",
-    "expand_skeleton", "load_rules", "reduce_to_skeleton", "reduction_stats",
-    "write_skeleton",
+    "load_rules", "reduce_to_skeleton", "reduction_stats", "write_skeleton",
     # logcodec
     "AttributeRecord", "CodecError", "CompressedArchive", "Pattern",
     "PatternTable", "average_length", "build_codebook", "collect_patterns",

@@ -56,9 +56,6 @@ class ScoreStore:
     def triplets(self) -> list[Triplet]:
         return sorted(self._records)
 
-    def __len__(self) -> int:
-        return len(self._records)
-
 
 Recompute = Callable[[Triplet, int], TrustRecord]
 
@@ -133,7 +130,7 @@ class TrustScoreCache:
             del self._entries[victim]
             self.metrics.evictions += 1
 
-    def _recompute_locked(
+    def _checked_recompute(
         self, triplet: Triplet, now: int, recompute: Recompute
     ) -> TrustRecord:
         record = recompute(triplet, now)
@@ -141,6 +138,12 @@ class TrustScoreCache:
             raise CacheError("recompute returned a record for another triplet")
         if not self._fresh(record, now):
             raise CacheError("recompute returned a stale record")
+        return record
+
+    def _recompute_locked(
+        self, triplet: Triplet, now: int, recompute: Recompute
+    ) -> TrustRecord:
+        record = self._checked_recompute(triplet, now, recompute)
         with self._lock:
             self.store.put(record)
             self._install(record, now)
@@ -213,13 +216,7 @@ class TrustScoreCache:
         failures: list[tuple[Triplet, str]] = []
         for triplet in stale:
             try:
-                record = recompute(triplet, now)
-                if record.triplet != triplet:
-                    raise CacheError(
-                        "recompute returned a record for another triplet"
-                    )
-                if not self._fresh(record, now):
-                    raise CacheError("recompute returned a stale record")
+                record = self._checked_recompute(triplet, now, recompute)
             except Exception as exc:
                 failures.append((triplet, str(exc)))
                 continue

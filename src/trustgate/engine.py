@@ -421,6 +421,8 @@ def parse_audit_line(line: str) -> dict:
     required = {"ts", "triplet", "verdict", "reasons", "T", "theta"}
     if not isinstance(obj, dict) or set(obj) != required:
         raise EngineError("malformed audit record")
+    if isinstance(obj["ts"], bool) or not isinstance(obj["ts"], int):
+        raise EngineError(f"malformed audit ts {obj['ts']!r}")
     if obj["verdict"] not in ("grant", "deny"):
         raise EngineError(f"malformed audit verdict {obj['verdict']!r}")
     if not isinstance(obj["triplet"], list) or len(obj["triplet"]) != 3:

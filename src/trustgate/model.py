@@ -21,19 +21,6 @@ class ModelError(ValueError):
     """Raised for malformed domain objects or serialized records."""
 
 
-class Domain(Enum):
-    """Value domain an attribute kind draws from."""
-
-    COUNT = "count"
-    SECONDS = "seconds"
-    TIMESTAMP = "timestamp"
-    CATEGORY = "category"
-
-    @property
-    def numeric(self) -> bool:
-        return self is not Domain.CATEGORY
-
-
 class AttributeKind(str, Enum):
     """Closed set of endpoint telemetry attributes.
 
@@ -53,26 +40,8 @@ class AttributeKind(str, Enum):
     EXIT_TIMESTAMP = "exit_timestamp"
 
     @property
-    def domain(self) -> Domain:
-        return _DOMAINS[self]
-
-    @property
     def numeric(self) -> bool:
-        return self.domain.numeric
-
-
-_DOMAINS: Mapping[AttributeKind, Domain] = {
-    AttributeKind.EXTERNAL_NET_ACCESS_SECONDS: Domain.SECONDS,
-    AttributeKind.FLASH_DRIVE_USAGE_SECONDS: Domain.SECONDS,
-    AttributeKind.ENTRY_TIMESTAMP: Domain.TIMESTAMP,
-    AttributeKind.IO_OPERATION_COUNT: Domain.COUNT,
-    AttributeKind.PRIVILEGE_ESCALATION_ATTEMPTS: Domain.COUNT,
-    AttributeKind.MALICIOUS_FILE_ACCESS_COUNT: Domain.COUNT,
-    AttributeKind.FREQUENT_EXTERNAL_NETWORK_ID: Domain.CATEGORY,
-    AttributeKind.FUNCTION_CALL_COUNT: Domain.COUNT,
-    AttributeKind.SYSTEM_CALL_COUNT: Domain.COUNT,
-    AttributeKind.EXIT_TIMESTAMP: Domain.TIMESTAMP,
-}
+        return self is not AttributeKind.FREQUENT_EXTERNAL_NETWORK_ID
 
 
 class Severity(str, Enum):

@@ -127,10 +127,11 @@ def apply_rules(
     the same alert list.
     """
 
+    ordered = sorted(rules, key=lambda r: r.rule_name)
     hits = []
     for event_id in sorted(graph.nodes):
         event = graph.nodes[event_id]
-        for rule in sorted(rules, key=lambda r: r.rule_name):
+        for rule in ordered:
             if rule.matches(event):
                 hits.append((event_id, rule))
     alerts = tuple(
@@ -253,35 +254,6 @@ def reduce_to_skeleton(graph: ProvenanceGraph) -> Skeleton:
         edges=final_edges,
         summary_edges=tuple(summaries),
         alerts=graph.alerts,
-    )
-
-
-def expand_skeleton(skeleton: Skeleton) -> ProvenanceGraph:
-    """Rehydrate a skeleton into a graph, one placeholder node per
-    collapsed interior step. Placeholder events copy the payload of the
-    summary edge's source node and take fresh ids above every real id."""
-
-    nodes = dict(skeleton.nodes)
-    edges = set(skeleton.edges)
-    next_id = max(nodes, default=0) + 1
-    for s in sorted(skeleton.summary_edges, key=lambda s: (s.from_id, s.to_id)):
-        template = nodes[s.from_id]
-        prev = s.from_id
-        for _ in range(s.collapsed_count):
-            anon = EdrEvent(
-                event_id=next_id,
-                triplet=template.triplet,
-                attribute=template.attribute,
-                value=template.value,
-                timestamp=template.timestamp,
-            )
-            nodes[next_id] = anon
-            edges.add((prev, next_id))
-            prev = next_id
-            next_id += 1
-        edges.add((prev, s.to_id))
-    return ProvenanceGraph(
-        nodes=nodes, edges=frozenset(edges), alerts=skeleton.alerts
     )
 
 

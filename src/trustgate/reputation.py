@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -67,12 +67,6 @@ class InteractionLedger:
             raise ReputationError("counts must be non-negative")
         self.unsat[(p, q)] = self.unsat.get((p, q), 0) + count
 
-    def local_trust(self, p: str, q: str) -> int:
-        """Net satisfaction p holds toward q; may be negative."""
-
-        self._check_pair(p, q)
-        return self.sat.get((p, q), 0) - self.unsat.get((p, q), 0)
-
 
 @dataclass(frozen=True)
 class LocalTrustMatrix:
@@ -117,16 +111,12 @@ class GlobalTrustVector:
     residual: float
     converged: bool
 
-    def as_array(self, peers: Sequence[str]) -> np.ndarray:
-        return np.array([self.scores[p] for p in peers], dtype=float)
-
 
 def global_trust(
     local: LocalTrustMatrix,
     pretrusted: Iterable[str],
     a: float = DEFAULT_DAMPING,
     epsilon: float = DEFAULT_EPSILON,
-    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> GlobalTrustVector:
     """Damped power iteration to the global trust fixed point.
 
@@ -136,7 +126,9 @@ def global_trust(
         t <- (1 - a) * C^T t + a * e
 
     from ``t = e``, renormalizing each step, until the L1 step
-    difference drops below ``epsilon`` or ``max_iters`` steps pass.
+    difference drops below ``epsilon``. ``DEFAULT_MAX_ITERS`` steps
+    bound the loop; a vector that has not converged by then is
+    returned with ``converged`` false.
     """
 
     peers = local.peers
@@ -152,8 +144,6 @@ def global_trust(
         raise ReputationError("damping must lie in [0, 1)")
     if epsilon <= 0.0:
         raise ReputationError("epsilon must be positive")
-    if max_iters < 1:
-        raise ReputationError("max_iters must be at least 1")
 
     n = len(peers)
     index = {p: i for i, p in enumerate(peers)}
@@ -169,7 +159,7 @@ def global_trust(
     iterations = 0
     residual = float("inf")
     converged = False
-    while iterations < max_iters:
+    while iterations < DEFAULT_MAX_ITERS:
         t_next = (1.0 - a) * (ct @ t) + a * e
         total = t_next.sum()
         if total > 0.0:

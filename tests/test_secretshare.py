@@ -61,10 +61,10 @@ class TestThresholdPolicy:
         with pytest.raises(ShareError):
             ThresholdPolicy(n=5, z=1)
 
-    def test_degenerate_single_share_opt_in(self):
-        ThresholdPolicy(n=1, z=1, allow_degenerate=True)
-        with pytest.raises(ShareError):
-            ThresholdPolicy(n=1, z=1)
+
+class _DrawsThree(random.Random):
+    def randrange(self, *args, **kwargs):
+        return 3
 
 
 class TestFrozenVector:
@@ -75,8 +75,7 @@ class TestFrozenVector:
             5,
             ThresholdPolicy(n=3, z=2),
             FieldParams(13),
-            random.Random(0),
-            coefficients=[3],
+            _DrawsThree(0),
         )
 
     def test_share_values(self):
