@@ -71,7 +71,6 @@ from .reputation import (
     ledger_to_obj,
     load_ledger,
     normalize,
-    save_ledger,
     trust_vector_to_obj,
 )
 from .secretshare import (
@@ -119,7 +118,6 @@ from .cache import (
     TrustScoreCache,
 )
 from .store import (
-    AccessTable,
     ArchiveBatch,
     HotStore,
     StoreError,
@@ -167,7 +165,7 @@ __all__ = [
     # reputation
     "GlobalTrustVector", "InteractionLedger", "LocalTrustMatrix",
     "ReputationError", "global_trust", "ledger_from_obj", "ledger_to_obj",
-    "load_ledger", "normalize", "save_ledger", "trust_vector_to_obj",
+    "load_ledger", "normalize", "trust_vector_to_obj",
     # secretshare
     "FieldParams", "Share", "ShareError", "ThresholdPolicy",
     "read_share_file", "reconstruct", "reconstruct_integer",
@@ -183,8 +181,7 @@ __all__ = [
     "CacheConfig", "CacheError", "CacheMetrics", "HitKind", "ScoreStore",
     "TrustScoreCache",
     # store
-    "AccessTable", "ArchiveBatch", "HotStore", "StoreError",
-    "archive_batch",
+    "ArchiveBatch", "HotStore", "StoreError", "archive_batch",
     # simnet
     "AttributeProfile", "BehaviorProfile", "CompromisePlan", "DeviceSpec",
     "FailureWindow", "ReplayError", "ScenarioConfig", "ScenarioError",

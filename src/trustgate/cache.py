@@ -10,12 +10,13 @@ triplet trigger at most one recomputation between them.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Callable
 
 from .model import Triplet
 from .engine import TrustRecord
 
+DEFAULT_CAPACITY = 256
 DEFAULT_MAX_REFRESH = 300
 
 
@@ -226,7 +227,3 @@ class TrustScoreCache:
                     self._entries[triplet].record = record
             refreshed += 1
         return SweepResult(refreshed=refreshed, failures=tuple(failures))
-
-    def cached_triplets(self) -> list[Triplet]:
-        with self._lock:
-            return sorted(self._entries)

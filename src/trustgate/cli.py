@@ -16,7 +16,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import simnet
-from .cache import CacheConfig, ScoreStore, TrustScoreCache
+from .cache import (
+    DEFAULT_CAPACITY,
+    DEFAULT_MAX_REFRESH,
+    CacheConfig,
+    ScoreStore,
+    TrustScoreCache,
+)
 from .engine import behavioral_score, load_policy, make_record
 from .logcodec import (
     archive_from_bytes,
@@ -37,6 +43,8 @@ from .provenance import (
     write_skeleton,
 )
 from .reputation import (
+    DEFAULT_DAMPING,
+    DEFAULT_EPSILON,
     global_trust,
     load_ledger,
     normalize,
@@ -51,7 +59,7 @@ from .secretshare import (
     split_integer,
     write_share_file,
 )
-from .store import HotStore, archive_batch
+from .store import DEFAULT_ATTRIBUTE_WINDOW, HotStore, archive_batch
 
 
 def _emit(obj: object) -> None:
@@ -301,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True, help="policy JSON")
     p.add_argument("--triplet", required=True, help="user,device,resource")
     p.add_argument("--now", type=int, help="evaluation time (default: max ts)")
-    p.add_argument("--window", type=int, default=900,
-                   help="attribute window seconds (default 900)")
+    p.add_argument("--window", type=int, default=DEFAULT_ATTRIBUTE_WINDOW,
+                   help="attribute window seconds (default %(default)s)")
     p.add_argument("--reputation", type=float, default=1.0,
                    help="peer reputation input (default 1.0)")
     p.set_defaults(func=_cmd_score)
@@ -327,10 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ledger", required=True, help="interaction ledger JSON")
     p.add_argument("--pretrusted", required=True,
                    help="comma-separated pre-trusted peers")
-    p.add_argument("--a", dest="damping", type=float, default=0.1,
-                   help="damping factor (default 0.1)")
-    p.add_argument("--eps", dest="epsilon", type=float, default=1e-9,
-                   help="convergence threshold (default 1e-9)")
+    p.add_argument("--a", dest="damping", type=float, default=DEFAULT_DAMPING,
+                   help="damping factor (default %(default)s)")
+    p.add_argument("--eps", dest="epsilon", type=float,
+                   default=DEFAULT_EPSILON,
+                   help="convergence threshold (default %(default)s)")
     p.set_defaults(func=_cmd_reputation)
 
     p = sub.add_parser("share-split", help="split a secret into n shares")
@@ -349,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cache-bench", help="drive the score cache from a trace")
     p.add_argument("--trace", required=True,
                    help="JSONL of {\"triplet\": [u,d,r], \"now\": t}")
-    p.add_argument("--capacity", type=int, default=256)
-    p.add_argument("--max-refresh", type=int, default=300)
+    p.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY)
+    p.add_argument("--max-refresh", type=int, default=DEFAULT_MAX_REFRESH)
     p.set_defaults(func=_cmd_cache_bench)
 
     p = sub.add_parser("verify-archive", help="decode and re-rank an archive")

@@ -249,12 +249,5 @@ def load_ledger(path: str | Path) -> InteractionLedger:
         return ledger_from_obj(json.load(fh))
 
 
-def save_ledger(path: str | Path, ledger: InteractionLedger) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ledger_to_obj(ledger), fh, indent=2, sort_keys=True,
-                  ensure_ascii=False)
-        fh.write("\n")
-
-
 def trust_vector_to_obj(vector: GlobalTrustVector) -> dict:
     return {peer: score for peer, score in sorted(vector.scores.items())}

@@ -104,8 +104,8 @@ class Share:
             raise ShareError("share y must lie in the field")
         if not self.scheme_id:
             raise ShareError("scheme_id must be non-empty")
-        if not 1 <= self.z <= self.n:
-            raise ShareError("share metadata must satisfy 1 <= z <= n")
+        if not 2 <= self.z <= self.n:
+            raise ShareError("share metadata must satisfy 2 <= z <= n")
 
 
 def _poly_eval(coeffs: Sequence[int], x: int, prime: int) -> int:

@@ -36,13 +36,17 @@ from .model import (
     Triplet,
     write_events,
 )
-from .provenance import (  # noqa: F401 -- keeps simnet.reduce_to_skeleton importable
+# bench/test_bench.py asserts that simnet binds reduce_to_skeleton.
+from .provenance import (  # noqa: F401
     AlertRule,
     reduce_to_skeleton,
     reduction_stats,
     rule_from_obj,
 )
 from .reputation import (
+    DEFAULT_DAMPING,
+    DEFAULT_EPSILON,
+    GlobalTrustVector,
     InteractionLedger,
     global_trust,
     normalize,
@@ -66,8 +70,14 @@ from .engine import (
     policy_to_obj,
     token_digest,
 )
-from .cache import CacheConfig, ScoreStore, TrustScoreCache
-from .store import AccessTable, HotStore, archive_batch
+from .cache import (
+    DEFAULT_CAPACITY,
+    DEFAULT_MAX_REFRESH,
+    CacheConfig,
+    ScoreStore,
+    TrustScoreCache,
+)
+from .store import DEFAULT_ATTRIBUTE_WINDOW, HotStore, archive_batch
 
 FLAG_NO_DEVICES = "no_devices"
 FLAG_NO_MALICIOUS_TRAFFIC = "no_malicious_traffic"
@@ -162,11 +172,11 @@ class ScenarioConfig:
     compromises: tuple[CompromisePlan, ...] = ()
     failures: tuple[FailureWindow, ...] = ()
     pretrusted: tuple[str, ...] = ()
-    attribute_window: int = 900
-    refresh_interval: int = 300
-    cache_capacity: int = 256
-    damping: float = 0.1
-    epsilon: float = 1e-9
+    attribute_window: int = DEFAULT_ATTRIBUTE_WINDOW
+    refresh_interval: int = DEFAULT_MAX_REFRESH
+    cache_capacity: int = DEFAULT_CAPACITY
+    damping: float = DEFAULT_DAMPING
+    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
         if self.duration < 0:
@@ -694,8 +704,7 @@ def _decision_summary(
 @dataclass(frozen=True)
 class _Action:
     time: int
-    priority: int
-    kind: str
+    priority: int  # also the action's kind
     device_id: str = ""
     attribute: AttributeKind | None = None
     value: int | str | None = None
@@ -740,12 +749,12 @@ def _draw_activity(
             t = start + rng.randrange(window)
             value = _draw_value(rng, prof)
             target = rng.choice(resource_ids) if resource_ids else ""
-            actions.append(_Action(t, _PRIORITY_EMIT, "emit", device_id,
-                                   kind, value, target))
+            actions.append(_Action(t, _PRIORITY_EMIT, device_id, kind, value,
+                                   target))
     for _ in range(round(profile.request_rate * window)):
         t = start + rng.randrange(window)
         target = rng.choice(resource_ids) if resource_ids else ""
-        actions.append(_Action(t, _PRIORITY_REQUEST, "request", device_id,
+        actions.append(_Action(t, _PRIORITY_REQUEST, device_id,
                                resource_id=target))
     return actions
 
@@ -774,54 +783,60 @@ def _audit_rows(
     return rows
 
 
-def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
-    """Execute a scenario; optionally write the artifact directory.
+def _deal_tokens(
+    config: ScenarioConfig, rng: random.Random
+) -> tuple[QuorumClient, dict]:
+    """Deal each high-sensitivity resource's unlock token to the
+    approvers; return the quorum client and the ``access.json`` object:
+    principals, resource registry with token digests and share holders,
+    and the attribute schema."""
 
-    Artifacts: ``config.json`` (canonical form), ``events.jsonl``,
-    ``audit.jsonl``, ``report.json``. Identical configurations produce
-    byte-identical artifacts.
-    """
-
-    rng = random.Random(config.seed)
-    device_ids = [d.device_id for d in config.devices]
-    users = {d.device_id: d.user_id for d in config.devices}
-    resource_ids = sorted(config.policy.resources)
-    down_windows: dict[str, list[FailureWindow]] = {}
-    for w in config.failures:
-        down_windows.setdefault(w.node, []).append(w)
-
-    # Resource registry, unlock tokens, approvers.
+    holders = config.approver_ids()
     approvers = {
-        aid: _SimApprover(down_windows.get(aid, ()))
-        for aid in config.approver_ids()
+        aid: _SimApprover([w for w in config.failures if w.node == aid])
+        for aid in holders
     }
     field_params = FieldParams()
     digests: dict[str, str] = {}
     scheme_ids: dict[str, str] = {}
-    for rid in resource_ids:
+    for rid in sorted(config.policy.resources):
         if config.policy.sensitivity_for(rid) != SENSITIVITY_HIGH:
             continue
         token = rng.randrange(field_params.prime)
         shares = split(token, config.policy.quorum, field_params, rng)
-        for share, aid in zip(shares, config.approver_ids()):
+        for share, aid in zip(shares, holders):
             approvers[aid].shares[rid] = share
         digests[rid] = token_digest(shares[0].scheme_id, token)
         scheme_ids[rid] = shares[0].scheme_id
-    access = AccessTable(
-        users=users.values(),
-        devices=device_ids,
-        resources=config.policy.resources.values(),
-        token_digests=digests,
-        share_holders=config.approver_ids(),
-    )
-    quorum_client = QuorumClient(
+    access = {
+        "version": 1,
+        "users": sorted({d.user_id for d in config.devices}),
+        "devices": sorted(d.device_id for d in config.devices),
+        "attributes": sorted(k.value for k in AttributeKind),
+        "quorum_n": len(holders) if digests else None,
+        "resources": {
+            rid: {
+                "threshold": spec.threshold,
+                "sensitivity": spec.sensitivity,
+                "token_digest": digests.get(rid),
+                "share_holders": list(holders) if rid in digests else [],
+            }
+            for rid, spec in config.policy.resources.items()
+        },
+    }
+    client = QuorumClient(
         approvers=approvers, digests=digests, scheme_ids=scheme_ids
     )
+    return client, access
 
-    # Pre-draw the whole schedule so replaying a config is exact. The
-    # sort is stable, so equal (time, priority) keep their draw order.
+
+def _schedule(config: ScenarioConfig, rng: random.Random) -> list[_Action]:
+    """Pre-draw the whole run so replaying a config is exact. The sort
+    is stable, so equal (time, priority) keep their draw order."""
+
+    resource_ids = sorted(config.policy.resources)
     actions = [
-        _Action(time=t, priority=_PRIORITY_SWEEP, kind="sweep")
+        _Action(time=t, priority=_PRIORITY_SWEEP)
         for t in range(0, config.duration, config.refresh_interval)
     ]
     for device in config.devices:
@@ -833,131 +848,154 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
                                   config.duration - plan.start_time,
                                   resource_ids)
     actions.sort(key=lambda a: (a.time, a.priority))
+    return actions
 
-    # Engine wiring.
-    hot = HotStore(None)
-    cache = TrustScoreCache(
-        CacheConfig(capacity=config.cache_capacity), ScoreStore()
-    )
-    policy = config.policy
-    ledger = (
-        InteractionLedger(peers=tuple(sorted(device_ids)))
-        if len(device_ids) >= 2 else None
-    )
-    reputation_rel: dict[str, float] = {}
-    convergence: dict[str, object] = {
-        "iterations_used": None, "residual": None,
-        "converged": None, "sweeps": 0,
-    }
-    host_of = {
-        rid: device_ids[i % len(device_ids)] if device_ids else ""
-        for i, rid in enumerate(resource_ids)
-    }
 
-    def recompute(triplet: Triplet, now: int) -> TrustRecord:
-        window = hot.query_window(triplet, now, config.attribute_window)
-        b = behavioral_score(window, policy)
-        g = reputation_rel.get(triplet.device_id, 1.0)
-        return make_record(triplet, b, g, policy.alpha, now)
+class _Loop:
+    """The engine wired for one run, stepped through its schedule.
 
-    def refresh_reputation(now: int) -> None:
-        if ledger is None:
-            return
-        local = normalize(ledger)
-        vector = global_trust(
-            local,
-            pretrusted=config.pretrusted,
-            a=config.damping,
-            epsilon=config.epsilon,
+    Only a device's first critical alert is kept: alerts stay in force
+    until the end of the run, and ``decide`` reads nothing else.
+    """
+
+    def __init__(self, config: ScenarioConfig, quorum_client: QuorumClient):
+        device_ids = [d.device_id for d in config.devices]
+        self.config = config
+        self.quorum_client = quorum_client
+        self.users = {d.device_id: d.user_id for d in config.devices}
+        self.host_of = {
+            rid: device_ids[i % len(device_ids)] if device_ids else ""
+            for i, rid in enumerate(sorted(config.policy.resources))
+        }
+        self.critical_rules = tuple(
+            r for r in config.alert_rules if r.severity is Severity.CRITICAL
         )
-        best = max(vector.scores.values())
-        for peer, score in vector.scores.items():
-            reputation_rel[peer] = score / best if best > 0 else 1.0
-        convergence.update(
-            iterations_used=vector.iterations_used,
-            residual=vector.residual,
-            converged=vector.converged,
-            sweeps=int(convergence["sweeps"]) + 1,
+        self.hot = HotStore(None)
+        self.cache = TrustScoreCache(
+            CacheConfig(capacity=config.cache_capacity,
+                        max_refresh=config.refresh_interval),
+            ScoreStore(),
         )
+        self.ledger = (
+            InteractionLedger(peers=tuple(sorted(device_ids)))
+            if len(device_ids) >= 2 else None
+        )
+        self.reputation_rel: dict[str, float] = {}
+        self.vector: GlobalTrustVector | None = None
+        self.sweeps = 0
+        self.last_event: dict[str, EdrEvent] = {}
+        self.critical: dict[str, ActiveAlert] = {}
+        self.audit_lines: list[str] = []
 
-    def score_source(triplet: Triplet, now: int) -> TrustRecord:
-        record, _ = cache.get_score(triplet, now, recompute)
+    def step(self, action: _Action) -> None:
+        if action.priority == _PRIORITY_SWEEP:
+            self.sweep(action.time)
+        elif not any(w.node == action.device_id and w.covers(action.time)
+                     for w in self.config.failures):
+            if action.priority == _PRIORITY_EMIT:
+                self.emit(action)
+            else:
+                self.request(action)
+
+    def recompute(self, triplet: Triplet, now: int) -> TrustRecord:
+        window = self.hot.query_window(triplet, now,
+                                       self.config.attribute_window)
+        b = behavioral_score(window, self.config.policy)
+        g = self.reputation_rel.get(triplet.device_id, 1.0)
+        return make_record(triplet, b, g, self.config.policy.alpha, now)
+
+    def score(self, triplet: Triplet, now: int) -> TrustRecord:
+        record, _ = self.cache.get_score(triplet, now, self.recompute)
         return record
 
-    next_alert_id = 0
-    last_event: dict[str, EdrEvent] = {}
-    critical_alerts: list[ActiveAlert] = []
-    sorted_rules = sorted(config.alert_rules, key=lambda r: r.rule_name)
-    audit_lines: list[str] = []
+    def sweep(self, now: int) -> None:
+        if self.ledger is not None:
+            self.vector = global_trust(
+                normalize(self.ledger),
+                pretrusted=self.config.pretrusted,
+                a=self.config.damping,
+                epsilon=self.config.epsilon,
+            )
+            self.sweeps += 1
+            best = max(self.vector.scores.values())
+            for peer, score in self.vector.scores.items():
+                self.reputation_rel[peer] = score / best if best > 0 else 1.0
+        self.cache.refresh_sweep(now, self.recompute)
 
-    for action in actions:
-        t = action.time
-        if action.kind == "sweep":
-            refresh_reputation(t)
-            cache.refresh_sweep(t, recompute)
-            continue
-        if any(w.covers(t) for w in down_windows.get(action.device_id, ())):
-            continue
-        if action.kind == "emit":
-            parent = last_event.get(action.device_id)
-            parents = (
-                (parent.event_id,)
-                if parent is not None and parent.timestamp < t else ()
-            )
-            event = EdrEvent(
-                event_id=len(hot),
-                triplet=Triplet(
-                    user_id=users[action.device_id],
-                    device_id=action.device_id,
-                    resource_id=action.resource_id or "none",
-                ),
-                attribute=action.attribute,
-                value=action.value,
-                timestamp=t,
-                parent_ids=parents,
-            )
-            hot.append_events([event])
-            last_event[action.device_id] = event
-            for rule in sorted_rules:
-                if rule.matches(event):
-                    alert = Alert(
-                        alert_id=next_alert_id,
-                        event_id=event.event_id,
-                        severity=rule.severity,
-                        rule_name=rule.rule_name,
-                    )
-                    next_alert_id += 1
-                    if alert.severity is Severity.CRITICAL:
-                        critical_alerts.append(
-                            ActiveAlert(alert=alert, device_id=action.device_id)
-                        )
-            continue
-        # request
-        triplet = Triplet(
-            user_id=users[action.device_id],
+    def _triplet(self, action: _Action) -> Triplet:
+        return Triplet(
+            user_id=self.users[action.device_id],
             device_id=action.device_id,
             resource_id=action.resource_id or "none",
         )
-        decision = decide(
-            triplet, policy, score_source, critical_alerts,
-            quorum_client, now=t,
-        )
-        audit_lines.append(audit_line(t, triplet, decision))
-        if decision.granted:
-            host = host_of.get(action.resource_id, "")
-            if ledger is not None and host and host != action.device_id:
-                start = config.compromise_time(action.device_id)
-                if start is not None and t >= start:
-                    ledger.record_unsat(host, action.device_id)
-                else:
-                    ledger.record_sat(host, action.device_id)
 
-    # End-of-run archival statistics over the full event log.
-    events = hot.events
-    batch = archive_batch(events, sorted_rules)
+    def emit(self, action: _Action) -> None:
+        t = action.time
+        parent = self.last_event.get(action.device_id)
+        event = EdrEvent(
+            event_id=len(self.hot),
+            triplet=self._triplet(action),
+            attribute=action.attribute,
+            value=action.value,
+            timestamp=t,
+            parent_ids=(
+                (parent.event_id,)
+                if parent is not None and parent.timestamp < t else ()
+            ),
+        )
+        self.hot.append_events([event])
+        self.last_event[action.device_id] = event
+        if action.device_id in self.critical:
+            return
+        for rule in self.critical_rules:
+            if rule.matches(event):
+                alert = Alert(alert_id=len(self.critical),
+                              event_id=event.event_id,
+                              severity=rule.severity,
+                              rule_name=rule.rule_name)
+                self.critical[action.device_id] = ActiveAlert(
+                    alert=alert, device_id=action.device_id)
+                return
+
+    def request(self, action: _Action) -> None:
+        t = action.time
+        triplet = self._triplet(action)
+        alert = self.critical.get(action.device_id)
+        decision = decide(
+            triplet, self.config.policy, self.score,
+            () if alert is None else (alert,),
+            self.quorum_client, now=t,
+        )
+        self.audit_lines.append(audit_line(t, triplet, decision))
+        host = self.host_of.get(action.resource_id, "")
+        if (not decision.granted or self.ledger is None or not host
+                or host == action.device_id):
+            return
+        start = self.config.compromise_time(action.device_id)
+        if start is not None and t >= start:
+            self.ledger.record_unsat(host, action.device_id)
+        else:
+            self.ledger.record_sat(host, action.device_id)
+
+    def convergence(self) -> dict[str, object]:
+        v = self.vector
+        return {
+            "iterations_used": None if v is None else v.iterations_used,
+            "residual": None if v is None else v.residual,
+            "converged": None if v is None else v.converged,
+            "sweeps": self.sweeps,
+        }
+
+
+def _reduction(
+    events: Sequence[EdrEvent], rules: Sequence[AlertRule]
+) -> dict[str, object]:
+    """End-of-run archival statistics over the full event log."""
+
+    batch = archive_batch(events, rules)
     stats = reduction_stats(batch.graph, batch.skeleton)
     avg_len = batch.avg_code_length
-    reduction = {
+    return {
         "nodes_before": stats.nodes_before,
         "nodes_after": stats.nodes_after,
         "ratio": stats.ratio,
@@ -966,30 +1004,46 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
         "alerts": len(batch.graph.alerts),
     }
 
-    summary = _decision_summary(config, _audit_rows(config, audit_lines))
+
+def _write_json(path: Path, obj: object) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
+    """Execute a scenario; optionally write the artifact directory.
+
+    Artifacts: ``config.json`` (canonical form), ``events.jsonl``,
+    ``audit.jsonl``, ``access.json``, ``report.json``. Identical
+    configurations produce byte-identical artifacts.
+    """
+
+    rng = random.Random(config.seed)
+    quorum_client, access = _deal_tokens(config, rng)
+    loop = _Loop(config, quorum_client)
+    for action in _schedule(config, rng):
+        loop.step(action)
+
+    events = loop.hot.events
     report = SimReport(
         total_events=len(events),
-        cache_metrics=cache.metrics.to_obj(),
-        max_served_age=cache.metrics.max_served_age,
-        reduction=reduction,
-        reputation_convergence=dict(convergence),
-        **summary,
+        cache_metrics=loop.cache.metrics.to_obj(),
+        max_served_age=loop.cache.metrics.max_served_age,
+        reduction=_reduction(events, config.alert_rules),
+        reputation_convergence=loop.convergence(),
+        **_decision_summary(config, _audit_rows(config, loop.audit_lines)),
     )
-
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "config.json", "w", encoding="utf-8") as fh:
-            json.dump(config_to_obj(config), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / "config.json", config_to_obj(config))
         write_events(out / "events.jsonl", events)
         with open(out / "audit.jsonl", "w", encoding="utf-8") as fh:
-            for line in audit_lines:
-                fh.write(line)
-                fh.write("\n")
+            fh.writelines(line + "\n" for line in loop.audit_lines)
         with open(out / "report.json", "w", encoding="utf-8") as fh:
             fh.write(report.dumps())
-        access.save(out / "access.json")
+        _write_json(out / "access.json", access)
     return report
 
 

@@ -1,22 +1,19 @@
-"""Event storage, the archival pipeline, and the access-control table.
+"""Event storage and the archival pipeline.
 
 Fresh telemetry lives in a hot JSON Lines pool indexed by triplet.
 Archival runs a batch of events through both reduction stages: alert
 rules and skeleton reduction keep only alert ancestry, then the
 surviving attribute records are tallied into patterns and given an
-optimal prefix code. The access table holds the principals, the
-resource registry, and the attribute schema with its version.
+optimal prefix code.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .engine import ResourceSpec
 from .model import (
     AttributeKind,
     EdrEvent,
@@ -40,6 +37,9 @@ from .provenance import (
     build_graph,
     reduce_to_skeleton,
 )
+
+
+DEFAULT_ATTRIBUTE_WINDOW = 900  # seconds of telemetry a trust score reads
 
 
 class StoreError(ValueError):
@@ -140,56 +140,3 @@ def archive_batch(
         return ArchiveBatch(graph, skeleton, records, None, None)
     table = build_codebook(collect_patterns(records))
     return ArchiveBatch(graph, skeleton, records, table, average_length(table))
-
-
-class AccessTable:
-    """Principals, resource registry, and the attribute schema.
-
-    Each resource with an unlock-token digest lists the share holders
-    of its token; ``quorum_n`` is their number, or ``None`` when no
-    resource has a token.
-    """
-
-    version = 1
-    attributes = tuple(sorted(k.value for k in AttributeKind))
-
-    def __init__(
-        self,
-        users: Iterable[str] = (),
-        devices: Iterable[str] = (),
-        resources: Iterable[ResourceSpec] = (),
-        token_digests: Mapping[str, str] | None = None,
-        share_holders: Sequence[str] = (),
-    ):
-        self.users = tuple(sorted(set(users)))
-        self.devices = tuple(sorted(set(devices)))
-        self.resources = {spec.resource_id: spec for spec in resources}
-        self.token_digests = dict(token_digests or {})
-        self.share_holders = tuple(share_holders)
-        self.quorum_n = len(self.share_holders) if self.token_digests else None
-
-    def to_obj(self) -> dict:
-        return {
-            "version": self.version,
-            "users": list(self.users),
-            "devices": list(self.devices),
-            "attributes": list(self.attributes),
-            "quorum_n": self.quorum_n,
-            "resources": {
-                rid: {
-                    "threshold": spec.threshold,
-                    "sensitivity": spec.sensitivity,
-                    "token_digest": self.token_digests.get(rid),
-                    "share_holders": (
-                        list(self.share_holders)
-                        if rid in self.token_digests else []
-                    ),
-                }
-                for rid, spec in sorted(self.resources.items())
-            },
-        }
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_obj(), fh, indent=2, sort_keys=True)
-            fh.write("\n")

@@ -101,7 +101,7 @@ class TestTraceEquivalence:
             assert record == expected
         assert tiers == oracle.tiers
         assert cache.metrics.to_obj() == oracle.metrics
-        assert cache.cached_triplets() == sorted(oracle.entries)
+        assert sorted(cache._entries) == sorted(oracle.entries)
         assert cache.metrics.max_served_age == max(oracle.served_ages)
 
     def test_no_serve_older_than_ceiling(self):
@@ -166,7 +166,7 @@ class TestEviction:
         cache.get_score(b, 1, record_for)
         cache.get_score(a, 2, record_for)       # a is now most recent
         cache.get_score(c, 3, record_for)       # evicts b
-        assert cache.cached_triplets() == sorted([a, c])
+        assert sorted(cache._entries) == sorted([a, c])
 
     def test_tie_breaks_on_triplet_order(self):
         cache = TrustScoreCache(CacheConfig(capacity=2, max_refresh=1000))
@@ -174,7 +174,7 @@ class TestEviction:
         cache.get_score(b, 0, record_for)
         cache.get_score(a, 0, record_for)       # same last_access as b
         cache.get_score(c, 0, record_for)       # evicts a (smaller triplet)
-        assert cache.cached_triplets() == sorted([b, c])
+        assert sorted(cache._entries) == sorted([b, c])
 
 
 class TestRecomputeContract:

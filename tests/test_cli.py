@@ -10,7 +10,7 @@ import pytest
 from trustgate.cli import main
 from trustgate.engine import policy_to_obj
 from trustgate.model import write_events
-from trustgate.reputation import InteractionLedger, save_ledger
+from trustgate.reputation import InteractionLedger, ledger_to_obj
 from trustgate.engine import ResourceSpec
 from trustgate.simnet import (
     config_to_obj,
@@ -375,7 +375,7 @@ class TestReputation:
                 if a != b:
                     ledger.record_sat(a, b)
         path = tmp_path / "ledger.json"
-        save_ledger(path, ledger)
+        path.write_text(json.dumps(ledger_to_obj(ledger)), encoding="utf-8")
         result = run_json(
             capsys, "reputation",
             "--ledger", str(path), "--pretrusted", "p1,p2,p3",
@@ -391,7 +391,7 @@ class TestReputation:
         ledger.record_sat("p1", "p2")
         ledger.record_sat("p2", "p1")
         path = tmp_path / "ledger.json"
-        save_ledger(path, ledger)
+        path.write_text(json.dumps(ledger_to_obj(ledger)), encoding="utf-8")
         result = run_json(
             capsys, "reputation",
             "--ledger", str(path), "--pretrusted", "p1",
@@ -450,6 +450,22 @@ class TestShareCommands:
         )
         assert code == 1
         assert "error:" in err
+
+    def test_join_refuses_z_1_share_file(self, capsys, tmp_path):
+        listing = run_json(
+            capsys, "share-split",
+            "--secret", "7", "--n", "3", "--z", "2",
+            "--seed", "1", "--out", str(tmp_path / "s"),
+        )
+        path = listing["files"][0]
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({**obj, "z": 1}, fh)
+        code, out, err = run_cli(capsys, "share-join", "--shares", path)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_large_secret_spans_chunks(self, capsys, tmp_path):
         secret = str(2**200 + 12345)

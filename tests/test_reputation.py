@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
@@ -15,7 +16,6 @@ from trustgate.reputation import (
     ledger_to_obj,
     load_ledger,
     normalize,
-    save_ledger,
     trust_vector_to_obj,
 )
 
@@ -257,7 +257,7 @@ class TestWireFormat:
     def test_file_round_trip(self, tmp_path):
         ledger = random_ledger(random.Random(91), 5)
         path = tmp_path / "ledger.json"
-        save_ledger(path, ledger)
+        path.write_text(json.dumps(ledger_to_obj(ledger)), encoding="utf-8")
         loaded = load_ledger(path)
         assert ledger_to_obj(loaded) == ledger_to_obj(ledger)
 

@@ -61,6 +61,14 @@ class TestThresholdPolicy:
         with pytest.raises(ShareError):
             ThresholdPolicy(n=5, z=1)
 
+    def test_share_metadata_refuses_z_1(self):
+        # A z=1 share is the secret itself, so a hand-made one must not
+        # unlock anything on its own.
+        with pytest.raises(ShareError, match="2 <= z <= n"):
+            reconstruct([Share(x=1, y=7, scheme_id="ab", prime=13, n=1, z=1)])
+        with pytest.raises(ShareError, match="2 <= z <= n"):
+            Share(x=1, y=7, scheme_id="ab", prime=13, n=3, z=1)
+
 
 class _DrawsThree(random.Random):
     def randrange(self, *args, **kwargs):

@@ -4,6 +4,7 @@ audit replay verification, and containment behavior."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -569,3 +570,7 @@ class TestReferenceScenario:
             "evictions": 210,
         }
         assert report.max_served_age == 300
+
+    def test_refresh_interval_is_the_staleness_ceiling(self):
+        report = run(replace(reference_scenario(), refresh_interval=60))
+        assert 0 < report.max_served_age <= 60

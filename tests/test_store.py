@@ -1,22 +1,29 @@
 """Storage layer: hot pool queries, the archival pipeline, and the
-access table."""
+access table a run writes as access.json."""
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
-from trustgate.engine import PolicyError, ResourceSpec
+from trustgate.cli import main
+from trustgate.engine import DEFAULT_QUORUM, ResourceSpec
 from trustgate.logcodec import average_length, decode, encode
 from trustgate.model import AttributeKind, Severity, Triplet
 from trustgate.provenance import AlertRule, SummaryEdge
-from trustgate.store import (
-    AccessTable,
-    HotStore,
-    StoreError,
-    archive_batch,
+from trustgate.secretshare import ThresholdPolicy
+from trustgate.simnet import (
+    DeviceSpec,
+    ScenarioConfig,
+    benign_profile,
+    config_to_obj,
+    default_policy,
+    default_rules,
+    run,
 )
+from trustgate.store import HotStore, StoreError, archive_batch
 
 from conftest import DEFAULT_TRIPLET, make_event
 
@@ -114,44 +121,89 @@ class TestHotStore:
         assert store.query_window(DEFAULT_TRIPLET, 100, 100) == {}
 
 
+def access_scenario(
+    devices=(("d1", "u1"),),
+    resources=(ResourceSpec("res-a", 0.5),),
+    quorum=DEFAULT_QUORUM,
+) -> ScenarioConfig:
+    specs = tuple(DeviceSpec(d, u) for d, u in devices)
+    return ScenarioConfig(
+        seed=1, duration=60, devices=specs, benign=benign_profile(),
+        policy=default_policy(quorum=quorum, resources=resources),
+        alert_rules=default_rules(), pretrusted=(specs[0].device_id,),
+    )
+
+
+def written_access(tmp_path, config: ScenarioConfig) -> dict:
+    run(config, tmp_path)
+    return json.loads((tmp_path / "access.json").read_text(encoding="utf-8"))
+
+
 class TestAccessTable:
-    def test_principals_sorted_and_deduped(self):
-        table = AccessTable(users=["u2", "u1", "u2"], devices=["d9", "d1"])
-        assert table.users == ("u1", "u2")
-        assert table.devices == ("d1", "d9")
+    """The access.json a run writes: principals, resource registry with
+    token digests and share holders, and the attribute schema."""
 
-    def test_default_attributes_cover_all_kinds(self):
-        table = AccessTable()
-        assert set(table.attributes) == {k.value for k in AttributeKind}
+    def test_principals_sorted_and_deduped(self, tmp_path):
+        config = access_scenario(
+            devices=(("d9", "u2"), ("d1", "u1"), ("d5", "u2"))
+        )
+        access = written_access(tmp_path, config)
+        assert access["users"] == ["u1", "u2"]
+        assert access["devices"] == ["d1", "d5", "d9"]
 
-    def test_quorum_shape_follows_token_resources(self):
-        specs = [ResourceSpec("res-a", 0.5), ResourceSpec("res-v", 0.75, "high")]
-        table = AccessTable(resources=specs, token_digests={"res-v": "ab"},
-                            share_holders=("h1", "h2", "h3"))
-        obj = table.to_obj()
-        assert obj["quorum_n"] == 3
-        assert obj["resources"]["res-v"]["share_holders"] == ["h1", "h2", "h3"]
-        assert obj["resources"]["res-v"]["token_digest"] == "ab"
-        assert obj["resources"]["res-a"]["share_holders"] == []
-        assert obj["resources"]["res-a"]["token_digest"] is None
-        assert AccessTable(resources=specs).quorum_n is None
+    def test_default_attributes_cover_all_kinds(self, tmp_path):
+        access = written_access(tmp_path, access_scenario())
+        assert access["attributes"] == sorted(k.value for k in AttributeKind)
+        assert access["version"] == 1
 
-    def test_resource_entry_validation(self):
-        # Table entries are ResourceSpecs, so a bad threshold or an
-        # unknown sensitivity is refused before it can reach access.json.
-        with pytest.raises(PolicyError, match="threshold"):
-            AccessTable(resources=[ResourceSpec("res-x", 1.5)])
-        with pytest.raises(PolicyError, match="sensitivity"):
-            AccessTable(resources=[ResourceSpec("res-x", 0.5, "secretive")])
+    def test_quorum_shape_follows_token_resources(self, tmp_path):
+        specs = (ResourceSpec("res-a", 0.5),
+                 ResourceSpec("res-v", 0.75, "high"))
+        config = access_scenario(resources=specs,
+                                 quorum=ThresholdPolicy(n=3, z=2))
+        access = written_access(tmp_path, config)
+        holders = ["approver-1", "approver-2", "approver-3"]
+        assert access["quorum_n"] == 3
+        assert access["resources"]["res-v"]["share_holders"] == holders
+        assert re.fullmatch("[0-9a-f]{64}",
+                            access["resources"]["res-v"]["token_digest"])
+        assert access["resources"]["res-a"]["share_holders"] == []
+        assert access["resources"]["res-a"]["token_digest"] is None
+
+    def test_no_token_resource_writes_null_quorum(self, tmp_path):
+        access = written_access(tmp_path, access_scenario())
+        assert access["quorum_n"] is None
+        text = (tmp_path / "access.json").read_text(encoding="utf-8")
+        assert '"quorum_n": null' in text
+
+    def test_resource_entry_validation(self, tmp_path, capsys):
+        # A bad registry entry is refused before any artifact is written.
+        for field, value in (("threshold", 1.5), ("sensitivity", "secretive")):
+            obj = config_to_obj(access_scenario())
+            del obj["policy"]
+            obj["resources"][0][field] = value
+            scenario = tmp_path / f"{field}.json"
+            scenario.write_text(json.dumps(obj), encoding="utf-8")
+            out = tmp_path / f"out-{field}"
+            code = main(["simulate", "--config", str(scenario),
+                         "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert field in err and err.count("\n") == 1
+            assert not out.exists()
 
     def test_round_trip(self, tmp_path):
-        table = AccessTable(
-            users=["u1"], devices=["d1"],
-            resources=[ResourceSpec("res-a", 0.5, "standard")],
-        )
-        path = tmp_path / "access.json"
-        table.save(path)
-        assert json.loads(path.read_text(encoding="utf-8")) == table.to_obj()
+        specs = (ResourceSpec("res-a", 0.5, "standard"),
+                 ResourceSpec("res-v", 0.8, "high"))
+        config = access_scenario(resources=specs)
+        access = written_access(tmp_path, config)
+        text = (tmp_path / "access.json").read_text(encoding="utf-8")
+        assert text == json.dumps(access, indent=2, sort_keys=True) + "\n"
+        registry = {
+            rid: ResourceSpec(rid, entry["threshold"], entry["sensitivity"])
+            for rid, entry in access["resources"].items()
+        }
+        assert registry == dict(config.policy.resources)
 
 
 def alert_batch():
