@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol
 
 from .model import Alert, AttributeKind, Severity, Triplet
 from .secretshare import Share, ShareError, ThresholdPolicy, reconstruct

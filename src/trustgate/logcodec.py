@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .model import AttributeKind, EdrEvent, ModelError
+from .model import EdrEvent
 
 MAGIC = b"\x5a\x54\x4c\x43"
 VERSION = 1

@@ -13,13 +13,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .model import (
     Alert,
     AttributeKind,
     EdrEvent,
-    ModelError,
     Severity,
     event_to_obj,
 )
@@ -142,22 +141,43 @@ def apply_rules(
     return ProvenanceGraph(nodes=graph.nodes, edges=graph.edges, alerts=alerts)
 
 
-def ancestors(graph: ProvenanceGraph, event_id: int) -> set[int]:
-    """All events reachable by walking parent edges; excludes the node."""
+def ancestors(graph: ProvenanceGraph, *event_ids: int) -> set[int]:
+    """All events reachable by walking parent edges from any of ``event_ids``.
 
-    if event_id not in graph.nodes:
-        raise GraphError(f"unknown event {event_id}")
-    parent_map: dict[int, list[int]] = {}
+    The result is the union of each event's ancestors, found in one walk
+    over one parent map. A given event is in the result only if it is an
+    ancestor of another given event; with one event, that event is never
+    in it. Every id must be a node of the graph.
+    """
+
+    for event_id in event_ids:
+        if event_id not in graph.nodes:
+            raise GraphError(f"unknown event {event_id}")
+    # Most events have one parent. Mapping each to an int rather than to a
+    # list keeps the map free of one container per event; on the heap of a
+    # large run, allocating those sets off a full garbage collection that
+    # costs several times the walk itself.
+    first_parent: dict[int, int] = {}
+    other_parents: dict[int, list[int]] = {}
     for (u, v) in graph.edges:
-        parent_map.setdefault(v, []).append(u)
+        if v in first_parent:
+            other_parents.setdefault(v, []).append(u)
+        else:
+            first_parent[v] = u
+
+    def parents(node: int) -> list[int]:
+        if node not in first_parent:
+            return []
+        return [first_parent[node], *other_parents.get(node, ())]
+
     seen: set[int] = set()
-    stack = list(parent_map.get(event_id, ()))
+    stack = [p for event_id in event_ids for p in parents(event_id)]
     while stack:
         node = stack.pop()
         if node in seen:
             continue
         seen.add(node)
-        stack.extend(parent_map.get(node, ()))
+        stack.extend(parents(node))
     return seen
 
 
@@ -191,9 +211,7 @@ def reduce_to_skeleton(graph: ProvenanceGraph) -> Skeleton:
     """
 
     alert_ids = graph.alert_event_ids()
-    kept: set[int] = set(alert_ids)
-    for aid in alert_ids:
-        kept |= ancestors(graph, aid)
+    kept = set(alert_ids) | ancestors(graph, *alert_ids)
 
     pruned_edges = {(u, v) for (u, v) in graph.edges if u in kept and v in kept}
     out_deg: dict[int, int] = {n: 0 for n in kept}

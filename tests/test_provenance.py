@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from trustgate import provenance
 from trustgate.model import Alert, AttributeKind, Severity
 from trustgate.provenance import (
     AlertRule,
@@ -201,6 +202,32 @@ class TestAncestors:
             target = rng.randrange(len(graph.nodes))
             assert ancestors(graph, target) == oracle_ancestors(graph, target)
 
+    def test_many_seeds_match_union_of_oracles(self):
+        rng = random.Random(20261018)
+        for _ in range(60):
+            graph = random_dag(rng, rng.randrange(2, 40))
+            seeds = rng.sample(sorted(graph.nodes),
+                               k=rng.randrange(1, len(graph.nodes) + 1))
+            expected = set().union(*(oracle_ancestors(graph, s) for s in seeds))
+            assert ancestors(graph, *seeds) == expected
+
+    def test_no_seeds_is_empty(self):
+        assert ancestors(build_graph(chain(4))) == set()
+
+    def test_unknown_seed_anywhere_raises(self):
+        graph = build_graph(chain(4))
+        for seeds in ((99,), (99, 3), (3, 99), (1, 99, 2)):
+            with pytest.raises(GraphError, match="unknown event 99"):
+                ancestors(graph, *seeds)
+
+    def test_repeated_seeds_same_as_one(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            graph = random_dag(rng, rng.randrange(2, 30))
+            target = rng.randrange(len(graph.nodes))
+            assert ancestors(graph, target, target, target) == ancestors(
+                graph, target)
+
 
 class TestSkeletonFixtures:
     def test_unary_chain_collapses_to_one_summary_edge(self):
@@ -284,6 +311,24 @@ class TestSkeletonFixtures:
         assert skeleton.summary_edges == (
             SummaryEdge(from_id=0, to_id=2, collapsed_count=1),
         )
+
+    def test_one_ancestor_walk_for_all_alerts(self, monkeypatch):
+        # One walk per alert rebuilds the parent map each time, which
+        # makes the reduction quadratic in the log size.
+        calls = []
+        walk = provenance.ancestors
+
+        def counting(graph, *event_ids):
+            calls.append(event_ids)
+            return walk(graph, *event_ids)
+
+        monkeypatch.setattr(provenance, "ancestors", counting)
+        graph = apply_rules(build_graph(chain(8)), [burst_rule(0)])
+        assert len(graph.alerts) >= 3
+        skeleton = reduce_to_skeleton(graph)
+        assert len(calls) == 1
+        assert sorted(calls[0]) == sorted(graph.alert_event_ids())
+        assert sorted(skeleton.nodes) == list(range(8))
 
 
 def named_nodes(graph: ProvenanceGraph, rules) -> set[int]:
