@@ -9,6 +9,7 @@ triplet trigger at most one recomputation between them.
 
 from __future__ import annotations
 
+import heapq
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -18,6 +19,9 @@ from .engine import TrustRecord
 
 DEFAULT_CAPACITY = 256
 DEFAULT_MAX_REFRESH = 300
+# The eviction heap is rebuilt from the live entries once it holds more
+# than this many items per unit of capacity.
+HEAP_SLACK = 4
 
 
 class CacheError(ValueError):
@@ -96,6 +100,11 @@ class TrustScoreCache:
     Eviction removes the entry with the oldest last access, ties broken
     by triplet order. ``get_score`` reports which tier satisfied the
     lookup.
+
+    Victims come off a min-heap of ``(last_access, triplet)`` items.
+    Every access pushes a new item and leaves the old one in place, so
+    an item counts only while it matches its entry's current access;
+    the others are dropped as they surface.
     """
 
     def __init__(self, config: CacheConfig, store: ScoreStore | None = None):
@@ -103,6 +112,7 @@ class TrustScoreCache:
         self.store = store if store is not None else ScoreStore()
         self.metrics = CacheMetrics()
         self._entries: dict[Triplet, _Entry] = {}
+        self._heap: list[tuple[int, Triplet]] = []
         self._lock = threading.Lock()
         self._inflight: dict[Triplet, threading.Lock] = {}
 
@@ -120,16 +130,30 @@ class TrustScoreCache:
         if age > self.metrics.max_served_age:
             self.metrics.max_served_age = age
 
+    def _push(self, triplet: Triplet, now: int) -> None:
+        # caller holds self._lock
+        heap = self._heap
+        heapq.heappush(heap, (now, triplet))
+        if len(heap) > HEAP_SLACK * self.config.capacity:
+            heap[:] = [(e.last_access, t) for t, e in self._entries.items()]
+            heapq.heapify(heap)
+
+    def _touch(self, triplet: Triplet, entry: _Entry, now: int) -> None:
+        # caller holds self._lock
+        entry.last_access = now
+        self._push(triplet, now)
+
     def _install(self, record: TrustRecord, now: int) -> None:
         # caller holds self._lock
-        self._entries[record.triplet] = _Entry(record=record, last_access=now)
-        while len(self._entries) > self.config.capacity:
-            victim = min(
-                self._entries,
-                key=lambda t: (self._entries[t].last_access, t),
-            )
-            del self._entries[victim]
-            self.metrics.evictions += 1
+        entries = self._entries
+        entries[record.triplet] = _Entry(record=record, last_access=now)
+        self._push(record.triplet, now)
+        while len(entries) > self.config.capacity:
+            last_access, victim = heapq.heappop(self._heap)
+            entry = entries.get(victim)
+            if entry is not None and entry.last_access == last_access:
+                del entries[victim]
+                self.metrics.evictions += 1
 
     def _checked_recompute(
         self, triplet: Triplet, now: int, recompute: Recompute
@@ -167,7 +191,7 @@ class TrustScoreCache:
         with self._lock:
             entry = self._entries.get(triplet)
             if entry is not None and self._fresh(entry.record, now):
-                entry.last_access = now
+                self._touch(triplet, entry, now)
                 self.metrics.cache_hits += 1
                 self._note_served(entry.record, now)
                 return entry.record, HitKind.CACHE_HIT
@@ -187,7 +211,7 @@ class TrustScoreCache:
                 with self._lock:
                     entry = self._entries.get(triplet)
                     if entry is not None and self._fresh(entry.record, now):
-                        entry.last_access = now
+                        self._touch(triplet, entry, now)
                         self.metrics.cache_hits += 1
                         self._note_served(entry.record, now)
                         return entry.record, HitKind.CACHE_HIT

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol
 
@@ -68,7 +71,8 @@ class PiecewiseNormalizer:
 
     Inputs below the first breakpoint clamp to its output; likewise
     above the last. ``default`` is the score contributed when the
-    attribute is absent from the window.
+    attribute is absent from the window. Calling it is the definition;
+    scoring uses the same map as exact lines (``segments``).
     """
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
@@ -101,6 +105,26 @@ class PiecewiseNormalizer:
                 return y0 + (y1 - y0) * (v - x0) / (x1 - x0)
         raise AssertionError("unreachable")
 
+    def segments(
+        self, weight: Fraction
+    ) -> tuple[tuple[int, ...], tuple[tuple[Fraction, Fraction], ...]]:
+        """``weight * self(v)`` as exact lines ``A + B*v``, one per segment.
+
+        Segment 0 is the clamp below the first breakpoint, the last one
+        the clamp above the last breakpoint (both with ``B = 0``), and
+        segment ``k`` in between runs from breakpoint ``k-1`` to ``k``.
+        An integer ``v`` lies on segment ``bisect_left(cuts, v)``: the
+        number of breakpoints below it, counted on their floors.
+        """
+
+        points = self.breakpoints
+        lines = [(weight * points[0][1], Fraction(0))]
+        for (x0, y0), (x1, y1) in zip(points, points[1:]):
+            slope = weight * (y1 - y0) / (x1 - x0)
+            lines.append((weight * y0 - slope * x0, slope))
+        lines.append((weight * points[-1][1], Fraction(0)))
+        return tuple(math.floor(x) for x, _ in points), tuple(lines)
+
 
 @dataclass(frozen=True)
 class ResourceSpec:
@@ -122,6 +146,13 @@ class ResourceSpec:
                 f"unknown sensitivity {self.sensitivity!r} "
                 f"for {self.resource_id}"
             )
+
+
+# One weighted attribute of a compiled policy: its kind, the floored
+# breakpoints, the (A*D, B*D) line per segment, and default*weight*D.
+_ScoreTerm = tuple[
+    AttributeKind, tuple[int, ...], tuple[tuple[int, int], ...], int
+]
 
 
 @dataclass(frozen=True)
@@ -165,6 +196,35 @@ class TrustPolicy:
             raise PolicyError("duplicate resource ids")
         object.__setattr__(self, "resources", registry)
 
+    @cached_property
+    def _score_table(self) -> tuple[int, tuple[_ScoreTerm, ...]]:
+        """The weighted normalizers over one common denominator ``D``.
+
+        Every segment line and every default becomes an integer
+        numerator over ``D``, so ``behavioral_score`` sums ints. Built
+        on first use rather than with the policy, which most policy
+        objects (parsed, validated, serialised) never need.
+        """
+
+        parts = []
+        for kind in sorted(self.weights, key=lambda k: k.value):
+            weight = self.weights[kind]
+            normalizer = self.normalizers[kind]
+            cuts, lines = normalizer.segments(weight)
+            parts.append((kind, cuts, lines, weight * normalizer.default))
+        denominator = math.lcm(*(
+            q.denominator
+            for _, _, lines, default in parts
+            for q in (default, *(c for line in lines for c in line))
+        ))
+        return denominator, tuple(
+            (kind, cuts,
+             tuple((int(a * denominator), int(b * denominator))
+                   for a, b in lines),
+             int(default * denominator))
+            for kind, cuts, lines, default in parts
+        )
+
     def sensitivity_for(self, resource_id: str) -> str:
         spec = self.resources.get(resource_id)
         return SENSITIVITY_STANDARD if spec is None else spec.sensitivity
@@ -174,31 +234,35 @@ class TrustPolicy:
         return DEFAULT_THRESHOLD_STANDARD if spec is None else spec.threshold
 
 
+_MISSING = object()
+
+
 def behavioral_score(
     window: Mapping[AttributeKind, int | str], policy: TrustPolicy
 ) -> float:
     """Weighted sum of normalized attribute values.
 
-    Accumulated in exact rational arithmetic and emitted as a double.
-    Attributes missing from the window contribute their normalizer's
-    default.
+    Accumulated exactly, as integer numerators over the policy's
+    common denominator (``TrustPolicy._score_table``), and emitted as
+    the correctly rounded double, as ``float`` of the rational sum
+    would be. Attributes missing from the window contribute their
+    normalizer's default.
     """
 
-    total = Fraction(0)
-    for kind in sorted(policy.weights, key=lambda k: k.value):
-        weight = policy.weights[kind]
-        normalizer = policy.normalizers[kind]
-        if kind in window:
-            value = window[kind]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise EngineError(
-                    f"window value for {kind.value} must be an integer"
-                )
-            score = normalizer(value)
-        else:
-            score = normalizer.default
-        total += weight * score
-    return float(total)
+    denominator, terms = policy._score_table
+    total = 0
+    for kind, cuts, lines, default in terms:
+        value = window.get(kind, _MISSING)
+        if value is _MISSING:
+            total += default
+            continue
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise EngineError(
+                f"window value for {kind.value} must be an integer"
+            )
+        a, b = lines[bisect_left(cuts, value)]
+        total += a + b * value
+    return total / denominator
 
 
 def combined_score(behavioral: float, reputation: float, alpha: float) -> float:

@@ -35,10 +35,12 @@ class InteractionLedger:
     peers: tuple[str, ...]
     sat: dict[tuple[str, str], int] = field(default_factory=dict)
     unsat: dict[tuple[str, str], int] = field(default_factory=dict)
+    _known: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.peers = tuple(self.peers)
-        if len(set(self.peers)) != len(self.peers):
+        self._known = frozenset(self.peers)
+        if len(self._known) != len(self.peers):
             raise ReputationError("duplicate peer ids")
         for peer in self.peers:
             if not peer:
@@ -52,7 +54,7 @@ class InteractionLedger:
         if p == q:
             raise ReputationError("self interactions are undefined")
         for peer in (p, q):
-            if peer not in self.peers:
+            if peer not in self._known:
                 raise ReputationError(f"unknown peer {peer!r}")
 
     def record_sat(self, p: str, q: str, count: int = 1) -> None:

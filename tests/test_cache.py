@@ -10,6 +10,7 @@ import threading
 import pytest
 
 from trustgate.cache import (
+    HEAP_SLACK,
     CacheConfig,
     CacheError,
     ScoreStore,
@@ -55,6 +56,16 @@ class OracleCache:
             )
             del self.entries[victim]
             self.metrics["evictions"] += 1
+
+    def sweep(self, now: int) -> int:
+        refreshed = 0
+        for t in sorted(self.store):
+            if not self.fresh(self.store[t], now):
+                self.store[t] = record_for(t, now)
+                if t in self.entries:
+                    self.entries[t] = (self.store[t], self.entries[t][1])
+                refreshed += 1
+        return refreshed
 
     def get(self, t: Triplet, now: int) -> TrustRecord:
         held = self.entries.get(t)
@@ -103,6 +114,79 @@ class TestTraceEquivalence:
         assert cache.metrics.to_obj() == oracle.metrics
         assert sorted(cache._entries) == sorted(oracle.entries)
         assert cache.metrics.max_served_age == max(oracle.served_ages)
+
+    @staticmethod
+    def replay(capacity, steps, max_refresh=40):
+        """Drive the cache and the oracle through ``steps`` of
+        ("get", t, now) and ("sweep", None, now); after every step the
+        cached triplets must agree, so evictions agree in order."""
+
+        cache = TrustScoreCache(
+            CacheConfig(capacity=capacity, max_refresh=max_refresh),
+            ScoreStore(),
+        )
+        oracle = OracleCache(capacity, max_refresh)
+        for op, t, now in steps:
+            if op == "sweep":
+                result = cache.refresh_sweep(now, record_for)
+                assert result.refreshed == oracle.sweep(now)
+                assert result.failures == ()
+            else:
+                record, tier = cache.get_score(t, now, record_for)
+                assert record == oracle.get(t, now)
+                assert tier == oracle.tiers[-1]
+            assert sorted(cache._entries) == sorted(oracle.entries)
+        assert cache.metrics.to_obj() == oracle.metrics
+        return cache, oracle
+
+    @pytest.mark.parametrize("capacity", [1, 3, 8])
+    def test_now_stepping_backwards_matches_oracle(self, capacity):
+        rng = random.Random(2000 + capacity)
+        now = 100
+        steps = []
+        for _ in range(5_000):
+            now = max(0, now + rng.randrange(-6, 8))
+            steps.append(("get", triplet(rng.randrange(12)), now))
+        _, oracle = self.replay(capacity, steps)
+        assert oracle.metrics["evictions"] > 0
+
+    @pytest.mark.parametrize("capacity", [1, 4, 16])
+    def test_sweeps_between_lookups_match_oracle(self, capacity):
+        rng = random.Random(3000 + capacity)
+        now = 0
+        steps = []
+        for i in range(5_000):
+            now += rng.randrange(0, 6)
+            if i % 37 == 0:
+                steps.append(("sweep", None, now))
+            steps.append(("get", triplet(rng.randrange(24)), now))
+        _, oracle = self.replay(capacity, steps, max_refresh=30)
+        assert oracle.metrics["evictions"] > 0
+
+    @pytest.mark.parametrize("capacity", [1, 3])
+    def test_installs_at_one_now_evict_by_triplet_order(self, capacity):
+        rng = random.Random(4000 + capacity)
+        steps = []
+        for now in (5, 5, 9):
+            order = list(range(20))
+            rng.shuffle(order)
+            steps.extend(("get", triplet(i), now) for i in order)
+        _, oracle = self.replay(capacity, steps)
+        assert oracle.metrics["evictions"] > 40
+
+    def test_heap_stays_bounded_under_hits(self):
+        capacity = 8
+        cache = TrustScoreCache(
+            CacheConfig(capacity=capacity, max_refresh=10**6)
+        )
+        hot = [triplet(i) for i in range(3)]
+        for t in hot:
+            cache.get_score(t, 0, record_for)
+        for now in range(1, 10_001):
+            _, tier = cache.get_score(hot[now % 3], now, record_for)
+            assert tier == "cache_hit"
+            assert len(cache._heap) <= HEAP_SLACK * capacity
+        assert cache.metrics.cache_hits == 10_000
 
     def test_no_serve_older_than_ceiling(self):
         max_refresh = 25

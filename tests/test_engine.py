@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from trustgate.engine import (
     token_digest,
 )
 from trustgate.model import Alert, AttributeKind, Severity, Triplet
+from trustgate.simnet import default_policy
 from trustgate.secretshare import (
     FieldParams,
     Share,
@@ -181,6 +183,108 @@ class TestBehavioralScore:
             behavioral_score(
                 {AttributeKind.IO_OPERATION_COUNT: True}, simple_policy()
             )
+
+
+def exact_score(window, policy: TrustPolicy) -> float:
+    """The score straight from the definition, in Fractions."""
+
+    total = Fraction(0)
+    for kind, weight in policy.weights.items():
+        normalizer = policy.normalizers[kind]
+        total += weight * (
+            normalizer(window[kind]) if kind in window else normalizer.default
+        )
+    return float(total)
+
+
+def fractional_policy() -> TrustPolicy:
+    """Weights and breakpoints whose common denominator is not a power
+    of ten, with breakpoints between integers and two sharing a floor."""
+
+    return policy_from_obj({
+        "weights": {
+            "io_operation_count": "1/3",
+            "system_call_count": "1/7",
+            "privilege_escalation_attempts": "11/21",
+        },
+        "normalizers": {
+            "io_operation_count": {
+                "breakpoints": [[-3, 1], ["5/2", "2/3"], [7, "1/9"],
+                                ["31/3", 0]],
+                "default": "5/7",
+            },
+            "system_call_count": {
+                "breakpoints": [[0, "1/11"], ["7/3", "3/13"], [40, 1]],
+                "default": "1/2",
+            },
+            "privilege_escalation_attempts": {
+                "breakpoints": [["1/2", 1], ["3/4", "1/3"], ["5/4", "1/7"]],
+                "default": "2/5",
+            },
+        },
+    })
+
+
+def probe_values(policy: TrustPolicy, kind: AttributeKind) -> list[int]:
+    """Integers on, next to, below and above every breakpoint."""
+
+    xs = [x for x, _ in policy.normalizers[kind].breakpoints]
+    values = {-1, -7, 0, math.floor(xs[0]) - 100, math.ceil(xs[-1]) + 100,
+              2**64 - 1}
+    for x in xs:
+        values.update(range(math.floor(x) - 1, math.ceil(x) + 2))
+    return sorted(values)
+
+
+@pytest.mark.parametrize("make_policy", [default_policy, fractional_policy])
+class TestBehavioralScoreExactness:
+    def test_every_probe_value_alone(self, make_policy):
+        policy = make_policy()
+        for kind in policy.weights:
+            for value in probe_values(policy, kind):
+                window = {kind: value}
+                assert behavioral_score(window, policy) == exact_score(
+                    window, policy
+                ), (kind, value)
+
+    def test_randomized_windows(self, make_policy):
+        policy = make_policy()
+        kinds = sorted(policy.weights, key=lambda k: k.value)
+        rng = random.Random(17)
+        for _ in range(3000):
+            window = {
+                AttributeKind.FREQUENT_EXTERNAL_NETWORK_ID: "net-1",
+                AttributeKind.FUNCTION_CALL_COUNT: rng.randrange(-5, 50),
+            }
+            for kind in kinds:
+                roll = rng.random()
+                if roll < 0.2:
+                    continue        # missing: the default applies
+                probes = probe_values(policy, kind)
+                window[kind] = (
+                    rng.choice(probes) if roll < 0.6
+                    else rng.randrange(probes[1] - 20, probes[-2] + 20)
+                )
+            assert behavioral_score(window, policy) == exact_score(
+                window, policy
+            ), window
+
+    def test_empty_window_scores_the_defaults(self, make_policy):
+        policy = make_policy()
+        assert behavioral_score({}, policy) == exact_score({}, policy)
+
+    @pytest.mark.parametrize("bad", [True, False, "7", None, 2.0])
+    def test_non_integer_values_rejected(self, make_policy, bad):
+        policy = make_policy()
+        for kind in policy.weights:
+            with pytest.raises(EngineError, match=kind.value):
+                behavioral_score({kind: bad}, policy)
+
+    def test_table_is_built_on_first_score_only(self, make_policy):
+        policy = make_policy()
+        assert "_score_table" not in vars(policy)
+        behavioral_score({}, policy)
+        assert "_score_table" in vars(policy)
 
 
 class TestCombinedScore:

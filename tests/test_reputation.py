@@ -46,6 +46,24 @@ class TestLedger:
         with pytest.raises(ReputationError):
             ledger.record_sat("a", "zz")
 
+    def test_pair_errors_keep_their_messages(self):
+        ledger = InteractionLedger(
+            peers=tuple(f"dev-{i:04d}" for i in range(2000))
+        )
+        for record in (ledger.record_sat, ledger.record_unsat):
+            with pytest.raises(ReputationError,
+                               match="^self interactions are undefined$"):
+                record("dev-0007", "dev-0007")
+            with pytest.raises(ReputationError,
+                               match="^unknown peer 'dev-2000'$"):
+                record("dev-2000", "dev-0001")
+            with pytest.raises(ReputationError,
+                               match="^unknown peer 'zz'$"):
+                record("dev-0001", "zz")
+        assert ledger.sat == {} and ledger.unsat == {}
+        ledger.record_sat("dev-1999", "dev-0000")
+        assert ledger.sat == {("dev-1999", "dev-0000"): 1}
+
     def test_negative_count_rejected(self):
         ledger = InteractionLedger(peers=("a", "b"))
         with pytest.raises(ReputationError):
