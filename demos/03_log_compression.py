@@ -20,7 +20,6 @@ from trustgate import (
     archive_batch,
     decode,
     encode,
-    reduction_stats,
 )
 
 TRIPLET = Triplet("user-01", "dev-01", "res-files")
@@ -75,11 +74,11 @@ def main() -> None:
     print(f"log of {len(log)} events, "
           f"{len(graph.alerts)} alert(s) from rule {BURST.rule_name!r}")
 
-    stats = reduction_stats(graph, skeleton)
+    stats = batch.summary()
     collapsed = sum(s.collapsed_count for s in skeleton.summary_edges)
     print(f"\nstage 1 -- causal skeleton")
-    print(f"  nodes   : {stats.nodes_before} -> {stats.nodes_after} "
-          f"(ratio {stats.ratio:.3f})")
+    print(f"  nodes   : {stats['nodes_before']} -> {stats['nodes_after']} "
+          f"(ratio {stats['ratio']:.3f})")
     print(f"  summary : {len(skeleton.summary_edges)} edge(s) standing in "
           f"for {collapsed} collapsed events")
 

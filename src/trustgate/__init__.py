@@ -35,7 +35,6 @@ from .provenance import (
     AlertRule,
     GraphError,
     ProvenanceGraph,
-    ReductionStats,
     Skeleton,
     SummaryEdge,
     ancestors,
@@ -43,7 +42,6 @@ from .provenance import (
     build_graph,
     load_rules,
     reduce_to_skeleton,
-    reduction_stats,
     write_skeleton,
 )
 from .logcodec import (
@@ -154,9 +152,9 @@ __all__ = [
     "Severity", "Triplet", "Verdict", "read_events", "validate_event",
     "validate_log", "write_events",
     # provenance
-    "AlertRule", "GraphError", "ProvenanceGraph", "ReductionStats",
-    "Skeleton", "SummaryEdge", "ancestors", "apply_rules", "build_graph",
-    "load_rules", "reduce_to_skeleton", "reduction_stats", "write_skeleton",
+    "AlertRule", "GraphError", "ProvenanceGraph", "Skeleton", "SummaryEdge",
+    "ancestors", "apply_rules", "build_graph", "load_rules",
+    "reduce_to_skeleton", "write_skeleton",
     # logcodec
     "AttributeRecord", "CodecError", "CompressedArchive", "Pattern",
     "PatternTable", "average_length", "build_codebook", "collect_patterns",

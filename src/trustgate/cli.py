@@ -38,7 +38,6 @@ from .logcodec import (
 from .model import ModelError, Triplet, read_events
 from .provenance import (
     load_rules,
-    reduction_stats,
     skeleton_to_obj,
     write_skeleton,
 )
@@ -172,12 +171,8 @@ def _cmd_skeleton(args: argparse.Namespace) -> int:
     batch = archive_batch(events, load_rules(args.rules))
     if args.out is not None:
         write_skeleton(args.out, batch.skeleton)
-    stats = reduction_stats(batch.graph, batch.skeleton)
     result = {
-        "nodes_before": stats.nodes_before,
-        "nodes_after": stats.nodes_after,
-        "ratio": stats.ratio,
-        "alerts": len(batch.graph.alerts),
+        **batch.summary(),
         "summary_edges": len(batch.skeleton.summary_edges),
     }
     if args.out is None:

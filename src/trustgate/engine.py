@@ -37,6 +37,8 @@ REASON_CRITICAL_ALERT = "critical_alert"
 REASON_LOW_TRUST = "low_trust"
 REASON_QUORUM_FAILED = "quorum_failed"
 REASON_SCORE_UNAVAILABLE = "score_unavailable"
+REASONS = (REASON_CRITICAL_ALERT, REASON_LOW_TRUST, REASON_QUORUM_FAILED,
+           REASON_SCORE_UNAVAILABLE)
 
 
 class PolicyError(ValueError):
@@ -480,7 +482,15 @@ def audit_line(ts: int, triplet: Triplet, decision: Decision) -> str:
     })
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def parse_audit_line(line: str) -> dict:
+    """Parse one audit record and check that its verdict follows from
+    its reasons, and its reasons from ``T`` and ``theta``, as ``decide``
+    derives them."""
+
     obj = json.loads(line)
     required = {"ts", "triplet", "verdict", "reasons", "T", "theta"}
     if not isinstance(obj, dict) or set(obj) != required:
@@ -491,6 +501,25 @@ def parse_audit_line(line: str) -> dict:
         raise EngineError(f"malformed audit verdict {obj['verdict']!r}")
     if not isinstance(obj["triplet"], list) or len(obj["triplet"]) != 3:
         raise EngineError("malformed audit triplet")
+    reasons, score, theta = obj["reasons"], obj["T"], obj["theta"]
+    if not isinstance(reasons, list) or any(r not in REASONS for r in reasons):
+        raise EngineError(f"malformed audit reasons {reasons!r}")
+    if (obj["verdict"] == "grant") == bool(reasons):
+        raise EngineError(
+            f"audit verdict {obj['verdict']} disagrees with reasons {reasons!r}"
+        )
+    if not _is_number(theta):
+        raise EngineError(f"malformed audit theta {theta!r}")
+    if (score is None) != (reasons == [REASON_SCORE_UNAVAILABLE]):
+        raise EngineError(f"audit T {score!r} disagrees with reasons {reasons!r}")
+    if score is not None:
+        if not _is_number(score):
+            raise EngineError(f"malformed audit T {score!r}")
+        if (REASON_LOW_TRUST in reasons) != (score < theta):
+            raise EngineError(
+                f"audit T {score!r} against theta {theta!r} disagrees with "
+                f"reasons {reasons!r}"
+            )
     return obj
 
 

@@ -86,10 +86,13 @@ class AlertRule:
 
 @dataclass(frozen=True)
 class ProvenanceGraph:
-    """A DAG of events; edges run parent -> child."""
+    """A DAG of events keyed by id.
+
+    Each event's ``parent_ids`` are its incoming edges; the graph keeps
+    no second copy of them.
+    """
 
     nodes: Mapping[int, EdrEvent]
-    edges: frozenset[tuple[int, int]]
     alerts: tuple[Alert, ...] = ()
 
     def alert_event_ids(self) -> frozenset[int]:
@@ -105,15 +108,13 @@ def build_graph(log: Sequence[EdrEvent]) -> ProvenanceGraph:
     nodes = {e.event_id: e for e in log}
     if len(nodes) != len(log):
         raise GraphError("duplicate event ids in log")
-    edges = set()
     for e in log:
         for pid in e.parent_ids:
             if pid not in nodes:
                 raise GraphError(
                     f"dangling parent: event {e.event_id} references {pid}"
                 )
-            edges.add((pid, e.event_id))
-    return ProvenanceGraph(nodes=nodes, edges=frozenset(edges))
+    return ProvenanceGraph(nodes=nodes)
 
 
 def apply_rules(
@@ -138,46 +139,30 @@ def apply_rules(
               rule_name=rule.rule_name)
         for i, (event_id, rule) in enumerate(hits)
     )
-    return ProvenanceGraph(nodes=graph.nodes, edges=graph.edges, alerts=alerts)
+    return ProvenanceGraph(nodes=graph.nodes, alerts=alerts)
 
 
 def ancestors(graph: ProvenanceGraph, *event_ids: int) -> set[int]:
     """All events reachable by walking parent edges from any of ``event_ids``.
 
     The result is the union of each event's ancestors, found in one walk
-    over one parent map. A given event is in the result only if it is an
-    ancestor of another given event; with one event, that event is never
-    in it. Every id must be a node of the graph.
+    over the events' ``parent_ids``. A given event is in the result only
+    if it is an ancestor of another given event; with one event, that
+    event is never in it. Every id must be a node of the graph.
     """
 
+    nodes = graph.nodes
     for event_id in event_ids:
-        if event_id not in graph.nodes:
+        if event_id not in nodes:
             raise GraphError(f"unknown event {event_id}")
-    # Most events have one parent. Mapping each to an int rather than to a
-    # list keeps the map free of one container per event; on the heap of a
-    # large run, allocating those sets off a full garbage collection that
-    # costs several times the walk itself.
-    first_parent: dict[int, int] = {}
-    other_parents: dict[int, list[int]] = {}
-    for (u, v) in graph.edges:
-        if v in first_parent:
-            other_parents.setdefault(v, []).append(u)
-        else:
-            first_parent[v] = u
-
-    def parents(node: int) -> list[int]:
-        if node not in first_parent:
-            return []
-        return [first_parent[node], *other_parents.get(node, ())]
-
     seen: set[int] = set()
-    stack = [p for event_id in event_ids for p in parents(event_id)]
+    stack = [p for event_id in event_ids for p in nodes[event_id].parent_ids]
     while stack:
         node = stack.pop()
         if node in seen:
             continue
         seen.add(node)
-        stack.extend(parents(node))
+        stack.extend(nodes[node].parent_ids)
     return seen
 
 
@@ -213,7 +198,9 @@ def reduce_to_skeleton(graph: ProvenanceGraph) -> Skeleton:
     alert_ids = graph.alert_event_ids()
     kept = set(alert_ids) | ancestors(graph, *alert_ids)
 
-    pruned_edges = {(u, v) for (u, v) in graph.edges if u in kept and v in kept}
+    # Every parent of a kept node is kept, since kept is closed under
+    # ancestry; the set counts a repeated parent id once.
+    pruned_edges = {(p, v) for v in kept for p in graph.nodes[v].parent_ids}
     out_deg: dict[int, int] = {n: 0 for n in kept}
     in_deg: dict[int, int] = {n: 0 for n in kept}
     succ: dict[int, int] = {}
@@ -272,24 +259,6 @@ def reduce_to_skeleton(graph: ProvenanceGraph) -> Skeleton:
         edges=final_edges,
         summary_edges=tuple(summaries),
         alerts=graph.alerts,
-    )
-
-
-@dataclass(frozen=True)
-class ReductionStats:
-    nodes_before: int
-    nodes_after: int
-
-    @property
-    def ratio(self) -> float:
-        if self.nodes_before == 0:
-            return 0.0
-        return self.nodes_after / self.nodes_before
-
-
-def reduction_stats(graph: ProvenanceGraph, skeleton: Skeleton) -> ReductionStats:
-    return ReductionStats(
-        nodes_before=len(graph.nodes), nodes_after=len(skeleton.nodes)
     )
 
 

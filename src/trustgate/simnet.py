@@ -40,7 +40,6 @@ from .model import (
 from .provenance import (  # noqa: F401
     AlertRule,
     reduce_to_skeleton,
-    reduction_stats,
     rule_from_obj,
 )
 from .reputation import (
@@ -993,15 +992,11 @@ def _reduction(
     """End-of-run archival statistics over the full event log."""
 
     batch = archive_batch(events, rules)
-    stats = reduction_stats(batch.graph, batch.skeleton)
     avg_len = batch.avg_code_length
     return {
-        "nodes_before": stats.nodes_before,
-        "nodes_after": stats.nodes_after,
-        "ratio": stats.ratio,
+        **batch.summary(),
         "avg_code_length": None if avg_len is None else float(avg_len),
         "avg_code_length_exact": None if avg_len is None else str(avg_len),
-        "alerts": len(batch.graph.alerts),
     }
 
 

@@ -124,6 +124,18 @@ class ArchiveBatch:
     table: PatternTable | None
     avg_code_length: Fraction | None
 
+    def summary(self) -> dict[str, object]:
+        """Node counts before and after reduction, their ratio (0.0 for
+        an empty graph) and the number of alerts."""
+
+        before, after = len(self.graph.nodes), len(self.skeleton.nodes)
+        return {
+            "nodes_before": before,
+            "nodes_after": after,
+            "ratio": after / before if before else 0.0,
+            "alerts": len(self.graph.alerts),
+        }
+
 
 def archive_batch(
     events: Sequence[EdrEvent], rules: Sequence[AlertRule]

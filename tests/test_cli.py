@@ -178,6 +178,23 @@ MALFORMED_AUDIT_LINES = {
     "ts_bool": lambda o: o.update(ts=True),
     "unknown_device": lambda o: o["triplet"].__setitem__(1, "dev-99"),
     "device_not_a_string": lambda o: o["triplet"].__setitem__(1, [1]),
+    # The first line is a grant with T 0.98 against theta 0.5.
+    "grant_with_reasons": lambda o: o.update(reasons=["quorum_failed"]),
+    "deny_without_reasons": lambda o: o.update(verdict="deny"),
+    "unknown_reason": lambda o: o.update(verdict="deny", reasons=["odd"]),
+    "reasons_not_a_list": lambda o: o.update(verdict="deny",
+                                             reasons="low_trust"),
+    "low_trust_above_theta": lambda o: o.update(verdict="deny",
+                                                reasons=["low_trust"]),
+    "no_low_trust_below_theta": lambda o: o.update(T=0.1),
+    "T_null_granted": lambda o: o.update(T=None),
+    "T_null_other_reason": lambda o: o.update(verdict="deny",
+                                              reasons=["critical_alert"],
+                                              T=None),
+    "T_not_a_number": lambda o: o.update(T="0.98"),
+    "theta_not_a_number": lambda o: o.update(theta=None),
+    "score_unavailable_with_T": lambda o: o.update(
+        verdict="deny", reasons=["score_unavailable"]),
 }
 
 

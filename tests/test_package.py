@@ -1,8 +1,14 @@
-"""The package's export list: every name in ``__all__`` resolves."""
+"""The package's export list: every name in ``__all__`` resolves; no
+module binds an import it never uses."""
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import trustgate
+
+NOQA = "# noqa: F401"
 
 
 def test_every_exported_name_resolves():
@@ -19,3 +25,43 @@ def test_star_import_binds_every_exported_name():
     namespace: dict = {}
     exec("from trustgate import *", namespace)
     assert set(trustgate.__all__) <= set(namespace)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import and never read, except on a statement
+    or name whose line carries ``# noqa: F401``."""
+
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            exempt = (NOQA in lines[node.lineno - 1]
+                      or NOQA in lines[alias.lineno - 1])
+            if name not in used and not exempt:
+                unused.append(name)
+    return unused
+
+
+def test_unused_import_scan_finds_and_exempts():
+    source = (
+        "import os\nimport sys  # noqa: F401\n"
+        "from json import (dumps,\n    loads)\nloads\n"
+    )
+    assert unused_imports(source) == ["os", "dumps"]
+
+
+def test_no_module_binds_an_unused_import():
+    package = Path(trustgate.__file__).parent
+    found = {
+        path.name: unused_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: names for name, names in found.items() if names} == {}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +18,6 @@ from trustgate.provenance import (
     apply_rules,
     build_graph,
     reduce_to_skeleton,
-    reduction_stats,
     rule_from_obj,
     skeleton_to_obj,
 )
@@ -57,8 +57,9 @@ def oracle_ancestors(graph: ProvenanceGraph, target: int) -> set[int]:
     reachable walking the child direction from u."""
 
     children: dict[int, list[int]] = {}
-    for (u, v) in graph.edges:
-        children.setdefault(u, []).append(v)
+    for v, event in graph.nodes.items():
+        for u in event.parent_ids:
+            children.setdefault(u, []).append(v)
     result = set()
     for u in graph.nodes:
         if u == target:
@@ -78,9 +79,10 @@ def oracle_ancestors(graph: ProvenanceGraph, target: int) -> set[int]:
 
 
 class TestGraphConstruction:
-    def test_edges_follow_parent_ids(self):
+    def test_nodes_keep_parent_ids(self):
         graph = build_graph(chain(3))
-        assert graph.edges == frozenset({(0, 1), (1, 2)})
+        assert {i: e.parent_ids for i, e in graph.nodes.items()} == {
+            0: (), 1: (0,), 2: (1,)}
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(GraphError):
@@ -243,7 +245,7 @@ class TestSkeletonFixtures:
         ]
         graph = build_graph(events)
         graph = ProvenanceGraph(
-            nodes=graph.nodes, edges=graph.edges,
+            nodes=graph.nodes,
             alerts=(Alert(alert_id=0, event_id=4, severity=Severity.HIGH,
                           rule_name="at-tail"),),
         )
@@ -265,7 +267,7 @@ class TestSkeletonFixtures:
         ]
         graph = build_graph(events)
         graph = ProvenanceGraph(
-            nodes=graph.nodes, edges=graph.edges,
+            nodes=graph.nodes,
             alerts=(Alert(alert_id=0, event_id=3, severity=Severity.HIGH,
                           rule_name="r"),),
         )
@@ -281,7 +283,7 @@ class TestSkeletonFixtures:
                                                             parents=(10,))]
         graph = build_graph(events)
         graph = ProvenanceGraph(
-            nodes=graph.nodes, edges=graph.edges,
+            nodes=graph.nodes,
             alerts=(Alert(alert_id=0, event_id=2, severity=Severity.LOW,
                           rule_name="r"),),
         )
@@ -292,9 +294,6 @@ class TestSkeletonFixtures:
         skeleton = reduce_to_skeleton(build_graph(chain(6)))
         assert skeleton.nodes == {}
         assert skeleton.summary_edges == ()
-        stats = reduction_stats(build_graph(chain(6)), skeleton)
-        assert stats.nodes_after == 0
-        assert stats.ratio == 0.0
 
     def test_alert_midway_keeps_alert_even_with_unary_tail(self):
         # Alert on node 2 of a 5-chain: nodes 3, 4 are not ancestors
@@ -302,7 +301,7 @@ class TestSkeletonFixtures:
         events = chain(5)
         graph = build_graph(events)
         graph = ProvenanceGraph(
-            nodes=graph.nodes, edges=graph.edges,
+            nodes=graph.nodes,
             alerts=(Alert(alert_id=0, event_id=2, severity=Severity.LOW,
                           rule_name="r"),),
         )
@@ -312,8 +311,33 @@ class TestSkeletonFixtures:
             SummaryEdge(from_id=0, to_id=2, collapsed_count=1),
         )
 
+    def test_repeated_parent_id_counts_once(self):
+        # 0 <- 1 <- 2 <- 3 with alerts on 1 and 3: (0, 1) stays verbatim
+        # and 2 collapses. Naming any parent twice must change neither.
+        alerts = tuple(
+            Alert(alert_id=i, event_id=e, severity=Severity.HIGH,
+                  rule_name="r")
+            for i, e in enumerate((1, 3))
+        )
+        plain = ProvenanceGraph(nodes=build_graph(chain(4)).nodes,
+                                alerts=alerts)
+        expected = reduce_to_skeleton(plain)
+        assert expected.edges == frozenset({(0, 1)})
+        assert expected.summary_edges == (SummaryEdge(1, 3, 1),)
+        for doubled in (1, 2, 3):
+            events = chain(4)
+            events[doubled] = replace(events[doubled],
+                                      parent_ids=(doubled - 1, doubled - 1))
+            graph = ProvenanceGraph(nodes=build_graph(events).nodes,
+                                    alerts=alerts)
+            assert ancestors(graph, 3) == ancestors(plain, 3)
+            assert ancestors(graph, 1, 3) == ancestors(plain, 1, 3)
+            skeleton = reduce_to_skeleton(graph)
+            assert skeleton.edges == expected.edges, doubled
+            assert skeleton.summary_edges == expected.summary_edges, doubled
+
     def test_one_ancestor_walk_for_all_alerts(self, monkeypatch):
-        # One walk per alert rebuilds the parent map each time, which
+        # One walk per alert re-walks shared ancestry each time, which
         # makes the reduction quadratic in the log size.
         calls = []
         walk = provenance.ancestors
@@ -346,7 +370,7 @@ class TestSkeletonProperties:
 
     def test_expansion_preserves_named_ancestry(self):
         # Expanded: each summary edge read as a direct edge between the
-        # kept nodes it joins.
+        # kept nodes it joins, given to the child as a parent id.
         rng = random.Random(99)
         for _ in range(30):
             graph = apply_rules(
@@ -354,12 +378,14 @@ class TestSkeletonProperties:
                 [burst_rule(6, Severity.HIGH)],
             )
             skeleton = reduce_to_skeleton(graph)
-            expanded = ProvenanceGraph(
-                nodes=skeleton.nodes,
-                edges=skeleton.edges | {
-                    (s.from_id, s.to_id) for s in skeleton.summary_edges
-                },
-            )
+            links = skeleton.edges | {
+                (s.from_id, s.to_id) for s in skeleton.summary_edges
+            }
+            expanded = ProvenanceGraph(nodes={
+                n: replace(e, parent_ids=tuple(
+                    sorted(u for (u, v) in links if v == n)))
+                for n, e in skeleton.nodes.items()
+            })
             named = set(skeleton.nodes)
             for alert in graph.alerts:
                 original = oracle_ancestors(graph, alert.event_id) & named
@@ -372,8 +398,7 @@ class TestSkeletonProperties:
                 random_dag(rng, rng.randrange(2, 80)),
                 [burst_rule(rng.randrange(0, 10), Severity.HIGH)],
             )
-            stats = reduction_stats(graph, reduce_to_skeleton(graph))
-            assert stats.nodes_after <= stats.nodes_before
+            assert len(reduce_to_skeleton(graph).nodes) <= len(graph.nodes)
 
 
 class TestSkeletonSerialization:

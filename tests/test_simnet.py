@@ -387,8 +387,10 @@ class TestReplay:
         for i, line in enumerate(lines):
             obj = json.loads(line)
             if obj["verdict"] == "grant":
+                # A reason the line's T and theta cannot contradict, so
+                # only the report counts expose the flip.
                 obj["verdict"] = "deny"
-                obj["reasons"] = ["low_trust"]
+                obj["reasons"] = ["quorum_failed"]
                 lines[i] = json.dumps(obj, sort_keys=True)
                 break
         path.write_text("\n".join(lines) + "\n")

@@ -243,6 +243,17 @@ class TestArchiveBatch:
         assert batch.avg_code_length == average_length(batch.table)
         assert decode(encode(batch.records, batch.table)) == batch.records
 
+    def test_summary_counts_nodes_and_alerts(self):
+        batch = archive_batch(alert_batch(), [BURST_RULE])
+        assert batch.summary() == {
+            "nodes_before": 10, "nodes_after": 5, "ratio": 0.5, "alerts": 3,
+        }
+
+    def test_summary_of_empty_batch_has_zero_ratio(self):
+        assert archive_batch([], [BURST_RULE]).summary() == {
+            "nodes_before": 0, "nodes_after": 0, "ratio": 0.0, "alerts": 0,
+        }
+
     def test_no_alerts_gives_empty_skeleton(self):
         batch = archive_batch(
             [make_event(1, 100, value=1), make_event(2, 110, value=2,
@@ -254,3 +265,4 @@ class TestArchiveBatch:
         assert batch.records == []
         assert batch.table is None
         assert batch.avg_code_length is None
+        assert batch.summary()["ratio"] == 0.0
