@@ -25,10 +25,7 @@ from .model import (
     ModelError,
     Severity,
     Triplet,
-    Verdict,
     read_events,
-    validate_event,
-    validate_log,
     write_events,
 )
 from .provenance import (
@@ -149,8 +146,7 @@ __version__ = "0.1.0"
 __all__ = [
     # model
     "Alert", "AttributeKind", "EdrEvent", "MAX_NUMERIC_VALUE", "ModelError",
-    "Severity", "Triplet", "Verdict", "read_events", "validate_event",
-    "validate_log", "write_events",
+    "Severity", "Triplet", "read_events", "write_events",
     # provenance
     "AlertRule", "GraphError", "ProvenanceGraph", "Skeleton", "SummaryEdge",
     "ancestors", "apply_rules", "build_graph", "load_rules",

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator
 
 MAX_NUMERIC_VALUE = 2**64 - 1
 
@@ -97,8 +97,9 @@ class EdrEvent:
     """One timestamped attribute observation bound to a triplet.
 
     ``parent_ids`` names the events this observation causally depends
-    on. Log-level invariants (unique ids, parents strictly earlier) are
-    checked by :func:`validate_event`, not at construction.
+    on. Log-level invariants (unique ids, parents present and strictly
+    earlier) are checked by :func:`trustgate.provenance.build_graph`,
+    not at construction.
     """
 
     event_id: int
@@ -144,69 +145,6 @@ class Alert:
             raise ModelError("severity must be a Severity")
         if not self.rule_name:
             raise ModelError("rule_name must be non-empty")
-
-
-REASON_CAUSALITY = "causality"
-REASON_ID_UNIQUENESS = "id uniqueness"
-REASON_DANGLING_PARENT = "dangling parent"
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of an event validation; lists every violated invariant."""
-
-    ok: bool
-    reasons: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_event(event: EdrEvent, log: Sequence[EdrEvent]) -> Verdict:
-    """Check ``event`` against a log of previously accepted events.
-
-    ``log`` holds the already-accepted events (the candidate itself is
-    not expected to be in it). Violations reported:
-
-    * ``id uniqueness``: the candidate's event_id already appears.
-    * ``dangling parent``: a parent id is absent from the log.
-    * ``causality``: a parent exists but is not strictly earlier.
-    """
-
-    return _verdict(event, {e.event_id: e for e in log})
-
-
-def _verdict(event: EdrEvent, by_id: Mapping[int, EdrEvent]) -> Verdict:
-    reasons: list[str] = []
-    if event.event_id in by_id:
-        reasons.append(REASON_ID_UNIQUENESS)
-    dangling = False
-    non_causal = False
-    for pid in event.parent_ids:
-        parent = by_id.get(pid)
-        if parent is None:
-            dangling = True
-        elif parent.timestamp >= event.timestamp:
-            non_causal = True
-    if non_causal:
-        reasons.append(REASON_CAUSALITY)
-    if dangling:
-        reasons.append(REASON_DANGLING_PARENT)
-    return Verdict(ok=not reasons, reasons=tuple(reasons))
-
-
-def validate_log(events: Sequence[EdrEvent]) -> list[tuple[EdrEvent, Verdict]]:
-    """Validate a whole log event by event; returns the failures."""
-
-    failures: list[tuple[EdrEvent, Verdict]] = []
-    accepted: dict[int, EdrEvent] = {}
-    for event in events:
-        verdict = _verdict(event, accepted)
-        if verdict:
-            accepted[event.event_id] = event
-        else:
-            failures.append((event, verdict))
-    return failures
 
 
 # --- JSON Lines wire format -------------------------------------------------

@@ -100,9 +100,11 @@ class ProvenanceGraph:
 
 
 def build_graph(log: Sequence[EdrEvent]) -> ProvenanceGraph:
-    """Assemble the provenance graph of a validated log.
+    """Assemble the provenance graph of a log, checking that it is a
+    causal DAG.
 
-    A parent reference to an event absent from the log is rejected.
+    Event ids must be unique, and every parent must be in the log and
+    strictly earlier than its child, which also rules out cycles.
     """
 
     nodes = {e.event_id: e for e in log}
@@ -110,9 +112,15 @@ def build_graph(log: Sequence[EdrEvent]) -> ProvenanceGraph:
         raise GraphError("duplicate event ids in log")
     for e in log:
         for pid in e.parent_ids:
-            if pid not in nodes:
+            parent = nodes.get(pid)
+            if parent is None:
                 raise GraphError(
                     f"dangling parent: event {e.event_id} references {pid}"
+                )
+            if parent.timestamp >= e.timestamp:
+                raise GraphError(
+                    f"causality: event {e.event_id} is not later than its "
+                    f"parent {pid}"
                 )
     return ProvenanceGraph(nodes=nodes)
 
@@ -284,6 +292,16 @@ def write_skeleton(path: str | Path, skeleton: Skeleton) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(skeleton_to_obj(skeleton), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def rule_to_obj(rule: AlertRule) -> dict:
+    return {
+        "rule_name": rule.rule_name,
+        "attribute": rule.attribute.value,
+        "op": rule.op,
+        "threshold": rule.threshold,
+        "severity": rule.severity.value,
+    }
 
 
 def rule_from_obj(obj: object) -> AlertRule:

@@ -41,6 +41,7 @@ from .provenance import (  # noqa: F401
     AlertRule,
     reduce_to_skeleton,
     rule_from_obj,
+    rule_to_obj,
 )
 from .reputation import (
     DEFAULT_DAMPING,
@@ -214,11 +215,12 @@ class ScenarioConfig:
     def approver_ids(self) -> tuple[str, ...]:
         return tuple(f"approver-{i}" for i in range(1, self.policy.quorum.n + 1))
 
-    def compromise_time(self, device_id: str) -> int | None:
-        times = [
-            p.start_time for p in self.compromises if p.device_id == device_id
-        ]
-        return min(times) if times else None
+    def malicious(self, device_id: str, t: int) -> bool:
+        """Ground truth: a request at or after its device's compromise
+        time is malicious."""
+
+        return any(p.device_id == device_id and t >= p.start_time
+                   for p in self.compromises)
 
     def first_compromise_time(self) -> int | None:
         times = [p.start_time for p in self.compromises]
@@ -298,16 +300,7 @@ def config_to_obj(config: ScenarioConfig) -> dict:
         "approvers": {"n": config.policy.quorum.n, "z": config.policy.quorum.z},
         "pretrusted": list(config.pretrusted),
         "policy": policy_to_obj(config.policy),
-        "alert_rules": [
-            {
-                "rule_name": r.rule_name,
-                "attribute": r.attribute.value,
-                "op": r.op,
-                "threshold": r.threshold,
-                "severity": r.severity.value,
-            }
-            for r in config.alert_rules
-        ],
+        "alert_rules": [rule_to_obj(r) for r in config.alert_rules],
         "attribute_window": config.attribute_window,
         "refresh_interval": config.refresh_interval,
         "cache_capacity": config.cache_capacity,
@@ -647,9 +640,7 @@ def _decision_summary(
             else "before"
         )
         per_device[row.device_id][phase][outcome] += 1
-        start = config.compromise_time(row.device_id)
-        malicious = start is not None and row.ts >= start
-        if malicious:
+        if config.malicious(row.device_id, row.ts):
             malicious_total += 1
             if row.granted:
                 malicious_granted += 1
@@ -668,10 +659,8 @@ def _decision_summary(
     post_total = post_granted = 0
     if time_to_containment is not None:
         for row in rows:
-            start = config.compromise_time(row.device_id)
-            if start is None or row.ts < start:
-                continue
-            if row.ts >= time_to_containment:
+            if (row.ts >= time_to_containment
+                    and config.malicious(row.device_id, row.ts)):
                 post_total += 1
                 if row.granted:
                     post_granted += 1
@@ -761,8 +750,9 @@ def _draw_activity(
 def _audit_rows(
     config: ScenarioConfig, lines: Iterable[str]
 ) -> list[_AuditRow]:
-    """Parse audit lines into rows; a malformed line, or one naming a
-    device outside the scenario, raises ReplayError."""
+    """Parse audit lines into rows; a malformed line, one naming a
+    device outside the scenario, or one whose theta is not the policy's
+    threshold for its resource raises ReplayError."""
 
     devices = {d.device_id for d in config.devices}
     rows = []
@@ -777,6 +767,13 @@ def _audit_rows(
         device_id = obj["triplet"][1]
         if not isinstance(device_id, str) or device_id not in devices:
             raise ReplayError(f"audit line {lineno}: unknown device {device_id!r}")
+        resource_id = obj["triplet"][2]
+        if (not isinstance(resource_id, str)
+                or obj["theta"] != config.policy.threshold_for(resource_id)):
+            raise ReplayError(
+                f"audit line {lineno}: theta {obj['theta']!r} is not the "
+                f"policy threshold for resource {resource_id!r}"
+            )
         rows.append(_AuditRow(ts=obj["ts"], device_id=device_id,
                               granted=obj["verdict"] == "grant"))
     return rows
@@ -970,8 +967,7 @@ class _Loop:
         if (not decision.granted or self.ledger is None or not host
                 or host == action.device_id):
             return
-        start = self.config.compromise_time(action.device_id)
-        if start is not None and t >= start:
+        if self.config.malicious(action.device_id, t):
             self.ledger.record_unsat(host, action.device_id)
         else:
             self.ledger.record_sat(host, action.device_id)

@@ -195,6 +195,8 @@ MALFORMED_AUDIT_LINES = {
     "theta_not_a_number": lambda o: o.update(theta=None),
     "score_unavailable_with_T": lambda o: o.update(
         verdict="deny", reasons=["score_unavailable"]),
+    "theta_not_policy_threshold": lambda o: o.update(theta=0.25),
+    "resource_not_a_string": lambda o: o["triplet"].__setitem__(2, [1]),
 }
 
 
@@ -382,6 +384,18 @@ class TestSkeleton:
         stored = json.loads(out_path.read_text())
         assert [n["event_id"] for n in stored["nodes"]] == [1, 5]
         assert stored["summary_edges"] == [[1, 5, 3]]
+
+    def test_cyclic_log_exits_1_with_one_line(self, capsys, tmp_path,
+                                              rules_path):
+        path = tmp_path / "cyclic.jsonl"
+        write_events(path, [make_event(0, 5, parents=(1,)),
+                            make_event(1, 6, parents=(0,))])
+        code, out, err = run_cli(capsys, "skeleton", "--in", str(path),
+                                 "--rules", str(rules_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: causality")
+        assert err.count("\n") == 1
 
 
 class TestReputation:

@@ -1,4 +1,4 @@
-"""Core event model: domains, validation, serialization."""
+"""Core event model: domains and serialization."""
 
 from __future__ import annotations
 
@@ -11,16 +11,11 @@ from trustgate.model import (
     AttributeKind,
     EdrEvent,
     ModelError,
-    REASON_CAUSALITY,
-    REASON_DANGLING_PARENT,
-    REASON_ID_UNIQUENESS,
     Triplet,
     dumps_event,
     event_from_obj,
     event_to_obj,
     read_events,
-    validate_event,
-    validate_log,
     write_events,
 )
 
@@ -97,87 +92,6 @@ class TestValueDomains:
     def test_categorical_string_rejected_for_numeric(self):
         with pytest.raises(ModelError):
             make_event(0, 0, value="5")
-
-
-class TestValidation:
-    def test_accepts_well_formed(self):
-        log = [make_event(0, 0)]
-        verdict = validate_event(make_event(1, 5, parents=(0,)), log)
-        assert verdict.ok
-        assert bool(verdict)
-        assert verdict.reasons == ()
-
-    def test_duplicate_id_rejected(self):
-        log = [make_event(0, 0)]
-        verdict = validate_event(make_event(0, 5), log)
-        assert not verdict.ok
-        assert REASON_ID_UNIQUENESS in verdict.reasons
-
-    def test_dangling_parent_rejected(self):
-        verdict = validate_event(make_event(1, 5, parents=(99,)), [])
-        assert not verdict.ok
-        assert REASON_DANGLING_PARENT in verdict.reasons
-
-    def test_causality_requires_strictly_earlier_parent(self):
-        log = [make_event(0, 5)]
-        equal = validate_event(make_event(1, 5, parents=(0,)), log)
-        assert REASON_CAUSALITY in equal.reasons
-        later = validate_event(make_event(1, 4, parents=(0,)), log)
-        assert REASON_CAUSALITY in later.reasons
-        ok = validate_event(make_event(1, 6, parents=(0,)), log)
-        assert ok.ok
-
-    def test_multiple_reasons_reported(self):
-        log = [make_event(0, 5)]
-        bad = make_event(0, 3, parents=(0, 99))
-        verdict = validate_event(bad, log)
-        assert REASON_ID_UNIQUENESS in verdict.reasons
-        assert REASON_DANGLING_PARENT in verdict.reasons
-        assert REASON_CAUSALITY in verdict.reasons
-
-    def test_validate_log_returns_only_failures(self):
-        dup = make_event(1, 2)
-        events = [
-            make_event(0, 0),
-            make_event(1, 1, parents=(0,)),
-            dup,                        # duplicate id
-            make_event(2, 2, parents=(1,)),
-        ]
-        failures = validate_log(events)
-        assert len(failures) == 1
-        event, verdict = failures[0]
-        assert event is dup
-        assert verdict.reasons == (REASON_ID_UNIQUENESS,)
-
-    def test_rejected_event_does_not_join_the_log(self):
-        # An event whose parent was itself rejected is dangling.
-        events = [
-            make_event(0, 5),
-            make_event(1, 3, parents=(0,)),   # non-causal, rejected
-            make_event(2, 9, parents=(1,)),   # parent never accepted
-        ]
-        failures = validate_log(events)
-        assert [e.event_id for e, _ in failures] == [1, 2]
-        assert failures[1][1].reasons == (REASON_DANGLING_PARENT,)
-
-    def test_validate_log_agrees_with_validate_event(self):
-        # Reference: each event checked against the list of events
-        # accepted before it, the definition validate_log follows.
-        rng = random.Random(5)
-        events = [
-            make_event(rng.randrange(150), rng.randrange(50),
-                       parents=tuple(rng.sample(range(150), rng.randrange(3))))
-            for _ in range(200)
-        ]
-        expected, accepted = [], []
-        for event in events:
-            verdict = validate_event(event, accepted)
-            if verdict:
-                accepted.append(event)
-            else:
-                expected.append((event, verdict))
-        assert validate_log(events) == expected
-        assert 0 < len(expected) < len(events)
 
 
 class TestSerialization:

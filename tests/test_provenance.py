@@ -19,8 +19,10 @@ from trustgate.provenance import (
     build_graph,
     reduce_to_skeleton,
     rule_from_obj,
+    rule_to_obj,
     skeleton_to_obj,
 )
+from trustgate.simnet import default_rules
 
 from conftest import chain, make_event
 
@@ -78,19 +80,36 @@ def oracle_ancestors(graph: ProvenanceGraph, target: int) -> set[int]:
     return result
 
 
+CAUSALITY_1_0 = "causality: event 1 is not later than its parent 0"
+
+# Each log breaks one invariant of a causal DAG: (log, error message).
+REJECTED_LOGS = {
+    "duplicate_ids": ([make_event(0, 0), make_event(0, 1)],
+                      "duplicate event ids in log"),
+    "dangling_parent": ([make_event(0, 0, parents=(42,))],
+                        "dangling parent: event 0 references 42"),
+    "parent_same_ts": ([make_event(0, 5), make_event(1, 5, parents=(0,))],
+                       CAUSALITY_1_0),
+    "parent_later_ts": ([make_event(0, 5), make_event(1, 4, parents=(0,))],
+                        CAUSALITY_1_0),
+    "two_event_cycle": ([make_event(0, 5, parents=(1,)),
+                         make_event(1, 6, parents=(0,))],
+                        "causality: event 0 is not later than its parent 1"),
+}
+
+
 class TestGraphConstruction:
     def test_nodes_keep_parent_ids(self):
         graph = build_graph(chain(3))
         assert {i: e.parent_ids for i, e in graph.nodes.items()} == {
             0: (), 1: (0,), 2: (1,)}
 
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(GraphError):
-            build_graph([make_event(0, 0), make_event(0, 1)])
-
-    def test_dangling_parent_rejected(self):
-        with pytest.raises(GraphError):
-            build_graph([make_event(0, 0, parents=(42,))])
+    @pytest.mark.parametrize("case", sorted(REJECTED_LOGS))
+    def test_log_rejected(self, case):
+        log, message = REJECTED_LOGS[case]
+        with pytest.raises(GraphError) as exc:
+            build_graph(log)
+        assert str(exc.value) == message
 
 
 class TestAlertRules:
@@ -159,6 +178,9 @@ class TestAlertRules:
             "op": ">=", "threshold": 5, "severity": "high",
         }
         assert rule_from_obj(obj) == burst_rule()
+        assert rule_to_obj(burst_rule()) == obj
+        for rule in default_rules():
+            assert rule_from_obj(rule_to_obj(rule)) == rule
         with pytest.raises(GraphError):
             rule_from_obj({**obj, "extra": 1})
 

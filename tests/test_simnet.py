@@ -9,7 +9,8 @@ from dataclasses import replace
 import pytest
 
 from trustgate.engine import PolicyError, parse_audit_line
-from trustgate.model import read_events, validate_log
+from trustgate.model import read_events
+from trustgate.provenance import build_graph
 from trustgate.simnet import (
     AttributeProfile,
     BehaviorProfile,
@@ -146,8 +147,9 @@ class TestScenarioValidation:
 
     def test_compromise_time_lookup(self):
         config = small_scenario()
-        assert config.compromise_time("dev-03") == 300
-        assert config.compromise_time("dev-01") is None
+        assert not config.malicious("dev-03", 299)
+        assert config.malicious("dev-03", 300)
+        assert not config.malicious("dev-01", 300)
         assert config.first_compromise_time() == 300
 
     def test_attribute_profile_validation(self):
@@ -287,7 +289,7 @@ class TestArtifacts:
         run(small_scenario(), tmp_path)
         events = read_events(tmp_path / "events.jsonl")
         assert events
-        assert validate_log(events) == []
+        build_graph(events)
 
     def test_audit_lines_parse_and_match_policy(self, tmp_path):
         config = small_scenario()
