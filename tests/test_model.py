@@ -18,6 +18,7 @@ from trustgate.model import (
     read_events,
     write_events,
 )
+from trustgate.provenance import GraphError, build_graph
 
 from conftest import DEFAULT_TRIPLET, make_event
 
@@ -92,6 +93,18 @@ class TestValueDomains:
     def test_categorical_string_rejected_for_numeric(self):
         with pytest.raises(ModelError):
             make_event(0, 0, value="5")
+
+
+class TestValidation:
+    """The event-log invariants hold where a log is assembled: build_graph."""
+
+    def test_duplicate_id_rejected(self):
+        with pytest.raises(GraphError, match="duplicate event ids"):
+            build_graph([make_event(0, 0), make_event(0, 5)])
+
+    def test_dangling_parent_rejected(self):
+        with pytest.raises(GraphError, match="event 1 references 99"):
+            build_graph([make_event(1, 5, parents=(99,))])
 
 
 class TestSerialization:

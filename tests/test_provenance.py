@@ -84,10 +84,6 @@ CAUSALITY_1_0 = "causality: event 1 is not later than its parent 0"
 
 # Each log breaks one invariant of a causal DAG: (log, error message).
 REJECTED_LOGS = {
-    "duplicate_ids": ([make_event(0, 0), make_event(0, 1)],
-                      "duplicate event ids in log"),
-    "dangling_parent": ([make_event(0, 0, parents=(42,))],
-                        "dangling parent: event 0 references 42"),
     "parent_same_ts": ([make_event(0, 5), make_event(1, 5, parents=(0,))],
                        CAUSALITY_1_0),
     "parent_later_ts": ([make_event(0, 5), make_event(1, 4, parents=(0,))],
@@ -103,6 +99,16 @@ class TestGraphConstruction:
         graph = build_graph(chain(3))
         assert {i: e.parent_ids for i, e in graph.nodes.items()} == {
             0: (), 1: (0,), 2: (1,)}
+
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(GraphError) as exc:
+            build_graph([make_event(0, 0), make_event(0, 1)])
+        assert str(exc.value) == "duplicate event ids in log"
+
+    def test_dangling_parent_rejected(self):
+        with pytest.raises(GraphError) as exc:
+            build_graph([make_event(0, 0, parents=(42,))])
+        assert str(exc.value) == "dangling parent: event 0 references 42"
 
     @pytest.mark.parametrize("case", sorted(REJECTED_LOGS))
     def test_log_rejected(self, case):
