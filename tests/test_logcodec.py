@@ -241,6 +241,63 @@ class TestRoundTrip:
             encode(known + [stranger], table)
 
 
+def raw_archive(
+    entries: list[tuple[str, int, bytes]], record_count: int, payload: bytes
+) -> bytes:
+    """Archive bytes written field by field, without the encoder's
+    checks: each entry is (key, code bit length, packed code bytes)."""
+
+    out = bytearray(b"\x5a\x54\x4c\x43\x01")
+    out += len(entries).to_bytes(4, "big")
+    for key, code_len, code in entries:
+        raw = key.encode("utf-8")
+        out += len(raw).to_bytes(2, "big") + raw
+        out.append(code_len)
+        out += code
+    out += record_count.to_bytes(8, "big")
+    return bytes(out + payload)
+
+
+A = '{"io_operation_count":1}'
+B = '{"io_operation_count":2}'
+
+# case -> (archive bytes, exact CodecError message)
+CORRUPT_ARCHIVES = {
+    # Codes "0" and "10" leave "11" unassigned; the payload starts "11".
+    "walk_falls_off_incomplete_codebook": (
+        raw_archive([(A, 1, b"\x00"), (B, 2, b"\x80")], 1, b"\xc0"),
+        "corrupt archive: prefix walk fell off the tree",
+    ),
+    # One record "0", then padding 0000001.
+    "nonzero_payload_padding": (
+        raw_archive([(A, 1, b"\x00"), (B, 1, b"\x80")], 1, b"\x01"),
+        "corrupt archive: nonzero padding bits",
+    ),
+    # A repeated codeword is a prefix of itself, so the prefix check
+    # is the one that rejects it.
+    "duplicate_codewords": (
+        raw_archive([(A, 1, b"\x00"), (B, 1, b"\x00")], 1, b"\x00"),
+        "corrupt archive: codebook is not prefix-free",
+    ),
+    "records_but_no_codebook": (
+        raw_archive([], 1, b"\x00"),
+        "corrupt archive: records but no codebook",
+    ),
+    "zero_length_codeword": (
+        raw_archive([(A, 0, b"")], 0, b""),
+        "corrupt archive: zero-length codeword",
+    ),
+    "nonzero_codeword_padding": (
+        raw_archive([(A, 1, b"\x01")], 1, b"\x00"),
+        "corrupt archive: nonzero codeword padding",
+    ),
+    "duplicate_pattern_key": (
+        raw_archive([(A, 1, b"\x00"), (A, 1, b"\x80")], 1, b"\x00"),
+        "corrupt archive: duplicate pattern key",
+    ),
+}
+
+
 class TestCorruptArchives:
     def good_bytes(self) -> bytes:
         records = [
@@ -312,3 +369,11 @@ class TestCorruptArchives:
         )
         with pytest.raises(CodecError, match="prefix"):
             decode(archive)
+
+    @pytest.mark.parametrize("case", sorted(CORRUPT_ARCHIVES))
+    def test_corrupt_archive_table(self, case):
+        data, message = CORRUPT_ARCHIVES[case]
+        with pytest.raises(CodecError) as info:
+            archive_from_bytes(data)
+        assert str(info.value) == message
+
