@@ -3,9 +3,15 @@
 Long-term storage keeps attribute records, not raw event rows: each
 record is the attribute-to-value mapping an event carried. Distinct
 records become patterns, patterns get minimum-redundancy prefix-free
-codewords, and an archive is codebook + packed codeword stream. Average codeword length is kept
-as an exact rational so stated compression numbers are reproducible
-bit for bit.
+codewords, and an archive is codebook + packed codeword stream. Average
+codeword length is kept as an exact rational so stated compression
+numbers are reproducible bit for bit.
+
+Logs repeat few distinct records, so JSON work happens once per pattern:
+``records_from_events`` shares one record object per distinct
+(attribute, value), ``collect_patterns`` and ``encode`` key by
+``items``, and ``decode`` parses one record per codeword. Decoding
+walks the bits as the integer "1" + prefix, one path for any length.
 
 Archive layout (all integers big-endian):
 
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -53,14 +60,14 @@ class AttributeRecord:
             raise CodecError("duplicate attribute names in record")
         if not self.items:
             raise CodecError("attribute record must not be empty")
+        for name, value in self.items:  # True == 1.0 == 1, keys differ
+            if isinstance(value, bool) or not isinstance(value, (int, str)):
+                raise CodecError(f"attribute {name} value must be a string "
+                                 f"or an integer, not {value!r}")
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, int | str]) -> AttributeRecord:
         return cls(tuple(sorted(mapping.items())))
-
-    @classmethod
-    def from_event(cls, event: EdrEvent) -> AttributeRecord:
-        return cls(((event.attribute.value, event.value),))
 
     @property
     def key(self) -> str:
@@ -81,7 +88,9 @@ class AttributeRecord:
 
 
 def records_from_events(events: Iterable[EdrEvent]) -> list[AttributeRecord]:
-    return [AttributeRecord.from_event(e) for e in events]
+    pairs = [(e.attribute.value, e.value) for e in events]
+    shared = {pair: AttributeRecord((pair,)) for pair in set(pairs)}
+    return [shared[pair] for pair in pairs]
 
 
 @dataclass(frozen=True)
@@ -112,9 +121,8 @@ def collect_patterns(records: Sequence[AttributeRecord]) -> PatternTable:
 
     if not records:
         raise CodecError("cannot collect patterns from an empty record set")
-    counts: dict[str, int] = {}
-    for record in records:
-        counts[record.key] = counts.get(record.key, 0) + 1
+    tally = Counter(record.items for record in records)
+    counts = {AttributeRecord(items).key: n for items, n in tally.items()}
     total = len(records)
     patterns = tuple(
         Pattern(key=key, probability=Fraction(count, total), count=count)
@@ -184,11 +192,8 @@ class CompressedArchive:
 
 
 def _pack_bits(bits: str) -> bytes:
-    out = bytearray()
-    for i in range(0, len(bits), 8):
-        chunk = bits[i:i + 8].ljust(8, "0")
-        out.append(int(chunk, 2))
-    return bytes(out)
+    size = (len(bits) + 7) // 8
+    return int(bits.ljust(8 * size, "0") or "0", 2).to_bytes(size, "big")
 
 
 def encode(
@@ -198,13 +203,13 @@ def encode(
 
     if table.codebook is None:
         raise CodecError("pattern table has no codebook")
-    pieces = []
-    for record in records:
+    codes: dict[tuple, str] = {}
+    for items, record in {record.items: record for record in records}.items():
         code = table.codebook.get(record.key)
         if code is None:
             raise CodecError(f"pattern not in codebook: {record.key!r}")
-        pieces.append(code)
-    bits = "".join(pieces)
+        codes[items] = code
+    bits = "".join([codes[record.items] for record in records])
     return CompressedArchive(
         codebook=dict(table.codebook),
         record_count=len(records),
@@ -225,35 +230,30 @@ def decode(archive: CompressedArchive) -> list[AttributeRecord]:
     if archive.record_count and not archive.codebook:
         raise CodecError("corrupt archive: records but no codebook")
     _check_prefix_free(archive.codebook)
-    by_code = {code: key for key, code in archive.codebook.items()}
-    if len(by_code) != len(archive.codebook):
-        raise CodecError("corrupt archive: duplicate codewords")
-    max_len = max((len(c) for c in by_code), default=0)
+    # A prefix is the node int("1" + prefix, 2); from bound up, it is
+    # as long as the longest code.
+    by_node = {int("1" + code, 2): AttributeRecord.from_key(key)
+               for key, code in archive.codebook.items()}
+    bound = 1 << max(map(len, archive.codebook.values()), default=0)
     total_bits = len(archive.payload) * 8
+    bits = format(int.from_bytes(archive.payload, "big"), f"0{total_bits}b")
     records: list[AttributeRecord] = []
-    pos = 0
-    current = ""
+    pos, node = 0, 1
     while len(records) < archive.record_count:
-        if len(current) >= max_len:
+        if node >= bound:
             raise CodecError("corrupt archive: prefix walk fell off the tree")
         if pos >= total_bits:
             raise CodecError("corrupt archive: bit stream exhausted early")
-        byte = archive.payload[pos // 8]
-        bit = (byte >> (7 - pos % 8)) & 1
+        node = 2 * node + (bits[pos] == "1")
         pos += 1
-        current += "1" if bit else "0"
-        key = by_code.get(current)
-        if key is not None:
-            records.append(AttributeRecord.from_key(key))
-            current = ""
-    remaining = total_bits - pos
-    if remaining >= 8:
+        record = by_node.get(node)
+        if record is not None:
+            records.append(record)
+            node = 1
+    if total_bits - pos >= 8:
         raise CodecError("corrupt archive: trailing payload beyond padding")
-    while pos < total_bits:
-        byte = archive.payload[pos // 8]
-        if (byte >> (7 - pos % 8)) & 1:
-            raise CodecError("corrupt archive: nonzero padding bits")
-        pos += 1
+    if "1" in bits[pos:]:
+        raise CodecError("corrupt archive: nonzero padding bits")
     return records
 
 
@@ -311,6 +311,8 @@ def archive_from_bytes(data: bytes) -> CompressedArchive:
             raise CodecError("corrupt archive: nonzero codeword padding")
         if key in codebook:
             raise CodecError("corrupt archive: duplicate pattern key")
+        if AttributeRecord.from_key(key).key != key:
+            raise CodecError("corrupt archive: non-canonical pattern key")
         codebook[key] = bits[:code_len]
     record_count = int.from_bytes(take(8), "big")
     payload = bytes(view[pos:])

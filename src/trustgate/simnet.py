@@ -751,8 +751,8 @@ def _audit_rows(
     config: ScenarioConfig, lines: Iterable[str]
 ) -> list[_AuditRow]:
     """Parse audit lines into rows; a malformed line, one naming a
-    device outside the scenario, or one whose theta is not the policy's
-    threshold for its resource raises ReplayError."""
+    device or resource outside the scenario, or one whose theta is not
+    the policy's threshold for its resource raises ReplayError."""
 
     devices = {d.device_id for d in config.devices}
     rows = []
@@ -769,7 +769,10 @@ def _audit_rows(
             raise ReplayError(f"audit line {lineno}: unknown device {device_id!r}")
         resource_id = obj["triplet"][2]
         if (not isinstance(resource_id, str)
-                or obj["theta"] != config.policy.threshold_for(resource_id)):
+                or resource_id not in config.policy.resources):
+            raise ReplayError(
+                f"audit line {lineno}: unknown resource {resource_id!r}")
+        if obj["theta"] != config.policy.threshold_for(resource_id):
             raise ReplayError(
                 f"audit line {lineno}: theta {obj['theta']!r} is not the "
                 f"policy threshold for resource {resource_id!r}"

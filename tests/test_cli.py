@@ -197,6 +197,8 @@ MALFORMED_AUDIT_LINES = {
         verdict="deny", reasons=["score_unavailable"]),
     "theta_not_policy_threshold": lambda o: o.update(theta=0.25),
     "resource_not_a_string": lambda o: o["triplet"].__setitem__(2, [1]),
+    # theta 0.5 is what the policy gives a resource it does not list.
+    "unknown_resource": lambda o: o["triplet"].__setitem__(2, "res-nope"),
 }
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -165,6 +166,11 @@ class TestOptimality:
                 assert not codes[i + 1].startswith(codes[i])
 
 
+# Values a record rejects: each is unhashable or equal to an int whose
+# key differs.
+INVALID_VALUES = {"list": [1], "null": None, "float": 1.0, "bool": True}
+
+
 class TestRecordsFromEvents:
     def test_projection_drops_identity(self):
         events = [
@@ -172,7 +178,7 @@ class TestRecordsFromEvents:
             make_event(5, 50, value=9),
         ]
         records = records_from_events(events)
-        assert records[0] == records[1]
+        assert records[0] is records[1]
         assert dict(records[0].items) == {"io_operation_count": 9}
 
     def test_key_round_trip(self):
@@ -180,6 +186,29 @@ class TestRecordsFromEvents:
             {"io_operation_count": 5, "system_call_count": 80}
         )
         assert AttributeRecord.from_key(record.key) == record
+
+    @pytest.mark.parametrize("value", INVALID_VALUES.values(),
+                             ids=INVALID_VALUES)
+    def test_invalid_value_rejected(self, value):
+        with pytest.raises(CodecError, match="must be a string or an integer"):
+            AttributeRecord.from_mapping({"io_operation_count": value})
+
+
+def fibonacci_records() -> list[AttributeRecord]:
+    """20 patterns weighted 1, 1, 2, 3, 5, ...: Huffman's tree is a
+    chain, so the rarest two codes are 19 bits long."""
+
+    weights = [1, 1]
+    while len(weights) < 20:
+        weights.append(weights[-1] + weights[-2])
+    records = []
+    for i, weight in enumerate(weights):
+        record = AttributeRecord.from_mapping(
+            {"frequent_external_network_id": f"net-{i:02d}"}
+        )
+        records.extend([record] * weight)
+    random.Random(19).shuffle(records)
+    return records
 
 
 class TestRoundTrip:
@@ -232,6 +261,33 @@ class TestRoundTrip:
         archive = encode(records, table)
         data = archive_to_bytes(archive)
         assert decode(archive_from_bytes(data)) == records
+
+    def test_nineteen_bit_codes_round_trip(self):
+        records = fibonacci_records()
+        table = build_codebook(collect_patterns(records))
+        assert max(len(code) for code in table.codebook.values()) == 19
+        data = archive_to_bytes(encode(records, table))
+        assert decode(archive_from_bytes(data)) == records
+
+    def test_large_archive_round_trip(self):
+        records = self.build_records(random.Random(8), 200_000)
+        table = build_codebook(collect_patterns(records))
+        data = archive_to_bytes(encode(records, table))
+        assert decode(archive_from_bytes(data)) == records
+
+    def test_decode_parses_each_codeword_once(self, monkeypatch):
+        records = self.build_records(random.Random(9), 1000)
+        archive = encode(records, build_codebook(collect_patterns(records)))
+        parsed = []
+        from_key = AttributeRecord.from_key
+
+        def counting(cls, key):
+            parsed.append(key)
+            return from_key(key)
+
+        monkeypatch.setattr(AttributeRecord, "from_key", classmethod(counting))
+        assert decode(archive) == records
+        assert len(parsed) == len(archive.codebook)
 
     def test_encoding_unknown_pattern_rejected(self):
         known = [AttributeRecord.from_mapping({"io_operation_count": 1})]
@@ -370,10 +426,27 @@ class TestCorruptArchives:
         with pytest.raises(CodecError, match="prefix"):
             decode(archive)
 
+    @pytest.mark.parametrize("value", INVALID_VALUES.values(),
+                             ids=INVALID_VALUES)
+    def test_invalid_value_in_pattern_key(self, value):
+        key = json.dumps({"io_operation_count": value}, separators=(",", ":"))
+        data = raw_archive([(key, 1, b"\x00")], 1, b"\x00")
+        with pytest.raises(CodecError, match="must be a string or an integer"):
+            archive_from_bytes(data)
+
+    def test_non_canonical_pattern_key(self):
+        # Both keys parse to the same record under different codewords.
+        data = raw_archive(
+            [('{"io_operation_count": 1}', 1, b"\x00"), (A, 1, b"\x80")],
+            2, b"\x40",
+        )
+        with pytest.raises(CodecError) as info:
+            archive_from_bytes(data)
+        assert str(info.value) == "corrupt archive: non-canonical pattern key"
+
     @pytest.mark.parametrize("case", sorted(CORRUPT_ARCHIVES))
     def test_corrupt_archive_table(self, case):
         data, message = CORRUPT_ARCHIVES[case]
         with pytest.raises(CodecError) as info:
             archive_from_bytes(data)
         assert str(info.value) == message
-
