@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -21,6 +22,71 @@ from trustgate.model import (
 from trustgate.provenance import GraphError, build_graph
 
 from conftest import DEFAULT_TRIPLET, make_event
+
+GOOD_OBJ = event_to_obj(make_event(0, 0))
+GOOD_LINE = json.dumps(GOOD_OBJ)
+
+
+def _line(drop: tuple[str, ...] = (), **changes: object) -> str:
+    """GOOD_LINE with fields changed, added or dropped."""
+
+    obj = {k: v for k, v in GOOD_OBJ.items() if k not in drop}
+    obj.update(changes)
+    return json.dumps(obj)
+
+
+# (id, text of the bad line, exact ModelError message). Each bad line is
+# read as line 2, after GOOD_LINE; "blank_line_counts" adds a blank line.
+MALFORMED_EVENT_LINES = [
+    ("not_json", "{not json}",
+     "line 2: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
+    ("utf8_bom", "\ufeff" + GOOD_LINE,
+     "line 2: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+     "line 1 column 1 (char 0)"),
+    ("json_array", "[1, 2]", "line 2: event record must be a JSON object"),
+    ("trailing_data", '{"a": 1} x',
+     "line 2: Extra data: line 1 column 10 (char 9)"),
+    ("second_object", '{"a": 1}{"b": 2}',
+     "line 2: Extra data: line 1 column 9 (char 8)"),
+    ("unknown_field", _line(extra=1),
+     "line 2: unknown event fields: ['extra']"),
+    ("missing_field", _line(drop=("ts", "parents")),
+     "line 2: missing event fields: ['parents', 'ts']"),
+    ("unknown_and_missing_field", _line(drop=("ts",), extra=1),
+     "line 2: unknown event fields: ['extra']"),
+    ("unknown_attribute", _line(attribute="made_up_counter"),
+     "line 2: unknown attribute kind: 'made_up_counter'"),
+    ("attribute_list", _line(attribute=["io_operation_count"]),
+     "line 2: unknown attribute kind: ['io_operation_count']"),
+    ("user_list", _line(user=["user-a"]),
+     "line 2: user_id must be a non-empty string"),
+    ("user_empty", _line(user=""),
+     "line 2: user_id must be a non-empty string"),
+    ("resource_object", _line(resource={"id": "res-a"}),
+     "line 2: resource_id must be a non-empty string"),
+    ("bool_event_id", _line(event_id=True),
+     "line 2: event_id must be an integer"),
+    ("float_ts", _line(ts=1.5), "line 2: timestamp must be an integer"),
+    ("negative_ts", _line(ts=-1), "line 2: timestamp must be non-negative"),
+    ("value_above_u64", _line(value=MAX_NUMERIC_VALUE + 1),
+     "line 2: attribute io_operation_count value 18446744073709551616 "
+     "outside the unsigned 64-bit range"),
+    ("string_for_numeric", _line(value="5"),
+     "line 2: attribute io_operation_count expects an integer value"),
+    ("empty_categorical",
+     _line(attribute="frequent_external_network_id", value=""),
+     "line 2: attribute frequent_external_network_id expects a non-empty "
+     "string value"),
+    ("parents_not_list", _line(parents=3),
+     "line 2: parents must be a list of event ids"),
+    ("bool_parent", _line(parents=[True]),
+     "line 2: parent ids must be non-negative integers"),
+    ("negative_parent", _line(parents=[0, -1]),
+     "line 2: parent ids must be non-negative integers"),
+    ("blank_line_counts", "\n" + _line(user=""),
+     "line 3: user_id must be a non-empty string"),
+]
 
 
 class TestAttributeKinds:
@@ -152,6 +218,18 @@ class TestSerialization:
         tmp_events_path.write_text(good + "\n{not json}\n")
         with pytest.raises(ModelError, match="line 2"):
             read_events(tmp_events_path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [row[1:] for row in MALFORMED_EVENT_LINES],
+        ids=[row[0] for row in MALFORMED_EVENT_LINES],
+    )
+    def test_malformed_line_table(self, tmp_events_path, text, message):
+        tmp_events_path.write_text(GOOD_LINE + "\n" + text + "\n",
+                                   encoding="utf-8")
+        with pytest.raises(ModelError) as info:
+            read_events(tmp_events_path)
+        assert str(info.value) == message
 
     def test_deterministic_dump(self):
         event = make_event(3, 9, parents=(1,))
