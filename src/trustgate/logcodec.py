@@ -54,7 +54,8 @@ class AttributeRecord:
     def __post_init__(self) -> None:
         names = [name for name, _ in self.items]
         if names != sorted(names):
-            object.__setattr__(self, "items", tuple(sorted(self.items)))
+            object.__setattr__(self, "items", tuple(
+                sorted(self.items, key=lambda item: item[0])))
             names = sorted(names)
         if len(set(names)) != len(names):
             raise CodecError("duplicate attribute names in record")

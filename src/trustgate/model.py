@@ -4,6 +4,9 @@ Everything downstream (provenance graphs, stores, the decision engine,
 the simulator) speaks in terms of the types defined here: access
 triplets, endpoint attribute observations, and the alerts raised on
 them.
+
+Logs are JSON Lines, one event per line. A read shares one ``Triplet``
+per distinct (user, device, resource) among the events that carry it.
 """
 
 from __future__ import annotations
@@ -41,7 +44,10 @@ class AttributeKind(str, Enum):
 
     @property
     def numeric(self) -> bool:
-        return self is not AttributeKind.FREQUENT_EXTERNAL_NETWORK_ID
+        return self is not _CATEGORICAL
+
+
+_CATEGORICAL = AttributeKind.FREQUENT_EXTERNAL_NETWORK_ID
 
 
 class Severity(str, Enum):
@@ -51,7 +57,7 @@ class Severity(str, Enum):
     CRITICAL = "critical"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Triplet:
     """A (user, device, resource) access identity.
 
@@ -73,26 +79,7 @@ class Triplet:
         return (self.user_id, self.device_id, self.resource_id)
 
 
-def _check_value(attribute: AttributeKind, value: object) -> None:
-    if attribute.numeric:
-        # bool is an int subclass; it is not a telemetry value.
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ModelError(
-                f"attribute {attribute.value} expects an integer value"
-            )
-        if not 0 <= value <= MAX_NUMERIC_VALUE:
-            raise ModelError(
-                f"attribute {attribute.value} value {value} outside the "
-                f"unsigned 64-bit range"
-            )
-    else:
-        if not isinstance(value, str) or not value:
-            raise ModelError(
-                f"attribute {attribute.value} expects a non-empty string value"
-            )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdrEvent:
     """One timestamped attribute observation bound to a triplet.
 
@@ -110,22 +97,45 @@ class EdrEvent:
     parent_ids: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if isinstance(self.event_id, bool) or not isinstance(self.event_id, int):
+        # bool is an int subclass; it is not an id, a time or a value.
+        # Each check tests the exact type first, which is the common case.
+        event_id = self.event_id
+        if type(event_id) is not int and (
+                isinstance(event_id, bool) or not isinstance(event_id, int)):
             raise ModelError("event_id must be an integer")
-        if self.event_id < 0:
+        if event_id < 0:
             raise ModelError("event_id must be non-negative")
         if not isinstance(self.triplet, Triplet):
             raise ModelError("triplet must be a Triplet")
-        if not isinstance(self.attribute, AttributeKind):
+        attribute, value = self.attribute, self.value
+        if not isinstance(attribute, AttributeKind):
             raise ModelError("attribute must be an AttributeKind")
-        _check_value(self.attribute, self.value)
-        if isinstance(self.timestamp, bool) or not isinstance(self.timestamp, int):
+        if attribute.numeric:
+            if type(value) is not int and (
+                    isinstance(value, bool) or not isinstance(value, int)):
+                raise ModelError(
+                    f"attribute {attribute.value} expects an integer value"
+                )
+            if not 0 <= value <= MAX_NUMERIC_VALUE:
+                raise ModelError(
+                    f"attribute {attribute.value} value {value} outside the "
+                    f"unsigned 64-bit range"
+                )
+        elif not isinstance(value, str) or not value:
+            raise ModelError(
+                f"attribute {attribute.value} expects a non-empty string value"
+            )
+        timestamp = self.timestamp
+        if type(timestamp) is not int and (
+                isinstance(timestamp, bool) or not isinstance(timestamp, int)):
             raise ModelError("timestamp must be an integer")
-        if self.timestamp < 0:
+        if timestamp < 0:
             raise ModelError("timestamp must be non-negative")
-        object.__setattr__(self, "parent_ids", tuple(self.parent_ids))
+        if type(self.parent_ids) is not tuple:
+            object.__setattr__(self, "parent_ids", tuple(self.parent_ids))
         for pid in self.parent_ids:
-            if isinstance(pid, bool) or not isinstance(pid, int) or pid < 0:
+            if type(pid) is not int and (
+                    isinstance(pid, bool) or not isinstance(pid, int)) or pid < 0:
                 raise ModelError("parent ids must be non-negative integers")
 
 
@@ -166,23 +176,36 @@ def event_to_obj(event: EdrEvent) -> dict:
     }
 
 
-def event_from_obj(obj: object) -> EdrEvent:
+_FIELD_SET = frozenset(EVENT_FIELDS)
+_KINDS = {kind.value: kind for kind in AttributeKind}
+
+
+def event_from_obj(obj: object, triplets: dict[tuple, Triplet]) -> EdrEvent:
+    """Build an event from its wire object. Events built with one
+    ``triplets`` dict share one Triplet per (user, device, resource)."""
+
     if not isinstance(obj, dict):
         raise ModelError("event record must be a JSON object")
-    unknown = set(obj) - set(EVENT_FIELDS)
-    if unknown:
-        raise ModelError(f"unknown event fields: {sorted(unknown)}")
-    missing = set(EVENT_FIELDS) - set(obj)
-    if missing:
-        raise ModelError(f"missing event fields: {sorted(missing)}")
+    if obj.keys() != _FIELD_SET:
+        unknown = obj.keys() - _FIELD_SET
+        if unknown:
+            raise ModelError(f"unknown event fields: {sorted(unknown)}")
+        raise ModelError(
+            f"missing event fields: {sorted(_FIELD_SET - obj.keys())}")
     try:
-        attribute = AttributeKind(obj["attribute"])
-    except ValueError:
+        attribute = _KINDS[obj["attribute"]]
+    except (KeyError, TypeError):
         raise ModelError(f"unknown attribute kind: {obj['attribute']!r}") from None
     parents = obj["parents"]
     if not isinstance(parents, list):
         raise ModelError("parents must be a list of event ids")
-    triplet = Triplet(obj["user"], obj["device"], obj["resource"])
+    identity = (obj["user"], obj["device"], obj["resource"])
+    try:
+        triplet = triplets[identity]
+    except KeyError:
+        triplet = triplets[identity] = Triplet(*identity)
+    except TypeError:  # an unhashable field is no string: Triplet rejects it
+        triplet = Triplet(*identity)
     return EdrEvent(
         event_id=obj["event_id"],
         triplet=triplet,
@@ -215,16 +238,27 @@ def iter_events(path: str | Path) -> Iterator[EdrEvent]:
     Malformed lines raise ModelError carrying the 1-based line number.
     """
 
+    raw_decode = json.JSONDecoder().raw_decode
+    triplets: dict[tuple, Triplet] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-                yield event_from_obj(obj)
+                # raw_decode skips json.loads's type, BOM and whitespace
+                # checks; a line it cannot take whole goes through
+                # json.loads to raise that function's own message.
+                obj, end = raw_decode(line)
+            except json.JSONDecodeError:
+                end = None
+            try:
+                if end != len(line):  # trailing data, or not JSON at all
+                    obj = json.loads(line)
+                event = event_from_obj(obj, triplets)
             except (json.JSONDecodeError, ModelError) as exc:
                 raise ModelError(f"line {lineno}: {exc}") from None
+            yield event
 
 
 def read_events(path: str | Path) -> list[EdrEvent]:

@@ -399,6 +399,19 @@ class TestSkeleton:
         assert err.startswith("error: causality")
         assert err.count("\n") == 1
 
+    def test_list_valued_user_exits_1_with_one_line(self, capsys, tmp_path,
+                                                    events_path, rules_path):
+        first, second, *_ = events_path.read_text().splitlines()
+        obj = json.loads(second)
+        obj["user"] = [obj["user"]]
+        path = tmp_path / "bad-user.jsonl"
+        path.write_text(first + "\n" + json.dumps(obj) + "\n")
+        code, out, err = run_cli(capsys, "skeleton", "--in", str(path),
+                                 "--rules", str(rules_path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 2: user_id must be a non-empty string\n"
+
 
 class TestReputation:
     def test_symmetric_triangle(self, capsys, tmp_path):

@@ -193,6 +193,15 @@ class TestRecordsFromEvents:
         with pytest.raises(CodecError, match="must be a string or an integer"):
             AttributeRecord.from_mapping({"io_operation_count": value})
 
+    @pytest.mark.parametrize("items", [
+        (("a", 1), ("a", 2)),
+        (("b", 1), ("a", 1), ("a", "x")),   # unsorted, int and str values
+    ], ids=["sorted", "unsorted_mixed_values"])
+    def test_duplicate_names_rejected(self, items):
+        with pytest.raises(CodecError,
+                           match="^duplicate attribute names in record$"):
+            AttributeRecord(items)
+
 
 def fibonacci_records() -> list[AttributeRecord]:
     """20 patterns weighted 1, 1, 2, 3, 5, ...: Huffman's tree is a

@@ -20,8 +20,10 @@ from trustgate.model import (
     write_events,
 )
 from trustgate.provenance import GraphError, build_graph
+from trustgate.simnet import run
 
 from conftest import DEFAULT_TRIPLET, make_event
+from test_simnet import small_scenario
 
 GOOD_OBJ = event_to_obj(make_event(0, 0))
 GOOD_LINE = json.dumps(GOOD_OBJ)
@@ -68,6 +70,7 @@ MALFORMED_EVENT_LINES = [
     ("bool_event_id", _line(event_id=True),
      "line 2: event_id must be an integer"),
     ("float_ts", _line(ts=1.5), "line 2: timestamp must be an integer"),
+    ("bool_ts", _line(ts=True), "line 2: timestamp must be an integer"),
     ("negative_ts", _line(ts=-1), "line 2: timestamp must be non-negative"),
     ("value_above_u64", _line(value=MAX_NUMERIC_VALUE + 1),
      "line 2: attribute io_operation_count value 18446744073709551616 "
@@ -161,6 +164,44 @@ class TestValueDomains:
             make_event(0, 0, value="5")
 
 
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class TestConstructionEdgeCases:
+    """Values that are not of exact type int, str or tuple are accepted
+    and stored as before."""
+
+    def test_int_subclasses_accepted(self):
+        event = make_event(_Int(3), _Int(9), value=_Int(5),
+                           parents=(_Int(1),))
+        assert (event.event_id, event.timestamp, event.value,
+                event.parent_ids) == (3, 9, 5, (1,))
+        assert type(event.event_id) is _Int
+
+    def test_str_subclass_categorical_accepted(self):
+        event = make_event(
+            0, 0,
+            attribute=AttributeKind.FREQUENT_EXTERNAL_NETWORK_ID,
+            value=_Str("net-1"),
+        )
+        assert event.value == "net-1"
+
+    def test_list_parent_ids_stored_as_tuple(self):
+        event = make_event(2, 0, parents=[0, 1])
+        assert event.parent_ids == (0, 1)
+        assert type(event.parent_ids) is tuple
+
+    def test_slots(self):
+        event = make_event(0, 0)
+        for obj in (event, event.triplet):
+            assert not hasattr(obj, "__dict__")
+
+
 class TestValidation:
     """The event-log invariants hold where a log is assembled: build_graph."""
 
@@ -176,7 +217,7 @@ class TestValidation:
 class TestSerialization:
     def test_round_trip_object(self):
         event = make_event(7, 42, parents=(1, 2), value=13)
-        assert event_from_obj(event_to_obj(event)) == event
+        assert event_from_obj(event_to_obj(event), {}) == event
 
     def test_round_trip_categorical(self):
         event = make_event(
@@ -184,25 +225,25 @@ class TestSerialization:
             attribute=AttributeKind.FREQUENT_EXTERNAL_NETWORK_ID,
             value="net-9",
         )
-        assert event_from_obj(event_to_obj(event)) == event
+        assert event_from_obj(event_to_obj(event), {}) == event
 
     def test_unknown_field_rejected(self):
         obj = event_to_obj(make_event(0, 0))
         obj["extra"] = 1
         with pytest.raises(ModelError):
-            event_from_obj(obj)
+            event_from_obj(obj, {})
 
     def test_missing_field_rejected(self):
         obj = event_to_obj(make_event(0, 0))
         del obj["ts"]
         with pytest.raises(ModelError):
-            event_from_obj(obj)
+            event_from_obj(obj, {})
 
     def test_unknown_attribute_rejected(self):
         obj = event_to_obj(make_event(0, 0))
         obj["attribute"] = "made_up_counter"
         with pytest.raises(ModelError):
-            event_from_obj(obj)
+            event_from_obj(obj, {})
 
     def test_file_round_trip(self, tmp_events_path):
         events = [
@@ -230,6 +271,16 @@ class TestSerialization:
         with pytest.raises(ModelError) as info:
             read_events(tmp_events_path)
         assert str(info.value) == message
+
+    def test_read_shares_one_triplet_per_identity(self, tmp_path):
+        run(small_scenario(), tmp_path)
+        path = tmp_path / "events.jsonl"
+        events = read_events(path)
+        identities = {event.triplet for event in events}
+        assert len(identities) > 1
+        assert len({id(event.triplet) for event in events}) == len(identities)
+        assert events == [event_from_obj(json.loads(line), {})
+                          for line in path.read_text().splitlines()]
 
     def test_deterministic_dump(self):
         event = make_event(3, 9, parents=(1,))
@@ -259,4 +310,4 @@ class TestSerialization:
                     sorted({rng.randrange(100) for _ in range(rng.randrange(3))})
                 ),
             )
-            assert event_from_obj(event_to_obj(event)) == event
+            assert event_from_obj(event_to_obj(event), {}) == event
