@@ -251,7 +251,7 @@ def _cmd_cache_bench(args: argparse.Namespace) -> int:
                 obj = json.loads(line)
                 triplet = Triplet(*obj["triplet"])
                 now = obj["now"]
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise ModelError(f"trace line {lineno}: {exc}") from None
             _, tier = cache.get_score(triplet, now, recompute)
             tiers[tier] += 1

@@ -604,7 +604,7 @@ def load_policy(path: str | Path) -> TrustPolicy:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise PolicyError(f"policy is not valid JSON: {exc}") from None
     return policy_from_obj(data)
 

@@ -81,7 +81,7 @@ class AttributeRecord:
     def from_key(cls, key: str) -> AttributeRecord:
         try:
             obj = json.loads(key)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             raise CodecError(f"malformed pattern key: {key!r}") from None
         if not isinstance(obj, dict):
             raise CodecError(f"pattern key must encode an object: {key!r}")

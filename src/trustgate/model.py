@@ -235,7 +235,8 @@ def write_events(path: str | Path, events: Iterable[EdrEvent]) -> int:
 def iter_events(path: str | Path) -> Iterator[EdrEvent]:
     """Yield events from a JSON Lines file.
 
-    Malformed lines raise ModelError carrying the 1-based line number.
+    Malformed lines, nesting too deep to parse included, raise ModelError
+    carrying the 1-based line number.
     """
 
     raw_decode = json.JSONDecoder().raw_decode
@@ -250,13 +251,16 @@ def iter_events(path: str | Path) -> Iterator[EdrEvent]:
                 # checks; a line it cannot take whole goes through
                 # json.loads to raise that function's own message.
                 obj, end = raw_decode(line)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):
                 end = None
             try:
                 if end != len(line):  # trailing data, or not JSON at all
                     obj = json.loads(line)
                 event = event_from_obj(obj, triplets)
-            except (json.JSONDecodeError, ModelError) as exc:
+            # ValueError covers JSONDecodeError, ModelError and an integer
+            # past the interpreter's digit limit; RecursionError is
+            # nesting deeper than the parser follows.
+            except (ValueError, RecursionError) as exc:
                 raise ModelError(f"line {lineno}: {exc}") from None
             yield event
 

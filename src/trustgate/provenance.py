@@ -329,7 +329,10 @@ def rule_from_obj(obj: object) -> AlertRule:
 
 def load_rules(path: str | Path) -> tuple[AlertRule, ...]:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:
+            raise GraphError(f"rules file is not valid JSON: {exc}") from None
     if not isinstance(data, list):
         raise GraphError("rules file must contain a JSON array")
     return tuple(rule_from_obj(obj) for obj in data)

@@ -6,6 +6,14 @@ matrix; repeated application of its transpose, damped toward a
 pre-trusted distribution, converges to a single global trust vector.
 Peers that nobody vouches for end up with the damping floor or zero,
 no matter how loudly they vouch for each other.
+
+The matrix is kept sparse, as EigenTrust states it (Kamvar, Schlosser
+and Garcia-Molina, WWW 2003): only the positive ratings are stored, as
+coordinate arrays, and each step of the iteration is one
+``np.bincount`` over them. Rows with no positive rating are not
+stored; the iteration folds them into the pre-trusted distribution.
+Memory and time grow with the number of ratings, not with the square
+of the number of peers.
 """
 
 from __future__ import annotations
@@ -72,38 +80,57 @@ class InteractionLedger:
 
 @dataclass(frozen=True)
 class LocalTrustMatrix:
-    """Row-normalized non-negative local trust.
+    """Row-normalized non-negative local trust, in coordinate form.
 
-    Rows that clamp to all zeros are left zeroed here and reported, so
-    the iteration step can substitute the pre-trusted distribution.
+    Entry ``k`` says that peer ``peers[rows[k]]`` trusts peer
+    ``peers[cols[k]]`` with weight ``values[k]``. Only positive entries
+    are stored, sorted by ``(row, col)``, so the arrays depend only on
+    the ledger's contents; each stored row sums to one. Rows that clamp
+    to all zeros store nothing and are reported in ``zero_rows``, so the
+    iteration step can substitute the pre-trusted distribution.
     """
 
     peers: tuple[str, ...]
-    matrix: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     zero_rows: tuple[str, ...]
 
 
 def normalize(ledger: InteractionLedger) -> LocalTrustMatrix:
-    """Clamp negative local trust to zero and normalize each row."""
+    """Clamp negative local trust to zero and normalize each row.
+
+    Each pair's tally is netted as ``sat - unsat`` in exact integers;
+    only the positive ones are kept.
+    """
 
     peers = ledger.peers
     if len(peers) < 2:
         raise ReputationError("need at least two peers")
     n = len(peers)
     index = {p: i for i, p in enumerate(peers)}
-    raw = np.zeros((n, n), dtype=float)
-    for (p, q), count in ledger.sat.items():
-        raw[index[p], index[q]] += count
-    for (p, q), count in ledger.unsat.items():
-        raw[index[p], index[q]] -= count
-    np.fill_diagonal(raw, 0.0)
-    clamped = np.maximum(raw, 0.0)
-    sums = clamped.sum(axis=1)
-    zero_rows = tuple(peers[i] for i in range(n) if sums[i] == 0.0)
-    matrix = np.zeros_like(clamped)
-    nonzero = sums > 0.0
-    matrix[nonzero] = clamped[nonzero] / sums[nonzero, None]
-    return LocalTrustMatrix(peers=peers, matrix=matrix, zero_rows=zero_rows)
+    net = dict(ledger.sat)
+    for pair, count in ledger.unsat.items():
+        net[pair] = net.get(pair, 0) - count
+    keys = []  # row * n + col, so one sort orders by (row, col)
+    counts = []
+    for (p, q), count in net.items():
+        if count > 0 and p != q:
+            keys.append(index[p] * n + index[q])
+            counts.append(count)
+    flat = np.array(keys, dtype=np.int64)
+    order = np.argsort(flat)
+    rows, cols = np.divmod(flat[order], n)
+    clamped = np.array(counts, dtype=float)[order]
+    sums = np.bincount(rows, weights=clamped, minlength=n)
+    zero_rows = tuple(peers[i] for i in np.flatnonzero(sums == 0.0).tolist())
+    return LocalTrustMatrix(
+        peers=peers,
+        rows=rows,
+        cols=cols,
+        values=clamped / sums[rows],
+        zero_rows=zero_rows,
+    )
 
 
 @dataclass(frozen=True)
@@ -122,15 +149,17 @@ def global_trust(
 ) -> GlobalTrustVector:
     """Damped power iteration to the global trust fixed point.
 
-    Before iterating, rows reported zero are replaced by the uniform
-    pre-trusted distribution ``e``; the iteration then runs
+    Rows reported zero stand for the uniform pre-trusted distribution
+    ``e``; the iteration runs
 
         t <- (1 - a) * C^T t + a * e
 
     from ``t = e``, renormalizing each step, until the L1 step
-    difference drops below ``epsilon``. ``DEFAULT_MAX_ITERS`` steps
-    bound the loop; a vector that has not converged by then is
-    returned with ``converged`` false.
+    difference drops below ``epsilon``. ``C^T t`` is one
+    ``np.bincount`` over the stored entries, which adds them in index
+    order, plus ``e`` times the trust the zero rows hold.
+    ``DEFAULT_MAX_ITERS`` steps bound the loop; a vector that has not
+    converged by then is returned with ``converged`` false.
     """
 
     peers = local.peers
@@ -150,19 +179,18 @@ def global_trust(
     n = len(peers)
     index = {p: i for i, p in enumerate(peers)}
     e = np.zeros(n, dtype=float)
-    for p in pretrusted:
-        e[index[p]] = 1.0 / len(pretrusted)
-    c = local.matrix.copy()
-    for p in local.zero_rows:
-        c[index[p]] = e
-    ct = c.T
+    e[[index[p] for p in pretrusted]] = 1.0 / len(pretrusted)
+    zero = np.array([index[p] for p in local.zero_rows], dtype=np.intp)
+    rows, cols, values = local.rows, local.cols, local.values
 
     t = e.copy()
     iterations = 0
     residual = float("inf")
     converged = False
     while iterations < DEFAULT_MAX_ITERS:
-        t_next = (1.0 - a) * (ct @ t) + a * e
+        ct_t = (np.bincount(cols, weights=values * t[rows], minlength=n)
+                + t[zero].sum() * e)
+        t_next = (1.0 - a) * ct_t + a * e
         total = t_next.sum()
         if total > 0.0:
             t_next = t_next / total
@@ -172,7 +200,7 @@ def global_trust(
         if residual < epsilon:
             converged = True
             break
-    scores = {p: float(t[index[p]]) for p in peers}
+    scores = dict(zip(peers, t.tolist()))
     return GlobalTrustVector(
         scores=scores,
         iterations_used=iterations,
@@ -248,7 +276,11 @@ def ledger_from_obj(obj: object) -> InteractionLedger:
 
 def load_ledger(path: str | Path) -> InteractionLedger:
     with open(path, "r", encoding="utf-8") as fh:
-        return ledger_from_obj(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError as exc:
+            raise ReputationError(f"ledger is not valid JSON: {exc}") from None
+    return ledger_from_obj(obj)
 
 
 def trust_vector_to_obj(vector: GlobalTrustVector) -> dict:

@@ -345,7 +345,10 @@ def write_share_file(path: str | Path, chunks: Sequence[Share]) -> None:
 
 def read_share_file(path: str | Path) -> list[Share]:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:
+            raise ShareError(f"{path}: not valid JSON: {exc}") from None
     if isinstance(data, dict):
         return [share_from_obj(data)]
     if isinstance(data, list) and data:

@@ -420,7 +420,11 @@ def _config_from_obj(obj: object) -> ScenarioConfig:
 
 def load_config(path: str | Path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return config_from_obj(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError as exc:
+            raise ScenarioError(f"scenario is not valid JSON: {exc}") from None
+    return config_from_obj(obj)
 
 
 def config_digest(config: ScenarioConfig) -> str:
@@ -762,7 +766,7 @@ def _audit_rows(
             continue
         try:
             obj = parse_audit_line(line)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, RecursionError) as exc:
             raise ReplayError(f"audit line {lineno}: {exc}") from None
         device_id = obj["triplet"][1]
         if not isinstance(device_id, str) or device_id not in devices:
@@ -1051,12 +1055,12 @@ def replay(out_dir: str | Path) -> SimReport:
     out = Path(out_dir)
     try:
         config = load_config(out / "config.json")
-    except (OSError, json.JSONDecodeError, ScenarioError) as exc:
+    except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
         raise ReplayError(f"cannot load scenario: {exc}") from None
     try:
         with open(out / "report.json", "r", encoding="utf-8") as fh:
             stored = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ReplayError(f"cannot load report: {exc}") from None
     if not isinstance(stored, dict):
         raise ReplayError("report must be a JSON object")

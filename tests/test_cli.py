@@ -445,6 +445,83 @@ class TestReputation:
         assert result["zero_rows"] == ["p3"]
 
 
+DEEP_JSON = "[" * 200_000
+RECURSION = ("maximum recursion depth exceeded while decoding a JSON array "
+             "from a unicode string")
+
+
+class TestDeeplyNestedJson:
+    """Nesting deeper than the JSON parser follows is a malformed input
+    like any other: exit 1 with one line, never a RecursionError."""
+
+    def deep(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text(DEEP_JSON, encoding="utf-8")
+        return path
+
+    def assert_one_line(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_ledger(self, capsys, tmp_path):
+        path = self.deep(tmp_path, "ledger.json")
+        self.assert_one_line(
+            capsys, ("reputation", "--ledger", str(path), "--pretrusted", "p1"),
+            f"ledger is not valid JSON: {RECURSION}")
+
+    def test_event_line(self, capsys, tmp_path, rules_path):
+        path = self.deep(tmp_path, "events.jsonl")
+        self.assert_one_line(
+            capsys, ("skeleton", "--in", str(path), "--rules", str(rules_path)),
+            f"line 1: {RECURSION}")
+
+    def test_rules(self, capsys, tmp_path, events_path):
+        path = self.deep(tmp_path, "rules.json")
+        self.assert_one_line(
+            capsys, ("skeleton", "--in", str(events_path), "--rules", str(path)),
+            f"rules file is not valid JSON: {RECURSION}")
+
+    def test_policy(self, capsys, tmp_path, events_path):
+        path = self.deep(tmp_path, "policy.json")
+        self.assert_one_line(
+            capsys, ("score", "--events", str(events_path), "--policy",
+                     str(path), "--triplet", "user-a,dev-a,res-a"),
+            f"policy is not valid JSON: {RECURSION}")
+
+    def test_share_file(self, capsys, tmp_path):
+        path = self.deep(tmp_path, "share.json")
+        self.assert_one_line(
+            capsys, ("share-join", "--shares", str(path)),
+            f"{path}: not valid JSON: {RECURSION}")
+
+    def test_scenario(self, capsys, tmp_path):
+        path = self.deep(tmp_path, "scenario.json")
+        self.assert_one_line(
+            capsys, ("simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")),
+            f"scenario is not valid JSON: {RECURSION}")
+
+    def test_cache_trace_line(self, capsys, tmp_path):
+        path = self.deep(tmp_path, "trace.jsonl")
+        self.assert_one_line(
+            capsys, ("cache-bench", "--trace", str(path)),
+            f"trace line 1: {RECURSION}")
+
+    @pytest.mark.parametrize("artifact, message", [
+        ("config.json",
+         f"cannot load scenario: scenario is not valid JSON: {RECURSION}"),
+        ("report.json", f"cannot load report: {RECURSION}"),
+        ("audit.jsonl", f"audit line 1: {RECURSION}"),
+    ])
+    def test_replay_artifact(self, capsys, tmp_path, artifact, message):
+        run(small_scenario(), tmp_path)
+        self.deep(tmp_path, artifact)
+        self.assert_one_line(capsys, ("replay", "--out", str(tmp_path)),
+                             message)
+
+
 class TestShareCommands:
     def test_split_join_round_trip(self, capsys, tmp_path):
         share_dir = tmp_path / "shares"

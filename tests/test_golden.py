@@ -52,23 +52,23 @@ GOLDEN = {
     "reference-42": {
         "config.json": "a35898ab6e2e1a736187b1d99256b8d3b9044c9cc5a275a2d76ee7f66fd2eb85",
         "events.jsonl": "a43e2317471a86ef60e6ae151efceef7a2699840a99d165eb5f0394d37325f73",
-        "audit.jsonl": "f66c87ee25856b88657e1a8975b1f8eba6a99c2c00b4afa48830cc8d5e2c3aa0",
+        "audit.jsonl": "dc136267aaaa336ec9234bd44c971e7c18dcc480dd2a5d1cca0ef2e96acd103b",
         "access.json": "02d75cc597cff0e645075f5137e1e47f5b454a7befd5920493e0328e3fe052fa",
-        "report.json": "eb1f79d7ec04a1376e23e36186fadfb8bbbba94bb997d85efff709d9c461fe01",
+        "report.json": "6ebc0b7bdaf9c866abc05c4b463bfb3b63c9cade0a2ff488d96908d8dbc05a82",
     },
     "fleet-200-42": {
         "config.json": "6b948de298c92485e3990c45411a7d19b1e685f44ce5c36cd7b471233c7814f3",
         "events.jsonl": "8ce1076b71ad6a907c4b34805db5cef62f57ae919c96ef1fe8aa03dfaa82b769",
-        "audit.jsonl": "80088d53970687765d715dfa56a549bc105d2f793937299b365633ea8501c142",
+        "audit.jsonl": "4c423eab70ea9c78481f512ac7c35c93c635658fda8d927355eff82d0f7e4fce",
         "access.json": "a713eb87361628dd8590812551207173d2936c19db1f8a7952e5e4f7b70ef86e",
-        "report.json": "0ab6f9ce2cf86f318e0b287ee9ecfca06f8e833de1cfc9c26a838393861022a2",
+        "report.json": "283262f3e03ee68fee29afe211927836c56f323c41a0922e101f0cfaaa725ebb",
     },
     "quorum-4-outages-42": {
         "config.json": "70ab23e1d5749ef5594397c59c8498e64369ffef43d1f51405c7ccf228f65ab2",
         "events.jsonl": "6b139eb8ed432fcd8368318a96351799cb6cda0ded0732ab25a08ef0b02590a6",
-        "audit.jsonl": "681bf7893ee066b1896120f17362f11c204fd366de4f4126e99b730dd0cf00e2",
+        "audit.jsonl": "e495a59c3d5ce5134c89d3f36746f4fadff3486d8ed4b6b667dfe8840e726d2f",
         "access.json": "73b85f2173e1000298a7b1254a7f318583af7ffd50bddb2f65c8e7327d684f95",
-        "report.json": "c889916ecbbe09b597bb14c7d3ca11b50fea43f84ec1fc4c2c6c5207502cb3bb",
+        "report.json": "63be43f1a9b79054bdc1b7dc5401c0e711735c620bb51a68e8d1c3e31b9fd45b",
     },
 }
 

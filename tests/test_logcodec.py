@@ -325,6 +325,7 @@ def raw_archive(
 
 A = '{"io_operation_count":1}'
 B = '{"io_operation_count":2}'
+LONG_INT = '{"io_operation_count":' + "9" * 5000 + "}"
 
 # case -> (archive bytes, exact CodecError message)
 CORRUPT_ARCHIVES = {
@@ -359,6 +360,14 @@ CORRUPT_ARCHIVES = {
     "duplicate_pattern_key": (
         raw_archive([(A, 1, b"\x00"), (A, 1, b"\x80")], 1, b"\x00"),
         "corrupt archive: duplicate pattern key",
+    ),
+    "key_nested_past_parser_depth": (
+        raw_archive([("[" * 5000, 1, b"\x00")], 1, b"\x00"),
+        f"malformed pattern key: {'[' * 5000!r}",
+    ),
+    "key_integer_past_digit_limit": (
+        raw_archive([(LONG_INT, 1, b"\x00")], 1, b"\x00"),
+        f"malformed pattern key: {LONG_INT!r}",
     ),
 }
 

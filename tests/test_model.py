@@ -89,6 +89,13 @@ MALFORMED_EVENT_LINES = [
      "line 2: parent ids must be non-negative integers"),
     ("blank_line_counts", "\n" + _line(user=""),
      "line 3: user_id must be a non-empty string"),
+    ("nested_too_deep", "[" * 200_000,
+     "line 2: maximum recursion depth exceeded while decoding a JSON array "
+     "from a unicode string"),
+    ("integer_past_digit_limit", '{"value": ' + "9" * 5000 + "}",
+     "line 2: Exceeds the limit (4300 digits) for integer string "
+     "conversion: value has 5000 digits; use sys.set_int_max_str_digits() "
+     "to increase the limit"),
 ]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,23 +75,99 @@ class TestLedger:
             InteractionLedger(peers=("a→b", "c"))
 
 
+def dense_matrix(local) -> np.ndarray:
+    """The n x n local trust matrix that the coordinate arrays stand for."""
+
+    n = len(local.peers)
+    c = np.zeros((n, n))
+    c[local.rows, local.cols] = local.values
+    return c
+
+
+def row_sums(local) -> np.ndarray:
+    return np.bincount(local.rows, weights=local.values,
+                       minlength=len(local.peers))
+
+
+def dense_global_trust(ledger, pretrusted, a=0.1, epsilon=1e-9,
+                       max_iters=200):
+    """Reference EigenTrust over dense arrays, as the library computed it
+    before it went sparse: clamp, row-normalize, substitute ``e`` for the
+    zero rows, then iterate ``t <- (1 - a) C^T t + a e`` from ``t = e``
+    with the same renormalization and stopping rule. Returns the score
+    vector in peer order, the iterations used and the converged flag."""
+
+    peers = ledger.peers
+    n = len(peers)
+    index = {p: i for i, p in enumerate(peers)}
+    raw = np.zeros((n, n))
+    for (p, q), count in ledger.sat.items():
+        raw[index[p], index[q]] += count
+    for (p, q), count in ledger.unsat.items():
+        raw[index[p], index[q]] -= count
+    np.fill_diagonal(raw, 0.0)
+    clamped = np.maximum(raw, 0.0)
+    sums = clamped.sum(axis=1)
+    e = np.zeros(n)
+    for p in pretrusted:
+        e[index[p]] = 1.0 / len(pretrusted)
+    c = np.zeros((n, n))
+    nonzero = sums > 0.0
+    c[nonzero] = clamped[nonzero] / sums[nonzero, None]
+    c[~nonzero] = e
+    t = e.copy()
+    for iterations in range(1, max_iters + 1):
+        t_next = (1.0 - a) * (c.T @ t) + a * e
+        total = t_next.sum()
+        if total > 0.0:
+            t_next = t_next / total
+        residual = float(np.abs(t_next - t).sum())
+        t = t_next
+        if residual < epsilon:
+            return t, iterations, True
+    return t, max_iters, False
+
+
+def mixed_ledger(rng: random.Random, n: int) -> InteractionLedger:
+    """A ledger whose rows are silent, all negative, or mixed."""
+
+    peers = tuple(f"peer-{i:03d}" for i in range(n))
+    ledger = InteractionLedger(peers=peers)
+    for p in peers:
+        kind = rng.choice(("silent", "negative", "mixed", "mixed"))
+        if kind == "silent":
+            continue
+        for q in rng.sample(peers, rng.randrange(1, n)):
+            if q == p:
+                continue
+            if kind == "negative":
+                ledger.record_unsat(p, q, rng.randrange(1, 5))
+                ledger.record_sat(p, q, rng.randrange(0, 2))
+            else:
+                ledger.record_sat(p, q, rng.randrange(0, 20))
+                ledger.record_unsat(p, q, rng.randrange(0, 8))
+    return ledger
+
+
 class TestNormalize:
     def test_frozen_row_clamps_then_normalizes(self):
         # a's opinions (3, -1, 2) toward b, c, d clamp to (3, 0, 2)
-        # and normalize to (0.6, 0, 0.4).
+        # and normalize to (0.6, 0, 0.4); the clamped entry is not stored.
         ledger = InteractionLedger(peers=("a", "b", "c", "d"))
         ledger.record_sat("a", "b", 3)
         ledger.record_unsat("a", "c", 1)
         ledger.record_sat("a", "d", 2)
         local = normalize(ledger)
-        row = local.matrix[0]
-        assert row.tolist() == [0.0, 0.6, 0.0, 0.4]
+        assert local.rows.tolist() == [0, 0]
+        assert local.cols.tolist() == [1, 3]
+        assert local.values.tolist() == [0.6, 0.4]
+        assert dense_matrix(local)[0].tolist() == [0.0, 0.6, 0.0, 0.4]
 
     def test_rows_sum_to_one_or_zero(self):
         rng = random.Random(11)
         for _ in range(20):
             local = normalize(random_ledger(rng, rng.randrange(2, 15)))
-            sums = local.matrix.sum(axis=1)
+            sums = row_sums(local)
             for peer, total in zip(local.peers, sums):
                 if peer in local.zero_rows:
                     assert total == 0.0
@@ -100,7 +177,31 @@ class TestNormalize:
     def test_diagonal_always_zero(self):
         rng = random.Random(12)
         local = normalize(random_ledger(rng, 10))
-        assert np.diagonal(local.matrix).tolist() == [0.0] * 10
+        assert not np.any(local.rows == local.cols)
+        assert np.diagonal(dense_matrix(local)).tolist() == [0.0] * 10
+
+    def test_entries_positive_and_sorted_by_row_then_col(self):
+        local = normalize(mixed_ledger(random.Random(13), 40))
+        assert np.all(local.values > 0.0)
+        keys = list(zip(local.rows.tolist(), local.cols.tolist()))
+        assert keys == sorted(set(keys))
+
+    def test_arrays_depend_only_on_ledger_contents(self):
+        # The same tallies recorded in a different order give the same
+        # arrays, bit for bit.
+        rng = random.Random(14)
+        ledger = mixed_ledger(rng, 30)
+        shuffled = InteractionLedger(peers=ledger.peers)
+        for tally, record in ((ledger.sat, shuffled.record_sat),
+                              (ledger.unsat, shuffled.record_unsat)):
+            items = list(tally.items())
+            rng.shuffle(items)
+            for (p, q), count in items:
+                record(p, q, count)
+        a, b = normalize(ledger), normalize(shuffled)
+        for name in ("rows", "cols", "values"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.zero_rows == b.zero_rows
 
     def test_all_negative_row_reported_zero(self):
         ledger = InteractionLedger(peers=("a", "b"))
@@ -108,7 +209,8 @@ class TestNormalize:
         ledger.record_sat("b", "a", 1)
         local = normalize(ledger)
         assert local.zero_rows == ("a",)
-        assert local.matrix[0].tolist() == [0.0, 0.0]
+        assert 0 not in local.rows.tolist()
+        assert dense_matrix(local)[0].tolist() == [0.0, 0.0]
 
     def test_single_peer_rejected(self):
         with pytest.raises(ReputationError):
@@ -124,9 +226,19 @@ class TestNormalize:
             base.record_unsat(p, q, u)
             scaled.record_sat(p, q, s * 7)
             scaled.record_unsat(p, q, u * 7)
-        assert np.array_equal(
-            normalize(base).matrix, normalize(scaled).matrix
-        )
+        for name in ("rows", "cols", "values"):
+            assert np.array_equal(
+                getattr(normalize(base), name), getattr(normalize(scaled), name)
+            )
+
+    def test_tallies_net_in_exact_integers(self):
+        # 2**60 + 1 - 2**60 is 1, not the 0 that float arithmetic gives.
+        ledger = InteractionLedger(peers=("a", "b"))
+        ledger.record_sat("a", "b", 2**60 + 1)
+        ledger.record_unsat("a", "b", 2**60)
+        local = normalize(ledger)
+        assert local.zero_rows == ("b",)
+        assert local.values.tolist() == [1.0]
 
 
 class TestGlobalTrust:
@@ -154,7 +266,7 @@ class TestGlobalTrust:
             e = np.zeros(n)
             for p in pretrusted:
                 e[local.peers.index(p)] = 1 / len(pretrusted)
-            c = local.matrix.copy()
+            c = dense_matrix(local)
             for p in local.zero_rows:
                 c[local.peers.index(p)] = e
             expected = np.linalg.solve(
@@ -162,6 +274,49 @@ class TestGlobalTrust:
             )
             got = np.array([vector.scores[p] for p in local.peers])
             assert np.allclose(got, expected, atol=1e-8)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_oracle(self, seed):
+        rng = random.Random(1000 + seed)
+        for _ in range(8):
+            ledger = mixed_ledger(rng, rng.randrange(2, 60))
+            peers = ledger.peers
+            pretrusted = tuple(rng.sample(peers, rng.randrange(1, len(peers) + 1)))
+            a = rng.choice((0.0, 0.1, 0.3))
+            epsilon = rng.choice((1e-6, 1e-9, 1e-12))
+            local = normalize(ledger)
+            vector = global_trust(local, pretrusted, a=a, epsilon=epsilon)
+            expected, iterations, converged = dense_global_trust(
+                ledger, pretrusted, a=a, epsilon=epsilon)
+            got = np.array([vector.scores[p] for p in peers])
+            assert np.max(np.abs(got - expected)) <= 1e-12
+            assert vector.iterations_used == iterations
+            assert vector.converged == converged
+
+    def test_many_peers_few_raters_in_small_memory(self):
+        # 20,000 peers rated by 5 of them. Dense n x n float arrays
+        # would need 3.2 GB each; the ratings themselves are 100,000.
+        peers = tuple(f"dev-{i:05d}" for i in range(20_000))
+        raters = peers[:5]
+        ledger = InteractionLedger(peers=peers)
+        rng = random.Random(5)
+        for p in raters:
+            for q in peers:
+                if q != p:
+                    ledger.record_sat(p, q, rng.randrange(1, 4))
+                    if rng.random() < 0.1:
+                        ledger.record_unsat(p, q, 3)
+        tracemalloc.start()
+        try:
+            local = normalize(ledger)
+            vector = global_trust(local, peers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+        assert len(local.zero_rows) == len(peers) - len(raters)
+        assert vector.converged
+        assert sum(vector.scores.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_collusive_clique_scores_exactly_zero(self):
         honest = [f"h{i:02d}" for i in range(20)]
