@@ -59,7 +59,7 @@ class ScoreStore:
         self._records[record.triplet] = record
 
     def triplets(self) -> list[Triplet]:
-        return sorted(self._records)
+        return sorted(self._records, key=Triplet.as_tuple)
 
 
 Recompute = Callable[[Triplet, int], TrustRecord]

@@ -438,12 +438,11 @@ def decide(
             threshold=theta,
         )
     reasons: list[str] = []
-    if any(
-        a.device_id == triplet.device_id
-        and a.alert.severity is Severity.CRITICAL
-        for a in active_alerts
-    ):
-        reasons.append(REASON_CRITICAL_ALERT)
+    device_id = triplet.device_id
+    for a in active_alerts:
+        if a.device_id == device_id and a.alert.severity is Severity.CRITICAL:
+            reasons.append(REASON_CRITICAL_ALERT)
+            break
     if record.combined < theta:
         reasons.append(REASON_LOW_TRUST)
     quorum_trace: tuple[QuorumOutcome, ...] = ()

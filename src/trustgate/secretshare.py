@@ -186,7 +186,12 @@ def reconstruct(
                 continue
             num = num * (-sj.x) % prime
             den = den * (si.x - sj.x) % prime
-        secret = (secret + si.y * num * pow(den, prime - 2, prime)) % prime
+        try:
+            inv = pow(den, -1, prime)
+        except ValueError:
+            # Only a composite modulus leaves a denominator uninvertible.
+            raise ShareError(f"{prime} is not prime") from None
+        secret = (secret + si.y * num * inv) % prime
     return secret
 
 
@@ -229,7 +234,7 @@ def secrecy_probe(
                 nxt[k + 1] = (nxt[k + 1] + c) % prime
                 nxt[k] = (nxt[k] - c * xj) % prime
             basis = nxt
-        scale = yi * pow(den, prime - 2, prime) % prime
+        scale = yi * pow(den, -1, prime) % prime
         for k, c in enumerate(basis):
             coeffs[k] = (coeffs[k] + c * scale) % prime
     return all(_poly_eval(coeffs, x, prime) == y for x, y in points)
@@ -319,6 +324,12 @@ def share_from_obj(obj: object) -> Share:
     required = {"scheme_id", "prime", "n", "z", "x", "y"}
     if set(obj) != required:
         raise ShareError(f"share fields must be exactly {sorted(required)}")
+    if not isinstance(obj["scheme_id"], str):
+        raise ShareError("share scheme_id must be a string")
+    for name in ("prime", "n", "z", "x", "y"):
+        if isinstance(obj[name], bool) or not isinstance(obj[name], int):
+            raise ShareError(f"share {name} must be an integer")
+    FieldParams(obj["prime"])
     return Share(
         x=obj["x"], y=obj["y"], scheme_id=obj["scheme_id"],
         prime=obj["prime"], n=obj["n"], z=obj["z"],

@@ -327,6 +327,26 @@ class TestRefreshSweep:
         assert result.refreshed == 0
 
 
+class TestScoreStore:
+    def test_triplets_in_triplet_order(self):
+        ids = [
+            Triplet("user-10", "dev-1", "res-a"),
+            Triplet("user-2", "dev-1", "res-a"),
+            Triplet("user-1", "dev-2", "res-a"),
+            Triplet("user-1", "dev-10", "res-b"),
+            Triplet("user-1", "dev-1", "res-b"),
+            Triplet("user-1", "dev-1", "res-a"),
+            Triplet("user-1", "dev-1", "res-a-2"),
+            Triplet("user-1", "dev-1", "res-10"),
+        ]
+        random.Random(5).shuffle(ids)
+        store = ScoreStore()
+        for t in ids:
+            store.put(record_for(t, 0))
+        assert store.triplets() == sorted(ids)
+        assert store.triplets()[0] == Triplet("user-1", "dev-1", "res-10")
+
+
 class TestSingleFlight:
     def test_concurrent_misses_recompute_once(self):
         cache = TrustScoreCache(CacheConfig(capacity=8, max_refresh=100))

@@ -590,6 +590,37 @@ class TestShareCommands:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
 
+    def test_join_refuses_composite_prime_share_files(self, capsys, tmp_path):
+        # (1, 7) and (4, 13) lie on 5 + 2x mod 15.
+        paths = []
+        for x, y in ((1, 7), (4, 13)):
+            path = tmp_path / f"share-{x}.json"
+            path.write_text(json.dumps({
+                "scheme_id": "c0ffee", "prime": 15, "n": 2, "z": 2,
+                "x": x, "y": y,
+            }), encoding="utf-8")
+            paths.append(str(path))
+        code, out, err = run_cli(capsys, "share-join", "--shares", *paths)
+        assert code == 1
+        assert out == ""
+        assert err == "error: 15 is not prime\n"
+
+    @pytest.mark.parametrize("y", ['"7"', "7.5"])
+    def test_join_refuses_non_integer_share_value(self, capsys, tmp_path, y):
+        paths = []
+        for x, value in ((1, y), (2, "9")):
+            path = tmp_path / f"share-{x}.json"
+            path.write_text(
+                '{"scheme_id": "a", "prime": 257, "n": 2, "z": 2, '
+                f'"x": {x}, "y": {value}}}',
+                encoding="utf-8",
+            )
+            paths.append(str(path))
+        code, out, err = run_cli(capsys, "share-join", "--shares", *paths)
+        assert code == 1
+        assert out == ""
+        assert err == "error: share y must be an integer\n"
+
     def test_large_secret_spans_chunks(self, capsys, tmp_path):
         secret = str(2**200 + 12345)
         listing = run_json(

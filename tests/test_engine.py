@@ -428,6 +428,31 @@ class TestQuorum:
         assert not result
         assert "no token registered" in result.failure
 
+    def test_composite_prime_shares_fail_without_raising(self):
+        # (1, 7) and (4, 13) lie on 5 + 2x mod 15; 4 - 1 = 3 divides 15.
+        class Fixed:
+            def __init__(self, share: Share):
+                self.share = share
+
+            def respond(self, resource_id: str, now: int):
+                return self.share
+
+        client = QuorumClient(
+            approvers={
+                f"approver-{x}": Fixed(
+                    Share(x=x, y=y, scheme_id="c0ffee", prime=15, n=2, z=2)
+                )
+                for x, y in ((1, 7), (4, 13))
+            },
+            digests={"res-high": token_digest("c0ffee", 5)},
+            scheme_ids={"res-high": "c0ffee"},
+        )
+        result = quorum_approve("res-high", client, ThresholdPolicy(2, 2))
+        assert not result
+        assert result.token is None
+        assert result.failure == "15 is not prime"
+        assert all(o.responded for o in result.trace)
+
 
 def passing_source(triplet: Triplet, now: int):
     return make_record(triplet, 1.0, 1.0, 0.5, now)
@@ -531,6 +556,27 @@ class TestDecide:
             device_id=HIGH_TRIPLET.device_id,
         )
         decision = decide(HIGH_TRIPLET, policy, failing_source, [alert], None)
+        assert decision.reasons == (
+            "critical_alert", "low_trust", "quorum_failed",
+        )
+
+    def test_one_shot_alert_stream_gives_one_critical_reason(self):
+        policy = simple_policy()
+
+        def alert(severity: Severity, device_id: str) -> ActiveAlert:
+            return ActiveAlert(
+                alert=Alert(alert_id=0, event_id=0, severity=severity,
+                            rule_name="r"),
+                device_id=device_id,
+            )
+
+        alerts = (a for a in (
+            alert(Severity.HIGH, HIGH_TRIPLET.device_id),
+            alert(Severity.CRITICAL, "some-other-device"),
+            alert(Severity.CRITICAL, HIGH_TRIPLET.device_id),
+            alert(Severity.CRITICAL, HIGH_TRIPLET.device_id),
+        ))
+        decision = decide(HIGH_TRIPLET, policy, failing_source, alerts, None)
         assert decision.reasons == (
             "critical_alert", "low_trust", "quorum_failed",
         )

@@ -112,7 +112,39 @@ class TestFrozenVector:
         assert reconstruct([shares[0], bad]) != 5
 
 
+def fermat_reconstruct(shares) -> int:
+    """Oracle: Lagrange interpolation at zero with Fermat inverses."""
+
+    prime = shares[0].prime
+    secret = 0
+    for i, si in enumerate(shares):
+        num = 1
+        den = 1
+        for j, sj in enumerate(shares):
+            if i == j:
+                continue
+            num = num * (-sj.x) % prime
+            den = den * (si.x - sj.x) % prime
+        secret = (secret + si.y * num * pow(den, prime - 2, prime)) % prime
+    return secret
+
+
 class TestSplitReconstruct:
+    @pytest.mark.parametrize("prime", [13, 257, DEFAULT_PRIME, 2**64 - 59])
+    def test_matches_fermat_oracle(self, prime):
+        rng = random.Random(prime % 1009)
+        field = FieldParams(prime)
+        for _ in range(60):
+            z = rng.randrange(2, 8)
+            n = rng.randrange(z, min(z + 4, prime - 1) + 1)
+            secret = rng.randrange(prime)
+            shares = split(secret, ThresholdPolicy(n=n, z=z), field, rng)
+            subset = rng.sample(shares, rng.randrange(z, n + 1))
+            rng.shuffle(subset)
+            expected = fermat_reconstruct(subset)
+            assert expected == secret
+            assert reconstruct(subset) == expected
+
     @pytest.mark.parametrize("prime", [257, DEFAULT_PRIME])
     def test_random_subsets_round_trip(self, prime):
         rng = random.Random(97)
@@ -284,6 +316,19 @@ class TestShareFiles:
         with pytest.raises(ShareError):
             share_from_obj(obj)
 
+    @pytest.mark.parametrize("field, value", [
+        ("prime", "257"), ("prime", 257.0), ("n", True), ("z", None),
+        ("x", "1"), ("y", 7.5), ("scheme_id", 5),
+    ])
+    def test_wrong_field_type_rejected(self, field, value):
+        obj = share_to_obj(
+            split(7, ThresholdPolicy(n=3, z=2), FieldParams(257),
+                  random.Random(3))[0]
+        )
+        obj[field] = value
+        with pytest.raises(ShareError, match=f"share {field} must be"):
+            share_from_obj(obj)
+
     def test_single_chunk_file(self, tmp_path):
         dealt = split_integer(
             42, ThresholdPolicy(n=3, z=2), FieldParams(), random.Random(4)
@@ -312,3 +357,24 @@ class TestShareFiles:
             paths.append(path)
         loaded = [read_share_file(p) for p in (paths[0], paths[3])]
         assert reconstruct_integer(loaded) == secret
+
+
+class TestCompositePrime:
+    # (1, 7) and (4, 13) lie on 5 + 2x mod 15; 4 - 1 = 3 divides 15.
+    SHARES = tuple(
+        Share(x=x, y=y, scheme_id="c0ffee", prime=15, n=2, z=2)
+        for x, y in ((1, 7), (4, 13))
+    )
+
+    def test_reconstruct_refuses_uninvertible_denominator(self):
+        with pytest.raises(ShareError, match="15 is not prime"):
+            reconstruct(self.SHARES)
+
+    def test_share_record_refuses_composite_prime(self, tmp_path):
+        obj = share_to_obj(self.SHARES[0])
+        with pytest.raises(ShareError, match="15 is not prime"):
+            share_from_obj(obj)
+        path = tmp_path / "share.json"
+        write_share_file(path, self.SHARES[:1])
+        with pytest.raises(ShareError, match="15 is not prime"):
+            read_share_file(path)
