@@ -1,16 +1,17 @@
 """Bounded caching of trust records with a hard staleness ceiling.
 
-Scores are expensive to recompute, so the control point keeps a small
-LRU cache in front of the last-known-score store. Whatever the path, a
-record older than the refresh ceiling is never served; the caller gets
-a freshly recomputed one instead, and concurrent callers for the same
-triplet trigger at most one recomputation between them.
+Scores are expensive to recompute, so the control point keeps the last
+known record of each triplet in a score store, which holds the one
+record per triplet, and a small LRU tier in front of it. The LRU tier is
+a recency index: it records which triplets were used last and holds no
+records of its own. Whatever the path, a record older than the refresh
+ceiling is never served; the caller gets a freshly recomputed one
+instead. The cache is single-threaded.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,7 +20,7 @@ from .engine import TrustRecord
 
 DEFAULT_CAPACITY = 256
 DEFAULT_MAX_REFRESH = 300
-# The eviction heap is rebuilt from the live entries once it holds more
+# The eviction heap is rebuilt from the live index once it holds more
 # than this many items per unit of capacity.
 HEAP_SLACK = 4
 
@@ -82,12 +83,6 @@ class CacheMetrics:
         }
 
 
-@dataclass
-class _Entry:
-    record: TrustRecord
-    last_access: int
-
-
 @dataclass(frozen=True)
 class SweepResult:
     refreshed: int
@@ -97,24 +92,29 @@ class SweepResult:
 class TrustScoreCache:
     """LRU cache over a backing score store.
 
-    Eviction removes the entry with the oldest last access, ties broken
-    by triplet order. ``get_score`` reports which tier satisfied the
-    lookup.
+    The store holds the one record per triplet. The LRU tier is a
+    recency index over it: ``_entries`` maps each cached triplet to its
+    last access, so evicting a triplet drops only its index key. A fresh
+    store record is served as a cache hit when its triplet is indexed
+    and as a store hit otherwise; ``get_score`` reports which.
 
-    Victims come off a min-heap of ``(last_access, triplet)`` items.
-    Every access pushes a new item and leaves the old one in place, so
-    an item counts only while it matches its entry's current access;
-    the others are dropped as they surface.
+    Eviction removes the triplet with the oldest last access, ties
+    broken by triplet order. Victims come off a min-heap of
+    ``(last_access, triplet)`` items. Every access pushes a new item and
+    leaves the old one in place, so an item counts only while it matches
+    its triplet's current access; the others are dropped as they
+    surface.
+
+    The cache is single-threaded: it takes no locks, and a caller that
+    shares one across threads must serialise its calls.
     """
 
     def __init__(self, config: CacheConfig, store: ScoreStore | None = None):
         self.config = config
         self.store = store if store is not None else ScoreStore()
         self.metrics = CacheMetrics()
-        self._entries: dict[Triplet, _Entry] = {}
+        self._entries: dict[Triplet, int] = {}
         self._heap: list[tuple[int, Triplet]] = []
-        self._lock = threading.Lock()
-        self._inflight: dict[Triplet, threading.Lock] = {}
 
     # -- internals ---------------------------------------------------------
 
@@ -125,33 +125,20 @@ class TrustScoreCache:
             and now - record.computed_at <= self.config.max_refresh
         )
 
-    def _note_served(self, record: TrustRecord, now: int) -> None:
-        age = now - record.computed_at
-        if age > self.metrics.max_served_age:
-            self.metrics.max_served_age = age
+    def _touch(self, triplet: Triplet, now: int) -> None:
+        """Index an access to ``triplet`` at ``now``, then evict the
+        least recently used triplets past capacity."""
 
-    def _push(self, triplet: Triplet, now: int) -> None:
-        # caller holds self._lock
+        entries = self._entries
         heap = self._heap
+        entries[triplet] = now
         heapq.heappush(heap, (now, triplet))
         if len(heap) > HEAP_SLACK * self.config.capacity:
-            heap[:] = [(e.last_access, t) for t, e in self._entries.items()]
+            heap[:] = [(last_access, t) for t, last_access in entries.items()]
             heapq.heapify(heap)
-
-    def _touch(self, triplet: Triplet, entry: _Entry, now: int) -> None:
-        # caller holds self._lock
-        entry.last_access = now
-        self._push(triplet, now)
-
-    def _install(self, record: TrustRecord, now: int) -> None:
-        # caller holds self._lock
-        entries = self._entries
-        entries[record.triplet] = _Entry(record=record, last_access=now)
-        self._push(record.triplet, now)
         while len(entries) > self.config.capacity:
-            last_access, victim = heapq.heappop(self._heap)
-            entry = entries.get(victim)
-            if entry is not None and entry.last_access == last_access:
+            last_access, victim = heapq.heappop(heap)
+            if entries.get(victim) == last_access:
                 del entries[victim]
                 self.metrics.evictions += 1
 
@@ -165,17 +152,6 @@ class TrustScoreCache:
             raise CacheError("recompute returned a stale record")
         return record
 
-    def _recompute_locked(
-        self, triplet: Triplet, now: int, recompute: Recompute
-    ) -> TrustRecord:
-        record = self._checked_recompute(triplet, now, recompute)
-        with self._lock:
-            self.store.put(record)
-            self._install(record, now)
-            self.metrics.recomputes += 1
-            self._note_served(record, now)
-        return record
-
     # -- interface -----------------------------------------------------------
 
     def get_score(
@@ -183,60 +159,43 @@ class TrustScoreCache:
     ) -> tuple[TrustRecord, str]:
         """Serve a record no older than ``max_refresh`` seconds.
 
-        Tier order: cache entry, then backing store (promoting into the
-        cache), then the recompute callback. The callback result is
-        persisted to the store before being served.
+        A fresh store record is served as it is; otherwise the recompute
+        callback's result is persisted to the store and served. Either
+        way the triplet becomes the most recently used. A callback that
+        raises leaves the store, the index and the metrics unchanged.
         """
 
-        with self._lock:
-            entry = self._entries.get(triplet)
-            if entry is not None and self._fresh(entry.record, now):
-                self._touch(triplet, entry, now)
-                self.metrics.cache_hits += 1
-                self._note_served(entry.record, now)
-                return entry.record, HitKind.CACHE_HIT
-            stored = self.store.get(triplet)
-            if self._fresh(stored, now):
-                self._install(stored, now)
-                self.metrics.store_hits += 1
-                self._note_served(stored, now)
-                return stored, HitKind.STORE_HIT
-            flight = self._inflight.get(triplet)
-            if flight is None:
-                flight = self._inflight[triplet] = threading.Lock()
-        with flight:
-            try:
-                # Double check: another caller may have recomputed while
-                # we waited on the flight lock.
-                with self._lock:
-                    entry = self._entries.get(triplet)
-                    if entry is not None and self._fresh(entry.record, now):
-                        self._touch(triplet, entry, now)
-                        self.metrics.cache_hits += 1
-                        self._note_served(entry.record, now)
-                        return entry.record, HitKind.CACHE_HIT
-                record = self._recompute_locked(triplet, now, recompute)
-            finally:
-                # The flight is over; later misses start a new one. Drop
-                # only this flight's lock: a caller queued on it may end
-                # after a failed recompute let a newer flight begin.
-                with self._lock:
-                    if self._inflight.get(triplet) is flight:
-                        del self._inflight[triplet]
-        return record, HitKind.RECOMPUTED
+        metrics = self.metrics
+        record = self.store.get(triplet)
+        if not self._fresh(record, now):
+            record = self._checked_recompute(triplet, now, recompute)
+            self.store.put(record)
+            metrics.recomputes += 1
+            kind = HitKind.RECOMPUTED
+        elif triplet in self._entries:
+            metrics.cache_hits += 1
+            kind = HitKind.CACHE_HIT
+        else:
+            metrics.store_hits += 1
+            kind = HitKind.STORE_HIT
+        self._touch(triplet, now)
+        age = now - record.computed_at
+        if age > metrics.max_served_age:
+            metrics.max_served_age = age
+        return record, kind
 
     def refresh_sweep(self, now: int, recompute: Recompute) -> SweepResult:
         """Recompute every stale record in the backing store.
 
         A failing callback does not stop the sweep; failures are
-        reported per triplet alongside the refreshed count.
+        reported per triplet alongside the refreshed count. The sweep
+        leaves the recency index alone.
         """
 
-        with self._lock:
-            stale = [
-                t for t in self.store.triplets()
-                if not self._fresh(self.store.get(t), now)
-            ]
+        stale = [
+            t for t in self.store.triplets()
+            if not self._fresh(self.store.get(t), now)
+        ]
         refreshed = 0
         failures: list[tuple[Triplet, str]] = []
         for triplet in stale:
@@ -245,9 +204,6 @@ class TrustScoreCache:
             except Exception as exc:
                 failures.append((triplet, str(exc)))
                 continue
-            with self._lock:
-                self.store.put(record)
-                if triplet in self._entries:
-                    self._entries[triplet].record = record
+            self.store.put(record)
             refreshed += 1
         return SweepResult(refreshed=refreshed, failures=tuple(failures))

@@ -232,6 +232,20 @@ def _cmd_share_join(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trace_row(obj: object) -> tuple[Triplet, int]:
+    """The triplet and time of one cache-bench trace line, which must be
+    ``{"triplet": [user, device, resource], "now": int}``."""
+
+    if not isinstance(obj, dict) or set(obj) != {"triplet", "now"}:
+        raise ModelError('expected an object with keys "triplet" and "now"')
+    ids, now = obj["triplet"], obj["now"]
+    if not isinstance(ids, list) or len(ids) != 3:
+        raise ModelError("triplet must be a list of three strings")
+    if isinstance(now, bool) or not isinstance(now, int):
+        raise ModelError(f"now must be an integer, got {now!r}")
+    return Triplet(*ids), now
+
+
 def _cmd_cache_bench(args: argparse.Namespace) -> int:
     cache = TrustScoreCache(
         CacheConfig(capacity=args.capacity, max_refresh=args.max_refresh),
@@ -248,10 +262,8 @@ def _cmd_cache_bench(args: argparse.Namespace) -> int:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-                triplet = Triplet(*obj["triplet"])
-                now = obj["now"]
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                triplet, now = _trace_row(json.loads(line))
+            except (ValueError, RecursionError) as exc:
                 raise ModelError(f"trace line {lineno}: {exc}") from None
             _, tier = cache.get_score(triplet, now, recompute)
             tiers[tier] += 1

@@ -327,15 +327,8 @@ class QuorumClient:
 
 
 @dataclass(frozen=True)
-class QuorumOutcome:
-    approver_id: str
-    responded: bool
-
-
-@dataclass(frozen=True)
 class QuorumResult:
     token: int | None
-    trace: tuple[QuorumOutcome, ...]
     failure: str | None = None
 
     def __bool__(self) -> bool:
@@ -359,32 +352,25 @@ def quorum_approve(
     scheme_id = client.scheme_ids.get(resource_id)
     if expected is None or scheme_id is None:
         return QuorumResult(
-            token=None, trace=(), failure=f"no token registered for {resource_id}"
+            token=None, failure=f"no token registered for {resource_id}"
         )
-    trace: list[QuorumOutcome] = []
     shares: list[Share] = []
     for approver_id in sorted(client.approvers):
         share = client.approvers[approver_id].respond(resource_id, now)
-        trace.append(
-            QuorumOutcome(approver_id=approver_id, responded=share is not None)
-        )
         if share is not None:
             shares.append(share)
     if len(shares) < policy.z:
         return QuorumResult(
             token=None,
-            trace=tuple(trace),
             failure=f"quorum short: {len(shares)} of {policy.z} shares",
         )
     try:
         token = reconstruct(shares[: policy.z])
     except ShareError as exc:
-        return QuorumResult(token=None, trace=tuple(trace), failure=str(exc))
+        return QuorumResult(token=None, failure=str(exc))
     if token_digest(scheme_id, token) != expected:
-        return QuorumResult(
-            token=None, trace=tuple(trace), failure="corrupt share quorum"
-        )
-    return QuorumResult(token=token, trace=tuple(trace))
+        return QuorumResult(token=None, failure="corrupt share quorum")
+    return QuorumResult(token=token)
 
 
 # --- decisions --------------------------------------------------------------
@@ -401,7 +387,6 @@ class ActiveAlert:
 class Decision:
     verdict: str  # "grant" or "deny"
     reasons: tuple[str, ...]
-    quorum_trace: tuple[QuorumOutcome, ...] = ()
     combined: float | None = None
     threshold: float | None = None
 
@@ -445,22 +430,15 @@ def decide(
             break
     if record.combined < theta:
         reasons.append(REASON_LOW_TRUST)
-    quorum_trace: tuple[QuorumOutcome, ...] = ()
     if policy.sensitivity_for(triplet.resource_id) == SENSITIVITY_HIGH:
-        if quorum_client is None:
+        if quorum_client is None or not quorum_approve(
+            triplet.resource_id, quorum_client, policy.quorum, now
+        ):
             reasons.append(REASON_QUORUM_FAILED)
-        else:
-            result = quorum_approve(
-                triplet.resource_id, quorum_client, policy.quorum, now
-            )
-            quorum_trace = result.trace
-            if not result:
-                reasons.append(REASON_QUORUM_FAILED)
     verdict = "deny" if reasons else "grant"
     return Decision(
         verdict=verdict,
         reasons=tuple(reasons),
-        quorum_trace=quorum_trace,
         combined=record.combined,
         threshold=theta,
     )

@@ -19,6 +19,7 @@ of the number of peers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -175,6 +176,8 @@ def global_trust(
         raise ReputationError("damping must lie in [0, 1)")
     if epsilon <= 0.0:
         raise ReputationError("epsilon must be positive")
+    if not math.isfinite(epsilon):
+        raise ReputationError(f"epsilon must be finite, got {epsilon}")
 
     n = len(peers)
     index = {p: i for i, p in enumerate(peers)}

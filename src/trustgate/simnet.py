@@ -179,6 +179,15 @@ class ScenarioConfig:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
+        for name in ("seed", "duration", "attribute_window",
+                     "refresh_interval", "cache_capacity"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ScenarioError(f"{name} must be an integer, got {value!r}")
+        for name in ("damping", "epsilon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ScenarioError(f"{name} must be a number, got {value!r}")
         if self.duration < 0:
             raise ScenarioError("duration must be non-negative")
         device_ids = [d.device_id for d in self.devices]

@@ -1,11 +1,9 @@
 """Score cache: tier behavior, staleness ceiling, LRU eviction,
-sweeps, and single-flight recomputation."""
+sweeps, and the recompute contract."""
 
 from __future__ import annotations
 
 import random
-import sys
-import threading
 
 import pytest
 
@@ -280,6 +278,27 @@ class TestRecomputeContract:
         with pytest.raises(CacheError, match="stale"):
             cache.get_score(triplet(1), 1000, ancient)
 
+    def test_raising_recompute_leaves_state_unchanged(self):
+        cache = TrustScoreCache(CacheConfig(capacity=8, max_refresh=100))
+
+        def failing(tr: Triplet, now: int) -> TrustRecord:
+            raise RuntimeError("score source down")
+
+        for i in range(20):
+            cache.get_score(triplet(i), i, record_for)
+        stale = triplet(0)
+        records = {t: cache.store.get(t) for t in cache.store.triplets()}
+        entries = dict(cache._entries)
+        metrics = cache.metrics.to_obj()
+        for t, now in ((triplet(999), 50), (stale, 500)):
+            with pytest.raises(RuntimeError, match="score source down"):
+                cache.get_score(t, now, failing)
+        assert {t: cache.store.get(t)
+                for t in cache.store.triplets()} == records
+        assert cache._entries == entries
+        assert cache.metrics.to_obj() == metrics
+        assert cache.metrics.recomputes == 20
+
 
 class TestRefreshSweep:
     def test_sweep_refreshes_only_stale_records(self):
@@ -301,6 +320,21 @@ class TestRefreshSweep:
         record, tier = cache.get_score(t, 55, record_for)
         assert tier == "cache_hit"
         assert record.computed_at == 50
+
+    def test_cache_hit_after_sweep_is_store_record(self):
+        cache = TrustScoreCache(CacheConfig(capacity=2, max_refresh=10))
+        kept, evicted = triplet(1), triplet(2)
+        cache.get_score(evicted, 0, record_for)
+        cache.get_score(kept, 1, record_for)
+        cache.get_score(triplet(3), 2, record_for)     # evicts `evicted`
+        result = cache.refresh_sweep(50, record_for)
+        assert result.refreshed == 3
+        record, tier = cache.get_score(kept, 52, record_for)
+        assert tier == "cache_hit"
+        assert record is cache.store.get(kept)
+        record, tier = cache.get_score(evicted, 53, record_for)
+        assert tier == "store_hit"
+        assert record is cache.store.get(evicted)
 
     def test_sweep_failures_do_not_abort(self):
         cache = TrustScoreCache(CacheConfig(capacity=8, max_refresh=10))
@@ -345,112 +379,6 @@ class TestScoreStore:
             store.put(record_for(t, 0))
         assert store.triplets() == sorted(ids)
         assert store.triplets()[0] == Triplet("user-1", "dev-1", "res-10")
-
-
-class TestSingleFlight:
-    def test_concurrent_misses_recompute_once(self):
-        cache = TrustScoreCache(CacheConfig(capacity=8, max_refresh=100))
-        t = triplet(1)
-        calls = []
-        gate = threading.Barrier(5)
-
-        def slow(tr: Triplet, now: int) -> TrustRecord:
-            calls.append(tr)
-            return record_for(tr, now)
-
-        results = []
-
-        def worker():
-            gate.wait()
-            results.append(cache.get_score(t, 0, slow))
-
-        threads = [threading.Thread(target=worker) for _ in range(5)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        assert len(calls) == 1
-        assert len(results) == 5
-        tiers = sorted(tier for _, tier in results)
-        assert tiers.count("recomputed") == 1
-        assert tiers.count("cache_hit") == 4
-        records = {id(r) for r, _ in results}
-        assert len({r.computed_at for r, _ in results}) == 1
-        assert cache._inflight == {}
-
-    def test_distinct_triplets_do_not_serialize(self):
-        cache = TrustScoreCache(CacheConfig(capacity=8, max_refresh=100))
-        started = threading.Barrier(3)
-
-        def recompute(tr: Triplet, now: int) -> TrustRecord:
-            return record_for(tr, now)
-
-        errors = []
-
-        def worker(i: int):
-            try:
-                started.wait(timeout=5)
-                cache.get_score(triplet(i), 0, recompute)
-            except Exception as exc:     # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(3)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        assert not errors
-        assert cache.metrics.recomputes == 3
-
-    def test_finished_flights_are_freed(self):
-        cache = TrustScoreCache(CacheConfig(capacity=8, max_refresh=100))
-
-        def recompute(tr: Triplet, now: int) -> TrustRecord:
-            return record_for(tr, now)
-
-        def failing(tr: Triplet, now: int) -> TrustRecord:
-            raise RuntimeError("score source down")
-
-        for i in range(500):
-            cache.get_score(triplet(i), 0, recompute)
-        with pytest.raises(RuntimeError):
-            cache.get_score(triplet(999), 0, failing)
-        assert cache.metrics.recomputes == 500
-        assert cache._inflight == {}
-
-    def test_overlapping_flights_stress(self):
-        # More threads than cores, each missing on the same triplets in
-        # its own order: every triplet is still recomputed exactly once,
-        # and no flight lock outlives its flight.
-        cache = TrustScoreCache(CacheConfig(capacity=256, max_refresh=100))
-        universe = [triplet(i) for i in range(200)]
-        calls: list[Triplet] = []
-
-        def recompute(tr: Triplet, now: int) -> TrustRecord:
-            calls.append(tr)
-            return record_for(tr, now)
-
-        def worker(seed: int):
-            order = list(universe)
-            random.Random(seed).shuffle(order)
-            for tr in order:
-                cache.get_score(tr, 0, recompute)
-
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        assert sorted(calls) == sorted(universe)
-        assert cache._inflight == {}
 
 
 class TestConfig:

@@ -139,6 +139,14 @@ MALFORMED_SCENARIOS = {
     "resources_not_a_list": lambda o: o.update(resources={"res-open": 0.5}),
     "device_without_user": lambda o: o["devices"][0].pop("user_id"),
     "duration_not_a_number": lambda o: o.update(duration="x"),
+    "duration_float": lambda o: o.update(duration=3600.5),
+    "refresh_interval_float": lambda o: o.update(refresh_interval=1.5),
+    "epsilon_string": lambda o: o.update(epsilon="x"),
+    "epsilon_nan": lambda o: o.update(epsilon=float("nan")),
+    "seed_bool": lambda o: o.update(seed=True),
+    "seed_float": lambda o: o.update(seed=1.5),
+    "cache_capacity_bool": lambda o: o.update(cache_capacity=True),
+    "attribute_window_float": lambda o: o.update(attribute_window=1.5),
     "approvers_without_z": lambda o: o["approvers"].pop("z"),
     "approvers_disagree_with_policy_quorum":
         lambda o: o.update(approvers={"n": 4, "z": 2}),
@@ -444,6 +452,21 @@ class TestReputation:
         )
         assert result["zero_rows"] == ["p3"]
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
+    def test_bad_epsilon_exits_1(self, capsys, tmp_path, eps):
+        ledger = InteractionLedger(peers=("p1", "p2"))
+        ledger.record_sat("p1", "p2")
+        path = tmp_path / "ledger.json"
+        path.write_text(json.dumps(ledger_to_obj(ledger)), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "reputation",
+            "--ledger", str(path), "--pretrusted", "p1", "--eps", eps,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: epsilon must be ")
+        assert err.count("\n") == 1
+
 
 DEEP_JSON = "[" * 200_000
 RECURSION = ("maximum recursion depth exceeded while decoding a JSON array "
@@ -635,7 +658,37 @@ class TestShareCommands:
         assert rebuilt == {"secret": int(secret)}
 
 
+MALFORMED_TRACE_LINES = {
+    "now_string": '{"triplet": ["u", "d", "r"], "now": "x"}',
+    "now_null": '{"triplet": ["u", "d", "r"], "now": null}',
+    "now_bool": '{"triplet": ["u", "d", "r"], "now": true}',
+    "now_float": '{"triplet": ["u", "d", "r"], "now": 1.5}',
+    "triplet_string": '{"triplet": "udr", "now": 0}',
+    "triplet_two_ids": '{"triplet": ["u", "d"], "now": 0}',
+    "triplet_four_ids": '{"triplet": ["u", "d", "r", "x"], "now": 0}',
+    "triplet_id_not_a_string": '{"triplet": ["u", 1, "r"], "now": 0}',
+    "triplet_id_empty": '{"triplet": ["u", "", "r"], "now": 0}',
+    "triplet_object": '{"triplet": {"u": "d"}, "now": 0}',
+    "extra_key": '{"triplet": ["u", "d", "r"], "now": 0, "x": 1}',
+    "not_an_object": '[["u", "d", "r"], 0]',
+    "not_json": '{"triplet": ',
+}
+
+
 class TestCacheBench:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TRACE_LINES))
+    def test_malformed_trace_line_exits_1(self, capsys, tmp_path, case):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"triplet": ["u", "d", "r"], "now": 0}\n'
+                         + MALFORMED_TRACE_LINES[case] + "\n")
+        code, out, err = run_cli(
+            capsys, "cache-bench", "--trace", str(trace),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: trace line 2: ")
+        assert err.count("\n") == 1
+
     def test_trace_tiers(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"
         rows = [

@@ -389,8 +389,7 @@ class TestQuorum:
         result = quorum_approve("res-high", client, ThresholdPolicy(5, 3))
         assert result
         assert result.token == token
-        assert len(result.trace) == 5
-        assert all(o.responded for o in result.trace)
+        assert result.failure is None
 
     def test_every_failure_subset_up_to_n(self):
         # Exhaustive: the quorum succeeds exactly when at least z
@@ -451,7 +450,6 @@ class TestQuorum:
         assert not result
         assert result.token is None
         assert result.failure == "15 is not prime"
-        assert all(o.responded for o in result.trace)
 
 
 def passing_source(triplet: Triplet, now: int):
@@ -537,7 +535,12 @@ class TestDecide:
         client, _ = make_quorum()
         decision = decide(HIGH_TRIPLET, policy, passing_source, [], client)
         assert decision.granted
-        assert len(decision.quorum_trace) == 5
+        assert decision.reasons == ()
+        client, _ = make_quorum(down=frozenset({"approver-1", "approver-2",
+                                                "approver-3"}))
+        decision = decide(HIGH_TRIPLET, policy, passing_source, [], client)
+        assert not decision.granted
+        assert decision.reasons == ("quorum_failed",)
 
     def test_standard_resource_never_consults_quorum(self):
         policy = simple_policy()
@@ -546,7 +549,7 @@ class TestDecide:
         ))
         decision = decide(TRIPLET, policy, passing_source, [], client)
         assert decision.granted
-        assert decision.quorum_trace == ()
+        assert decision.reasons == ()
 
     def test_reason_order_is_fixed(self):
         policy = simple_policy()

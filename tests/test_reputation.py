@@ -370,6 +370,18 @@ class TestGlobalTrust:
         with pytest.raises(ReputationError):
             global_trust(local, ("peer-00",), a=1.0)
 
+    @pytest.mark.parametrize("epsilon,message", [
+        (0.0, "epsilon must be positive"),
+        (-1e-9, "epsilon must be positive"),
+        (float("nan"), "epsilon must be finite, got nan"),
+        (float("inf"), "epsilon must be finite, got inf"),
+    ])
+    def test_epsilon_validation(self, epsilon, message):
+        local = normalize(random_ledger(random.Random(61), 5))
+        with pytest.raises(ReputationError) as exc:
+            global_trust(local, ("peer-00",), epsilon=epsilon)
+        assert str(exc.value) == message
+
     def test_damping_keeps_pretrusted_floor(self):
         # With a > 0 every pre-trusted peer keeps at least a * e_p mass.
         ledger = random_ledger(random.Random(71), 12, density=0.6)

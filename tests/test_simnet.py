@@ -69,7 +69,36 @@ def small_scenario(
     )
 
 
+SCALAR_TYPE_CASES = [
+    ("seed", True, "integer"),
+    ("seed", 1.5, "integer"),
+    ("duration", 3600.5, "integer"),
+    ("duration", "x", "integer"),
+    ("attribute_window", 1.5, "integer"),
+    ("refresh_interval", 1.5, "integer"),
+    ("cache_capacity", True, "integer"),
+    ("cache_capacity", None, "integer"),
+    ("damping", False, "number"),
+    ("damping", "0.1", "number"),
+    ("epsilon", "x", "number"),
+    ("epsilon", True, "number"),
+]
+
+
 class TestScenarioValidation:
+    @pytest.mark.parametrize("field,value,kind", SCALAR_TYPE_CASES)
+    def test_scalar_types(self, field, value, kind):
+        obj = config_to_obj(small_scenario())
+        obj[field] = value
+        with pytest.raises(ScenarioError, match=f"^{field} must be an? {kind}"):
+            config_from_obj(obj)
+
+    def test_whole_number_reals_accepted(self):
+        obj = config_to_obj(small_scenario())
+        obj.update(damping=0, epsilon=1)
+        config = config_from_obj(obj)
+        assert (config.damping, config.epsilon) == (0, 1)
+
     def test_duplicate_devices(self):
         with pytest.raises(ScenarioError, match="duplicate device"):
             small_scenario_devices = tuple(
