@@ -60,7 +60,7 @@ class ScoreStore:
         self._records[record.triplet] = record
 
     def triplets(self) -> list[Triplet]:
-        return sorted(self._records, key=Triplet.as_tuple)
+        return sorted(self._records)
 
 
 Recompute = Callable[[Triplet, int], TrustRecord]

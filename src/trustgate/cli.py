@@ -113,7 +113,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     record = make_record(triplet, behavioral, args.reputation,
                          policy.alpha, now)
     _emit({
-        "triplet": list(triplet.as_tuple()),
+        "triplet": list(triplet),
         "now": now,
         "window_attributes": {
             k.value: v for k, v in sorted(

@@ -451,7 +451,7 @@ def audit_line(ts: int, triplet: Triplet, decision: Decision) -> str:
 
     return json.dumps({
         "ts": ts,
-        "triplet": list(triplet.as_tuple()),
+        "triplet": list(triplet),
         "verdict": decision.verdict,
         "reasons": list(decision.reasons),
         "T": decision.combined,

@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -57,26 +59,36 @@ class Severity(str, Enum):
     CRITICAL = "critical"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Triplet:
+class Triplet(tuple):
     """A (user, device, resource) access identity.
 
-    Ordering is lexicographic on (user_id, device_id, resource_id),
-    which gives every collection of triplets a stable total order.
+    A Triplet is a tuple: it compares, hashes and orders exactly like
+    ``(user_id, device_id, resource_id)``, so ordering is lexicographic
+    on those fields and gives every collection of triplets a stable
+    total order.
     """
 
-    user_id: str
-    device_id: str
-    resource_id: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("user_id", "device_id", "resource_id"):
-            value = getattr(self, name)
-            if not isinstance(value, str) or not value:
-                raise ModelError(f"{name} must be a non-empty string")
+    def __new__(cls, user_id: str, device_id: str, resource_id: str) -> Triplet:
+        if not isinstance(user_id, str) or not user_id:
+            raise ModelError("user_id must be a non-empty string")
+        if not isinstance(device_id, str) or not device_id:
+            raise ModelError("device_id must be a non-empty string")
+        if not isinstance(resource_id, str) or not resource_id:
+            raise ModelError("resource_id must be a non-empty string")
+        return tuple.__new__(cls, (user_id, device_id, resource_id))
 
-    def as_tuple(self) -> tuple[str, str, str]:
-        return (self.user_id, self.device_id, self.resource_id)
+    user_id = property(itemgetter(0))
+    device_id = property(itemgetter(1))
+    resource_id = property(itemgetter(2))
+
+    def __getnewargs__(self) -> tuple[str, str, str]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return (f"Triplet(user_id={self[0]!r}, device_id={self[1]!r}, "
+                f"resource_id={self[2]!r})")
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,8 +228,28 @@ def event_from_obj(obj: object, triplets: dict[tuple, Triplet]) -> EdrEvent:
     )
 
 
+_int_repr = int.__repr__
+
+
 def dumps_event(event: EdrEvent) -> str:
-    return json.dumps(event_to_obj(event))
+    """One event as a JSON line, byte for byte ``json.dumps`` of
+    :func:`event_to_obj`. ``int.__repr__`` and ``encode_basestring_ascii``
+    are what the encoder applies to int and str subclasses too, and an
+    AttributeKind is a str whose content is its value."""
+
+    user, device, resource = event.triplet
+    value = event.value
+    value = (encode_basestring_ascii(value) if isinstance(value, str)
+             else _int_repr(value))
+    return (
+        f'{{"event_id": {_int_repr(event.event_id)}, '
+        f'"user": {encode_basestring_ascii(user)}, '
+        f'"device": {encode_basestring_ascii(device)}, '
+        f'"resource": {encode_basestring_ascii(resource)}, '
+        f'"attribute": {encode_basestring_ascii(event.attribute)}, '
+        f'"value": {value}, "ts": {_int_repr(event.timestamp)}, '
+        f'"parents": [{", ".join(map(_int_repr, event.parent_ids))}]}}'
+    )
 
 
 def write_events(path: str | Path, events: Iterable[EdrEvent]) -> int:

@@ -25,6 +25,7 @@ import hashlib
 import json
 import random
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -181,13 +182,9 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for name in ("seed", "duration", "attribute_window",
                      "refresh_interval", "cache_capacity"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ScenarioError(f"{name} must be an integer, got {value!r}")
+            _check_integer(getattr(self, name), name)
         for name in ("damping", "epsilon"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ScenarioError(f"{name} must be a number, got {value!r}")
+            _check_number(getattr(self, name), name)
         if self.duration < 0:
             raise ScenarioError("duration must be non-negative")
         device_ids = [d.device_id for d in self.devices]
@@ -253,7 +250,25 @@ def _profile_to_obj(profile: BehaviorProfile) -> dict:
     }
 
 
-def _profile_from_obj(obj: object) -> BehaviorProfile:
+def _check_integer(value: object, where: str) -> int:
+    """Return ``value`` if it is an int but not a bool; otherwise raise
+    ScenarioError naming ``where``."""
+
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _check_number(value: object, where: str) -> int | float:
+    """Return ``value`` if it is an int or float but not a bool;
+    otherwise raise ScenarioError naming ``where``."""
+
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{where} must be a number, got {value!r}")
+    return value
+
+
+def _profile_from_obj(obj: object, where: str) -> BehaviorProfile:
     if not isinstance(obj, dict):
         raise ScenarioError("behavior profile must be a JSON object")
     unknown = set(obj) - {"request_rate", "attributes"}
@@ -268,13 +283,24 @@ def _profile_from_obj(obj: object) -> BehaviorProfile:
         if not isinstance(spec, dict) or set(spec) - {"rate", "values"}:
             raise ScenarioError(f"malformed attribute profile for {name}")
         attributes[kind] = AttributeProfile(
-            rate=float(spec.get("rate", 0.0)),
+            rate=float(_check_number(spec.get("rate", 0.0),
+                                     f"{where}.attributes.{name}.rate")),
             values=tuple((v, w) for v, w in spec.get("values", ())),
         )
     return BehaviorProfile(
         attributes=attributes,
-        request_rate=float(obj.get("request_rate", 0.0)),
+        request_rate=float(_check_number(obj.get("request_rate", 0.0),
+                                         f"{where}.request_rate")),
     )
+
+
+def _window_from_obj(obj: dict, where: str) -> FailureWindow:
+    down = obj["down"]
+    if (not isinstance(down, list) or len(down) != 2
+            or any(isinstance(t, bool) or not isinstance(t, int)
+                   for t in down)):
+        raise ScenarioError(f"{where}.down must be two integers, got {down!r}")
+    return FailureWindow(node=obj["node"], start=down[0], end=down[1])
 
 
 def config_to_obj(config: ScenarioConfig) -> dict:
@@ -407,18 +433,21 @@ def _config_from_obj(obj: object) -> ScenarioConfig:
         seed=obj.get("seed", 0),
         duration=obj.get("duration", 0),
         devices=devices,
-        benign=_profile_from_obj(obj.get("benign_profile", {})),
+        benign=_profile_from_obj(obj.get("benign_profile", {}),
+                                 "benign_profile"),
         compromises=tuple(
             CompromisePlan(
                 device_id=p["device_id"],
-                start_time=p["start_time"],
-                profile=_profile_from_obj(p["profile"]),
+                start_time=_check_integer(p["start_time"],
+                                          f"compromises[{i}].start_time"),
+                profile=_profile_from_obj(p["profile"],
+                                          f"compromises[{i}].profile"),
             )
-            for p in obj.get("compromises", [])
+            for i, p in enumerate(obj.get("compromises", []))
         ),
         failures=tuple(
-            FailureWindow(node=w["node"], start=w["down"][0], end=w["down"][1])
-            for w in obj.get("failures", [])
+            _window_from_obj(w, f"failures[{i}]")
+            for i, w in enumerate(obj.get("failures", []))
         ),
         pretrusted=tuple(pretrusted),
         policy=policy,
@@ -618,7 +647,7 @@ class SimReport:
         return json.dumps(self.to_obj(), sort_keys=True, indent=2) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _AuditRow:
     ts: int
     device_id: str
@@ -718,41 +747,53 @@ class _SimApprover:
         self.windows = windows
 
     def respond(self, resource_id: str, now: int) -> Share | None:
-        if any(w.covers(now) for w in self.windows):
+        if self.windows and any(w.covers(now) for w in self.windows):
             return None
         return self.shares.get(resource_id)
 
 
-def _draw_value(rng: random.Random, profile: AttributeProfile) -> int | str:
-    values = [v for v, _ in profile.values]
-    weights = [w for _, w in profile.values]
-    return rng.choices(values, weights=weights, k=1)[0]
+_ValueTable = tuple[AttributeKind, float, list, list]
+
+
+def _value_tables(profile: BehaviorProfile) -> list[_ValueTable]:
+    """Per attribute kind, by name: its rate, its values and their
+    cumulative weights. ``rng.choices`` with ``cum_weights`` makes the
+    same draws as with the weights they accumulate."""
+
+    return [
+        (kind, prof.rate, [v for v, _ in prof.values],
+         list(accumulate(w for _, w in prof.values)))
+        for kind, prof in sorted(profile.attributes.items(),
+                                 key=lambda kv: kv[0].value)
+    ]
 
 
 def _draw_activity(
     rng: random.Random,
     device_id: str,
-    profile: BehaviorProfile,
+    tables: Sequence[_ValueTable],
+    request_rate: float,
     start: int,
     window: int,
     resource_ids: Sequence[str],
 ) -> list[_Action]:
-    """A device's emissions and requests over [start, start + window).
+    """A device's emissions and requests over [start, start + window),
+    for a profile's ``_value_tables`` and request rate.
 
     The draw order (per attribute kind by name: time, value, target;
     then requests: time, target) is what lets a seed fix the schedule.
     """
 
     actions = []
-    for kind in sorted(profile.attributes, key=lambda k: k.value):
-        prof = profile.attributes[kind]
-        for _ in range(round(prof.rate * window)):
+    choices = rng.choices
+    for kind, rate, values, cum in tables:
+        for _ in range(round(rate * window)):
             t = start + rng.randrange(window)
-            value = _draw_value(rng, prof)
+            value = choices(values, cum_weights=cum)[0]
             target = rng.choice(resource_ids) if resource_ids else ""
             actions.append(_Action(t, _PRIORITY_EMIT, device_id, kind, value,
                                    target))
-    for _ in range(round(profile.request_rate * window)):
+    for _ in range(round(request_rate * window)):
         t = start + rng.randrange(window)
         target = rng.choice(resource_ids) if resource_ids else ""
         actions.append(_Action(t, _PRIORITY_REQUEST, device_id,
@@ -851,12 +892,15 @@ def _schedule(config: ScenarioConfig, rng: random.Random) -> list[_Action]:
         _Action(time=t, priority=_PRIORITY_SWEEP)
         for t in range(0, config.duration, config.refresh_interval)
     ]
+    benign = _value_tables(config.benign)
     for device in config.devices:
-        actions += _draw_activity(rng, device.device_id, config.benign, 0,
+        actions += _draw_activity(rng, device.device_id, benign,
+                                  config.benign.request_rate, 0,
                                   config.duration, resource_ids)
     for plan in config.compromises:
-        actions += _draw_activity(rng, plan.device_id, plan.profile,
-                                  plan.start_time,
+        actions += _draw_activity(rng, plan.device_id,
+                                  _value_tables(plan.profile),
+                                  plan.profile.request_rate, plan.start_time,
                                   config.duration - plan.start_time,
                                   resource_ids)
     actions.sort(key=lambda a: (a.time, a.priority))
@@ -875,6 +919,10 @@ class _Loop:
         self.config = config
         self.quorum_client = quorum_client
         self.users = {d.device_id: d.user_id for d in config.devices}
+        self.triplets: dict[tuple[str, str], Triplet] = {}
+        self.down: dict[str, list[FailureWindow]] = {}
+        for window in config.failures:
+            self.down.setdefault(window.node, []).append(window)
         self.host_of = {
             rid: device_ids[i % len(device_ids)] if device_ids else ""
             for i, rid in enumerate(sorted(config.policy.resources))
@@ -898,16 +946,19 @@ class _Loop:
         self.last_event: dict[str, EdrEvent] = {}
         self.critical: dict[str, ActiveAlert] = {}
         self.audit_lines: list[str] = []
+        self.rows: list[_AuditRow] = []
 
     def step(self, action: _Action) -> None:
         if action.priority == _PRIORITY_SWEEP:
             self.sweep(action.time)
-        elif not any(w.node == action.device_id and w.covers(action.time)
-                     for w in self.config.failures):
-            if action.priority == _PRIORITY_EMIT:
-                self.emit(action)
-            else:
-                self.request(action)
+            return
+        windows = self.down.get(action.device_id)
+        if windows and any(w.covers(action.time) for w in windows):
+            return
+        if action.priority == _PRIORITY_EMIT:
+            self.emit(action)
+        else:
+            self.request(action)
 
     def recompute(self, triplet: Triplet, now: int) -> TrustRecord:
         window = self.hot.query_window(triplet, now,
@@ -935,11 +986,17 @@ class _Loop:
         self.cache.refresh_sweep(now, self.recompute)
 
     def _triplet(self, action: _Action) -> Triplet:
-        return Triplet(
-            user_id=self.users[action.device_id],
-            device_id=action.device_id,
-            resource_id=action.resource_id or "none",
-        )
+        """The one Triplet of the action's (device, resource)."""
+
+        key = (action.device_id, action.resource_id)
+        triplet = self.triplets.get(key)
+        if triplet is None:
+            triplet = self.triplets[key] = Triplet(
+                user_id=self.users[action.device_id],
+                device_id=action.device_id,
+                resource_id=action.resource_id or "none",
+            )
+        return triplet
 
     def emit(self, action: _Action) -> None:
         t = action.time
@@ -979,6 +1036,7 @@ class _Loop:
             self.quorum_client, now=t,
         )
         self.audit_lines.append(audit_line(t, triplet, decision))
+        self.rows.append(_AuditRow(t, action.device_id, decision.granted))
         host = self.host_of.get(action.resource_id, "")
         if (not decision.granted or self.ledger is None or not host
                 or host == action.device_id):
@@ -1018,6 +1076,18 @@ def _write_json(path: Path, obj: object) -> None:
         fh.write("\n")
 
 
+def _simulate(config: ScenarioConfig) -> tuple[_Loop, dict]:
+    """Step a fresh loop through the scenario's whole schedule; return
+    it with the ``access.json`` object."""
+
+    rng = random.Random(config.seed)
+    quorum_client, access = _deal_tokens(config, rng)
+    loop = _Loop(config, quorum_client)
+    for action in _schedule(config, rng):
+        loop.step(action)
+    return loop, access
+
+
 def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
     """Execute a scenario; optionally write the artifact directory.
 
@@ -1026,12 +1096,7 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
     configurations produce byte-identical artifacts.
     """
 
-    rng = random.Random(config.seed)
-    quorum_client, access = _deal_tokens(config, rng)
-    loop = _Loop(config, quorum_client)
-    for action in _schedule(config, rng):
-        loop.step(action)
-
+    loop, access = _simulate(config)
     events = loop.hot.events
     report = SimReport(
         total_events=len(events),
@@ -1039,7 +1104,7 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
         max_served_age=loop.cache.metrics.max_served_age,
         reduction=_reduction(events, config.alert_rules),
         reputation_convergence=loop.convergence(),
-        **_decision_summary(config, _audit_rows(config, loop.audit_lines)),
+        **_decision_summary(config, loop.rows),
     )
     if out_dir is not None:
         out = Path(out_dir)

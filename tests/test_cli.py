@@ -20,7 +20,7 @@ from trustgate.simnet import (
 )
 
 from conftest import make_event
-from test_simnet import small_scenario
+from test_simnet import NESTED_TYPE_CASES, failure_scenario, small_scenario
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -169,6 +169,20 @@ class TestMalformedScenario:
         assert out == ""
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "edit, message", [case[1:] for case in NESTED_TYPE_CASES],
+        ids=[case[0] for case in NESTED_TYPE_CASES])
+    def test_nested_field_type_is_named(self, capsys, tmp_path, edit,
+                                        message):
+        obj = config_to_obj(failure_scenario())
+        edit(obj)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path),
+                                 "--out", str(tmp_path / "run"))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not (tmp_path / "run").exists()
 
     def test_reference_policy_drift_is_rejected(self, capsys, tmp_path):
         obj = config_to_obj(reference_scenario(42))

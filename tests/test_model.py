@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -126,8 +128,50 @@ class TestTriplet:
     def test_hashable_and_frozen(self):
         t = Triplet("u", "d", "r")
         assert t in {t}
-        with pytest.raises(Exception):
+        with pytest.raises(AttributeError):
             t.user_id = "other"
+        with pytest.raises(AttributeError):
+            t.extra = "other"
+
+    def test_is_the_plain_tuple(self):
+        t = Triplet("u", "d", "r")
+        assert t == ("u", "d", "r") and ("u", "d", "r") == t
+        assert hash(t) == hash(("u", "d", "r"))
+        assert {("u", "d", "r"): 1}[t] == 1
+        assert (t.user_id, t.device_id, t.resource_id) == ("u", "d", "r")
+        assert list(t) == ["u", "d", "r"]
+        assert Triplet(user_id="u", device_id="d", resource_id="r") == t
+        assert repr(t) == "Triplet(user_id='u', device_id='d', resource_id='r')"
+
+    def test_orders_like_the_plain_tuple(self):
+        rng = random.Random(5)
+        ids = ["a", "a-1", "a-10", "a-2", "b", "user-1", "user-10"]
+        triplets = [Triplet(rng.choice(ids), rng.choice(ids), rng.choice(ids))
+                    for _ in range(200)]
+        assert sorted(triplets) == sorted(triplets, key=tuple)
+
+    @pytest.mark.parametrize("bad", [1, None, b"u", ("u",), True])
+    @pytest.mark.parametrize("field", ["user_id", "device_id", "resource_id"])
+    def test_non_string_component_rejected(self, field, bad):
+        ids = {"user_id": "u", "device_id": "d", "resource_id": "r"}
+        ids[field] = bad
+        with pytest.raises(ModelError,
+                           match=f"^{field} must be a non-empty string$"):
+            Triplet(**ids)
+
+    def test_copy_and_pickle_round_trip(self):
+        t = Triplet("u", "d", "r")
+        copies = [copy.copy(t), copy.deepcopy(t)] + [
+            pickle.loads(pickle.dumps(t, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for other in copies:
+            assert type(other) is Triplet
+            assert other == t and other.device_id == "d"
+
+    def test_event_rejects_plain_tuple(self):
+        with pytest.raises(ModelError, match="triplet must be a Triplet"):
+            make_event(0, 0, triplet=("user-a", "dev-a", "res-a"))
 
 
 class TestValueDomains:
@@ -318,3 +362,57 @@ class TestSerialization:
                 ),
             )
             assert event_from_obj(event_to_obj(event), {}) == event
+
+
+class _ReprInt(int):
+    """An int whose str and repr are not its digits."""
+
+    def __repr__(self) -> str:
+        return "ReprInt"
+
+    __str__ = __repr__
+
+
+class _ReprStr(str):
+    def __repr__(self) -> str:
+        return "ReprStr"
+
+    __str__ = __repr__
+
+
+_ODD = 'é"\\\x00\x1f\n\u2603\U0001f600/'
+_ALL_KINDS = [(kind, 7 if kind.numeric else "net-7") for kind in AttributeKind]
+
+# (id, event). Every string field carries non-ASCII, quote, backslash and
+# control characters in one case or another.
+DUMPS_EVENT_CASES = [
+    ("plain", make_event(0, 0)),
+    *[(f"kind_{kind.value}", make_event(1, 2, attribute=kind, value=value))
+      for kind, value in _ALL_KINDS],
+    ("user_odd", make_event(0, 0, triplet=Triplet("u" + _ODD, "d", "r"))),
+    ("device_odd", make_event(0, 0, triplet=Triplet("u", _ODD, "r"))),
+    ("resource_odd", make_event(0, 0, triplet=Triplet("u", "d", _ODD + "r"))),
+    ("value_odd", make_event(
+        0, 0, attribute=AttributeKind.FREQUENT_EXTERNAL_NETWORK_ID,
+        value=_ODD)),
+    ("value_zero", make_event(0, 0, value=0)),
+    ("value_max", make_event(0, 0, value=MAX_NUMERIC_VALUE)),
+    ("ids_max", make_event(MAX_NUMERIC_VALUE, MAX_NUMERIC_VALUE,
+                           parents=(MAX_NUMERIC_VALUE,))),
+    ("int_subclasses", make_event(
+        _ReprInt(3), _ReprInt(9), value=_ReprInt(2**64 - 1),
+        parents=(_ReprInt(1), 2, _ReprInt(0)))),
+    ("str_subclasses", make_event(
+        0, 0, attribute=AttributeKind.FREQUENT_EXTERNAL_NETWORK_ID,
+        value=_ReprStr("net-" + _ODD),
+        triplet=Triplet(_ReprStr("u"), _ReprStr(_ODD), _ReprStr("r")))),
+    ("no_parents", make_event(5, 5)),
+    ("one_parent", make_event(5, 5, parents=(4,))),
+    ("several_parents", make_event(5, 5, parents=(0, 1, 3, 4))),
+]
+
+
+@pytest.mark.parametrize("event", [case[1] for case in DUMPS_EVENT_CASES],
+                         ids=[case[0] for case in DUMPS_EVENT_CASES])
+def test_dumps_event_is_json_dumps(event):
+    assert dumps_event(event) == json.dumps(event_to_obj(event))

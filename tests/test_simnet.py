@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from trustgate.engine import PolicyError, parse_audit_line
-from trustgate.model import read_events
+from trustgate.model import Triplet, read_events
 from trustgate.provenance import build_graph
 from trustgate.simnet import (
     AttributeProfile,
@@ -33,6 +33,9 @@ from trustgate.simnet import (
     reference_scenario,
     replay,
     run,
+    _audit_rows,
+    _decision_summary,
+    _simulate,
 )
 
 RESOURCES = (
@@ -69,6 +72,16 @@ def small_scenario(
     )
 
 
+def failure_scenario() -> ScenarioConfig:
+    """A compromise at 300 plus one device and two approvers down."""
+
+    return small_scenario(failures=(
+        FailureWindow("dev-02", 100, 400),
+        FailureWindow("approver-1", 0, 900),
+        FailureWindow("approver-2", 200, 600),
+    ))
+
+
 SCALAR_TYPE_CASES = [
     ("seed", True, "integer"),
     ("seed", 1.5, "integer"),
@@ -85,7 +98,56 @@ SCALAR_TYPE_CASES = [
 ]
 
 
+# (id, edit of failure_scenario()'s object, the exact ScenarioError message)
+NESTED_TYPE_CASES = [
+    ("start_time_float",
+     lambda o: o["compromises"][0].update(start_time=300.5),
+     "compromises[0].start_time must be an integer, got 300.5"),
+    ("start_time_bool",
+     lambda o: o["compromises"][0].update(start_time=True),
+     "compromises[0].start_time must be an integer, got True"),
+    ("down_float",
+     lambda o: o["failures"][0].update(down=[1.5, 3]),
+     "failures[0].down must be two integers, got [1.5, 3]"),
+    ("down_bool",
+     lambda o: o["failures"][0].update(down=[0, True]),
+     "failures[0].down must be two integers, got [0, True]"),
+    ("down_three_times",
+     lambda o: o["failures"][0].update(down=[1, 2, 3]),
+     "failures[0].down must be two integers, got [1, 2, 3]"),
+    ("request_rate_bool",
+     lambda o: o["benign_profile"].update(request_rate=True),
+     "benign_profile.request_rate must be a number, got True"),
+    ("request_rate_string",
+     lambda o: o["compromises"][0]["profile"].update(request_rate="0.1"),
+     "compromises[0].profile.request_rate must be a number, got '0.1'"),
+    ("attribute_rate_bool",
+     lambda o: o["benign_profile"]["attributes"]["io_operation_count"]
+     .update(rate=True),
+     "benign_profile.attributes.io_operation_count.rate must be a number, "
+     "got True"),
+]
+
+
 class TestScenarioValidation:
+    @pytest.mark.parametrize(
+        "edit, message", [case[1:] for case in NESTED_TYPE_CASES],
+        ids=[case[0] for case in NESTED_TYPE_CASES])
+    def test_nested_types(self, edit, message):
+        obj = config_to_obj(failure_scenario())
+        edit(obj)
+        with pytest.raises(ScenarioError) as info:
+            config_from_obj(obj)
+        assert str(info.value) == message
+
+    def test_whole_number_rates_accepted(self):
+        obj = config_to_obj(failure_scenario())
+        obj["benign_profile"]["request_rate"] = 0
+        config = config_from_obj(obj)
+        assert config.benign.request_rate == 0.0
+        assert type(config.benign.request_rate) is float
+        assert config_from_obj(config_to_obj(config)) == config
+
     @pytest.mark.parametrize("field,value,kind", SCALAR_TYPE_CASES)
     def test_scalar_types(self, field, value, kind):
         obj = config_to_obj(small_scenario())
@@ -607,3 +669,43 @@ class TestReferenceScenario:
     def test_refresh_interval_is_the_staleness_ceiling(self):
         report = run(replace(reference_scenario(), refresh_interval=60))
         assert 0 < report.max_served_age <= 60
+
+
+class TestReportFromDecisions:
+    """``run`` builds the report from its decisions; replay parses the
+    audit lines. Both must give the same summary."""
+
+    @pytest.mark.parametrize("config", [reference_scenario(42),
+                                        failure_scenario()],
+                             ids=["reference-42", "failures"])
+    def test_rows_equal_parsed_audit_lines(self, config):
+        loop, _ = _simulate(config)
+        assert len(loop.rows) == len(loop.audit_lines) > 0
+        assert loop.rows == _audit_rows(config, loop.audit_lines)
+        assert (_decision_summary(config, loop.rows)
+                == _decision_summary(config, _audit_rows(config,
+                                                         loop.audit_lines)))
+
+    def test_failure_window_drops_requests(self):
+        loop, _ = _simulate(failure_scenario())
+        dev_02 = [row.ts for row in loop.rows if row.device_id == "dev-02"]
+        assert dev_02 and not any(100 <= ts <= 400 for ts in dev_02)
+        assert any(not row.granted for row in loop.rows)
+
+
+class TestTripletKeys:
+    def test_every_store_key_is_a_triplet(self):
+        loop, _ = _simulate(reference_scenario(42))
+        stores = {
+            "hot": loop.hot._by_triplet,
+            "score store": loop.cache.store._records,
+            "recency index": loop.cache._entries,
+        }
+        for name, keys in stores.items():
+            assert keys, name
+            assert {type(k) for k in keys} == {Triplet}, name
+
+    def test_one_triplet_per_device_and_resource(self):
+        loop, _ = _simulate(reference_scenario(42))
+        triplets = [event.triplet for event in loop.hot.events]
+        assert len({id(t) for t in triplets}) == len(set(triplets))
