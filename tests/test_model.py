@@ -381,14 +381,14 @@ class _ReprStr(str):
 
 
 _ODD = 'é"\\\x00\x1f\n\u2603\U0001f600/'
-_ALL_KINDS = [(kind, 7 if kind.numeric else "net-7") for kind in AttributeKind]
 
 # (id, event). Every string field carries non-ASCII, quote, backslash and
 # control characters in one case or another.
 DUMPS_EVENT_CASES = [
     ("plain", make_event(0, 0)),
-    *[(f"kind_{kind.value}", make_event(1, 2, attribute=kind, value=value))
-      for kind, value in _ALL_KINDS],
+    *[(f"kind_{kind.value}",
+       make_event(1, 2, attribute=kind, value=7 if kind.numeric else "net-7"))
+      for kind in AttributeKind],
     ("user_odd", make_event(0, 0, triplet=Triplet("u" + _ODD, "d", "r"))),
     ("device_odd", make_event(0, 0, triplet=Triplet("u", _ODD, "r"))),
     ("resource_odd", make_event(0, 0, triplet=Triplet("u", "d", _ODD + "r"))),
