@@ -18,6 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol
 
@@ -319,11 +320,18 @@ def token_digest(scheme_id: str, token: int) -> str:
 
 @dataclass(frozen=True)
 class QuorumClient:
-    """Approvers keyed by id, plus expected token digests per resource."""
+    """Approvers keyed by id, plus expected token digests per resource.
+    The set of approvers is fixed once the client is built."""
 
     approvers: Mapping[str, Approver]
     digests: Mapping[str, str]
     scheme_ids: Mapping[str, str]
+
+    @cached_property
+    def polling_order(self) -> tuple[Approver, ...]:
+        """The approvers in id order."""
+
+        return tuple(self.approvers[aid] for aid in sorted(self.approvers))
 
 
 @dataclass(frozen=True)
@@ -355,8 +363,8 @@ def quorum_approve(
             token=None, failure=f"no token registered for {resource_id}"
         )
     shares: list[Share] = []
-    for approver_id in sorted(client.approvers):
-        share = client.approvers[approver_id].respond(resource_id, now)
+    for approver in client.polling_order:
+        share = approver.respond(resource_id, now)
         if share is not None:
             shares.append(share)
     if len(shares) < policy.z:
@@ -446,17 +454,35 @@ def decide(
 
 # --- audit log --------------------------------------------------------------
 
-def audit_line(ts: int, triplet: Triplet, decision: Decision) -> str:
-    """One audit record: {ts, triplet, verdict, reasons, T, theta}."""
+_int_repr = int.__repr__
+_float_repr = float.__repr__
 
-    return json.dumps({
-        "ts": ts,
-        "triplet": list(triplet),
-        "verdict": decision.verdict,
-        "reasons": list(decision.reasons),
-        "T": decision.combined,
-        "theta": decision.threshold,
-    })
+
+def _json_number(value: float | None) -> str:
+    """``json.dumps`` of a score: ``null``, ``float.__repr__`` for a
+    finite float (as the encoder formats float subclasses too), and
+    ``json.dumps`` itself for anything else."""
+
+    if value is None:
+        return "null"
+    if isinstance(value, float) and -math.inf < value < math.inf:
+        return _float_repr(value)
+    return json.dumps(value)
+
+
+def audit_line(ts: int, triplet: Triplet, decision: Decision) -> str:
+    """One audit record: {ts, triplet, verdict, reasons, T, theta}, byte
+    for byte ``json.dumps`` of that dict."""
+
+    quoted = encode_basestring_ascii
+    return (
+        f'{{"ts": {_int_repr(ts)}, '
+        f'"triplet": [{", ".join(map(quoted, triplet))}], '
+        f'"verdict": {quoted(decision.verdict)}, '
+        f'"reasons": [{", ".join(map(quoted, decision.reasons))}], '
+        f'"T": {_json_number(decision.combined)}, '
+        f'"theta": {_json_number(decision.threshold)}}}'
+    )
 
 
 def _is_number(value: object) -> bool:

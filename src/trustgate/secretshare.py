@@ -13,10 +13,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
 DEFAULT_PRIME = 2**61 - 1
+# Weight sets kept by reconstruct: one per (share x values, prime) seen.
+LAGRANGE_CACHE_SIZE = 64
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -177,22 +180,33 @@ def reconstruct(
             f"below threshold: {len(shares)} shares, need {first.z}"
         )
     prime = first.prime
-    secret = 0
-    for i, si in enumerate(shares):
+    weights = _lagrange_weights(tuple(s.x for s in shares), prime)
+    return sum(s.y * w for s, w in zip(shares, weights)) % prime
+
+
+@lru_cache(maxsize=LAGRANGE_CACHE_SIZE)
+def _lagrange_weights(xs: tuple[int, ...], prime: int) -> tuple[int, ...]:
+    """The Lagrange basis polynomials at x = 0 for distinct ``xs``: the
+    secret is the weighted sum of the shares' y values. The weights
+    depend only on the x values and the prime, so they are computed
+    once per set (a raise is not cached)."""
+
+    weights = []
+    for i, xi in enumerate(xs):
         num = 1
         den = 1
-        for j, sj in enumerate(shares):
+        for j, xj in enumerate(xs):
             if i == j:
                 continue
-            num = num * (-sj.x) % prime
-            den = den * (si.x - sj.x) % prime
+            num = num * (-xj) % prime
+            den = den * (xi - xj) % prime
         try:
             inv = pow(den, -1, prime)
         except ValueError:
             # Only a composite modulus leaves a denominator uninvertible.
             raise ShareError(f"{prime} is not prime") from None
-        secret = (secret + si.y * num * inv) % prime
-    return secret
+        weights.append(num * inv % prime)
+    return tuple(weights)
 
 
 def secrecy_probe(

@@ -24,8 +24,11 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
+from bisect import bisect
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -87,6 +90,8 @@ _PRIORITY_SWEEP = 0
 _PRIORITY_EMIT = 1
 _PRIORITY_REQUEST = 2
 
+_FLOAT_MAX = sys.float_info.max
+
 
 class ScenarioError(ValueError):
     """Raised for invalid scenario configurations."""
@@ -104,13 +109,15 @@ class AttributeProfile:
     values: tuple[tuple[int | str, int], ...]
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ScenarioError("attribute rate must be non-negative")
+        _check_rate(self.rate, "attribute rate")
         if not self.values:
             raise ScenarioError("attribute profile needs at least one value")
         for _, weight in self.values:
             if isinstance(weight, bool) or not isinstance(weight, int) or weight <= 0:
                 raise ScenarioError("value weights must be positive integers")
+        # A draw scales a float in [0, 1) by the total, as rng.choices does.
+        if sum(w for _, w in self.values) > _FLOAT_MAX:
+            raise ScenarioError(f"value weights must total at most {_FLOAT_MAX!r}")
 
 
 @dataclass(frozen=True)
@@ -119,8 +126,7 @@ class BehaviorProfile:
     request_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.request_rate < 0:
-            raise ScenarioError("request rate must be non-negative")
+        _check_rate(self.request_rate, "request rate")
         for kind, profile in self.attributes.items():
             for value, _ in profile.values:
                 if kind.numeric:
@@ -268,6 +274,18 @@ def _check_number(value: object, where: str) -> int | float:
     return value
 
 
+def _check_rate(value: object, where: str) -> float:
+    """Return ``value`` as a float if it is a finite non-negative number;
+    otherwise raise ScenarioError naming ``where``. A rate times a window
+    is a count of draws, so infinity, NaN and ints past the float range
+    are refused (NaN fails both comparisons)."""
+
+    if not 0 <= _check_number(value, where) <= _FLOAT_MAX:
+        raise ScenarioError(
+            f"{where} must be a finite non-negative number, got {value!r}")
+    return float(value)
+
+
 def _profile_from_obj(obj: object, where: str) -> BehaviorProfile:
     if not isinstance(obj, dict):
         raise ScenarioError("behavior profile must be a JSON object")
@@ -282,15 +300,17 @@ def _profile_from_obj(obj: object, where: str) -> BehaviorProfile:
             raise ScenarioError(f"unknown attribute kind: {name!r}") from None
         if not isinstance(spec, dict) or set(spec) - {"rate", "values"}:
             raise ScenarioError(f"malformed attribute profile for {name}")
-        attributes[kind] = AttributeProfile(
-            rate=float(_check_number(spec.get("rate", 0.0),
-                                     f"{where}.attributes.{name}.rate")),
-            values=tuple((v, w) for v, w in spec.get("values", ())),
-        )
+        rate = _check_rate(spec.get("rate", 0.0),
+                           f"{where}.attributes.{name}.rate")
+        values = tuple((v, w) for v, w in spec.get("values", ()))
+        try:
+            attributes[kind] = AttributeProfile(rate=rate, values=values)
+        except ScenarioError as exc:
+            raise ScenarioError(f"{where}.attributes.{name}: {exc}") from None
     return BehaviorProfile(
         attributes=attributes,
-        request_rate=float(_check_number(obj.get("request_rate", 0.0),
-                                         f"{where}.request_rate")),
+        request_rate=_check_rate(obj.get("request_rate", 0.0),
+                                 f"{where}.request_rate"),
     )
 
 
@@ -381,7 +401,9 @@ def _config_from_obj(obj: object) -> ScenarioConfig:
         raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
     devices_spec = obj.get("devices", [])
     if isinstance(devices_spec, dict):
-        count = devices_spec.get("count", 0)
+        count = _check_integer(devices_spec.get("count", 0), "devices.count")
+        if count < 0:
+            raise ScenarioError(f"devices.count must be non-negative, got {count}")
         width = max(2, len(str(count)))
         devices = tuple(
             DeviceSpec(
@@ -731,14 +753,12 @@ def _decision_summary(
 
 # --- simulation -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Action:
-    time: int
-    priority: int  # also the action's kind
-    device_id: str = ""
-    attribute: AttributeKind | None = None
-    value: int | str | None = None
-    resource_id: str = ""
+# One scheduled action: (time, priority, device_id, attribute, value,
+# resource_id). The priority is also the action's kind; a sweep carries
+# no device, an emission no resource when the registry is empty, and a
+# request no attribute or value.
+_Action = tuple[int, int, str, AttributeKind | None, int | str | None, str]
+_by_time_and_priority = itemgetter(0, 1)
 
 
 class _SimApprover:
@@ -752,20 +772,25 @@ class _SimApprover:
         return self.shares.get(resource_id)
 
 
-_ValueTable = tuple[AttributeKind, float, list, list]
+# (kind, rate, values, cumulative weights, float total, last index)
+_ValueTable = tuple[AttributeKind, float, list, list, float, int]
 
 
 def _value_tables(profile: BehaviorProfile) -> list[_ValueTable]:
-    """Per attribute kind, by name: its rate, its values and their
-    cumulative weights. ``rng.choices`` with ``cum_weights`` makes the
-    same draws as with the weights they accumulate."""
+    """Per attribute kind, by name: its rate, its values, their
+    cumulative weights, the weights' total as a float and the last
+    index. ``values[bisect(cum, rng.random() * total, 0, hi)]`` is line
+    for line what ``rng.choices(values, cum_weights=cum)[0]`` computes,
+    so the RNG stream and every draw are those of ``rng.choices`` with
+    the weights themselves."""
 
-    return [
-        (kind, prof.rate, [v for v, _ in prof.values],
-         list(accumulate(w for _, w in prof.values)))
-        for kind, prof in sorted(profile.attributes.items(),
-                                 key=lambda kv: kv[0].value)
-    ]
+    tables = []
+    for kind, prof in sorted(profile.attributes.items(),
+                             key=lambda kv: kv[0].value):
+        cum = list(accumulate(w for _, w in prof.values))
+        tables.append((kind, prof.rate, [v for v, _ in prof.values], cum,
+                       cum[-1] + 0.0, len(cum) - 1))
+    return tables
 
 
 def _draw_activity(
@@ -785,19 +810,18 @@ def _draw_activity(
     """
 
     actions = []
-    choices = rng.choices
-    for kind, rate, values, cum in tables:
+    append = actions.append
+    randrange, random_, choice = rng.randrange, rng.random, rng.choice
+    for kind, rate, values, cum, total, hi in tables:
         for _ in range(round(rate * window)):
-            t = start + rng.randrange(window)
-            value = choices(values, cum_weights=cum)[0]
-            target = rng.choice(resource_ids) if resource_ids else ""
-            actions.append(_Action(t, _PRIORITY_EMIT, device_id, kind, value,
-                                   target))
+            t = start + randrange(window)
+            value = values[bisect(cum, random_() * total, 0, hi)]
+            target = choice(resource_ids) if resource_ids else ""
+            append((t, _PRIORITY_EMIT, device_id, kind, value, target))
     for _ in range(round(request_rate * window)):
-        t = start + rng.randrange(window)
-        target = rng.choice(resource_ids) if resource_ids else ""
-        actions.append(_Action(t, _PRIORITY_REQUEST, device_id,
-                               resource_id=target))
+        t = start + randrange(window)
+        target = choice(resource_ids) if resource_ids else ""
+        append((t, _PRIORITY_REQUEST, device_id, None, None, target))
     return actions
 
 
@@ -889,7 +913,7 @@ def _schedule(config: ScenarioConfig, rng: random.Random) -> list[_Action]:
 
     resource_ids = sorted(config.policy.resources)
     actions = [
-        _Action(time=t, priority=_PRIORITY_SWEEP)
+        (t, _PRIORITY_SWEEP, "", None, None, "")
         for t in range(0, config.duration, config.refresh_interval)
     ]
     benign = _value_tables(config.benign)
@@ -903,7 +927,7 @@ def _schedule(config: ScenarioConfig, rng: random.Random) -> list[_Action]:
                                   plan.profile.request_rate, plan.start_time,
                                   config.duration - plan.start_time,
                                   resource_ids)
-    actions.sort(key=lambda a: (a.time, a.priority))
+    actions.sort(key=_by_time_and_priority)
     return actions
 
 
@@ -949,16 +973,17 @@ class _Loop:
         self.rows: list[_AuditRow] = []
 
     def step(self, action: _Action) -> None:
-        if action.priority == _PRIORITY_SWEEP:
-            self.sweep(action.time)
+        t, priority, device_id, attribute, value, resource_id = action
+        if priority == _PRIORITY_SWEEP:
+            self.sweep(t)
             return
-        windows = self.down.get(action.device_id)
-        if windows and any(w.covers(action.time) for w in windows):
+        windows = self.down.get(device_id)
+        if windows and any(w.covers(t) for w in windows):
             return
-        if action.priority == _PRIORITY_EMIT:
-            self.emit(action)
+        if priority == _PRIORITY_EMIT:
+            self.emit(t, device_id, attribute, value, resource_id)
         else:
-            self.request(action)
+            self.request(t, device_id, resource_id)
 
     def recompute(self, triplet: Triplet, now: int) -> TrustRecord:
         window = self.hot.query_window(triplet, now,
@@ -985,36 +1010,36 @@ class _Loop:
                 self.reputation_rel[peer] = score / best if best > 0 else 1.0
         self.cache.refresh_sweep(now, self.recompute)
 
-    def _triplet(self, action: _Action) -> Triplet:
-        """The one Triplet of the action's (device, resource)."""
+    def _triplet(self, device_id: str, resource_id: str) -> Triplet:
+        """The one Triplet of a (device, resource)."""
 
-        key = (action.device_id, action.resource_id)
+        key = (device_id, resource_id)
         triplet = self.triplets.get(key)
         if triplet is None:
             triplet = self.triplets[key] = Triplet(
-                user_id=self.users[action.device_id],
-                device_id=action.device_id,
-                resource_id=action.resource_id or "none",
+                user_id=self.users[device_id],
+                device_id=device_id,
+                resource_id=resource_id or "none",
             )
         return triplet
 
-    def emit(self, action: _Action) -> None:
-        t = action.time
-        parent = self.last_event.get(action.device_id)
+    def emit(self, t: int, device_id: str, attribute: AttributeKind,
+             value: int | str, resource_id: str) -> None:
+        parent = self.last_event.get(device_id)
         event = EdrEvent(
             event_id=len(self.hot),
-            triplet=self._triplet(action),
-            attribute=action.attribute,
-            value=action.value,
+            triplet=self._triplet(device_id, resource_id),
+            attribute=attribute,
+            value=value,
             timestamp=t,
             parent_ids=(
                 (parent.event_id,)
                 if parent is not None and parent.timestamp < t else ()
             ),
         )
-        self.hot.append_events([event])
-        self.last_event[action.device_id] = event
-        if action.device_id in self.critical:
+        self.hot.append_events((event,))
+        self.last_event[device_id] = event
+        if device_id in self.critical:
             return
         for rule in self.critical_rules:
             if rule.matches(event):
@@ -1022,29 +1047,28 @@ class _Loop:
                               event_id=event.event_id,
                               severity=rule.severity,
                               rule_name=rule.rule_name)
-                self.critical[action.device_id] = ActiveAlert(
-                    alert=alert, device_id=action.device_id)
+                self.critical[device_id] = ActiveAlert(
+                    alert=alert, device_id=device_id)
                 return
 
-    def request(self, action: _Action) -> None:
-        t = action.time
-        triplet = self._triplet(action)
-        alert = self.critical.get(action.device_id)
+    def request(self, t: int, device_id: str, resource_id: str) -> None:
+        triplet = self._triplet(device_id, resource_id)
+        alert = self.critical.get(device_id)
         decision = decide(
             triplet, self.config.policy, self.score,
             () if alert is None else (alert,),
             self.quorum_client, now=t,
         )
         self.audit_lines.append(audit_line(t, triplet, decision))
-        self.rows.append(_AuditRow(t, action.device_id, decision.granted))
-        host = self.host_of.get(action.resource_id, "")
+        self.rows.append(_AuditRow(t, device_id, decision.granted))
+        host = self.host_of.get(resource_id, "")
         if (not decision.granted or self.ledger is None or not host
-                or host == action.device_id):
+                or host == device_id):
             return
-        if self.config.malicious(action.device_id, t):
-            self.ledger.record_unsat(host, action.device_id)
+        if self.config.malicious(device_id, t):
+            self.ledger.record_unsat(host, device_id)
         else:
-            self.ledger.record_sat(host, action.device_id)
+            self.ledger.record_sat(host, device_id)
 
     def convergence(self) -> dict[str, object]:
         v = self.vector

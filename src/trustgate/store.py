@@ -72,15 +72,16 @@ class HotStore:
     def append_events(self, events: Iterable[EdrEvent]) -> int:
         """Append pre-validated events; returns how many were added."""
 
-        added = list(events)
-        for event in added:
+        start = len(self._events)
+        for event in events:
             self._admit(event)
-        if self.path is not None and added:
+        added = len(self._events) - start
+        if added and self.path is not None:
             with open(self.path, "a", encoding="utf-8") as fh:
-                for event in added:
+                for event in self._events[start:]:
                     fh.write(dumps_event(event))
                     fh.write("\n")
-        return len(added)
+        return added
 
     def query_window(
         self, triplet: Triplet, now: int, horizon: int

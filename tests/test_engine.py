@@ -13,6 +13,7 @@ import pytest
 from trustgate.engine import (
     DEFAULT_QUORUM,
     ActiveAlert,
+    Decision,
     EngineError,
     PiecewiseNormalizer,
     PolicyError,
@@ -585,7 +586,44 @@ class TestDecide:
         )
 
 
+def dict_audit_line(ts, triplet, decision) -> str:
+    """The audit line as json.dumps of its dict, the format's definition."""
+
+    return json.dumps({
+        "ts": ts,
+        "triplet": list(triplet),
+        "verdict": decision.verdict,
+        "reasons": list(decision.reasons),
+        "T": decision.combined,
+        "theta": decision.threshold,
+    })
+
+
+AUDIT_LINE_CASES = [
+    ("score_unavailable", 7, TRIPLET,
+     Decision("deny", ("score_unavailable",), None, 0.5)),
+    ("grant", 99, TRIPLET, Decision("grant", (), 0.8374999999999999, 0.5)),
+    ("multi_reason_deny", 3600, HIGH_TRIPLET,
+     Decision("deny", ("critical_alert", "low_trust", "quorum_failed"),
+              0.123456789, 0.75)),
+    ("escaped_ids", 0, Triplet('us"er', "dev\\1", "r\u00e9s-\u2603"),
+     Decision("grant", (), 1.0, 0.5)),
+    ("theta_zero", 1, TRIPLET, Decision("grant", (), 0.0, 0.0)),
+    ("theta_one", 2, TRIPLET, Decision("deny", ("low_trust",), 1e-17, 1.0)),
+    ("int_threshold", 3, TRIPLET, Decision("grant", (), 1.0, 1)),
+    ("non_finite", 4, TRIPLET,
+     Decision("deny", ("low_trust",), float("nan"), float("inf"))),
+]
+
+
 class TestAuditLog:
+    @pytest.mark.parametrize(
+        "ts, triplet, decision", [case[1:] for case in AUDIT_LINE_CASES],
+        ids=[case[0] for case in AUDIT_LINE_CASES])
+    def test_matches_json_dumps_of_the_dict(self, ts, triplet, decision):
+        assert audit_line(ts, triplet, decision) == dict_audit_line(
+            ts, triplet, decision)
+
     def test_round_trip(self):
         policy = simple_policy()
         decision = decide(TRIPLET, policy, passing_source, [], None, now=99)

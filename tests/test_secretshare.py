@@ -370,6 +370,13 @@ class TestCompositePrime:
         with pytest.raises(ShareError, match="15 is not prime"):
             reconstruct(self.SHARES)
 
+    def test_refusal_is_not_cached(self):
+        # The Lagrange weights are memoised per (xs, prime); a refusal
+        # must come back on every call, not only the first.
+        for _ in range(2):
+            with pytest.raises(ShareError, match="15 is not prime"):
+                reconstruct(self.SHARES)
+
     def test_share_record_refuses_composite_prime(self, tmp_path):
         obj = share_to_obj(self.SHARES[0])
         with pytest.raises(ShareError, match="15 is not prime"):

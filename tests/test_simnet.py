@@ -4,12 +4,14 @@ audit replay verification, and containment behavior."""
 from __future__ import annotations
 
 import json
+import math
+import random
 from dataclasses import replace
 
 import pytest
 
 from trustgate.engine import PolicyError, parse_audit_line
-from trustgate.model import Triplet, read_events
+from trustgate.model import AttributeKind, Triplet, read_events
 from trustgate.provenance import build_graph
 from trustgate.simnet import (
     AttributeProfile,
@@ -33,9 +35,14 @@ from trustgate.simnet import (
     reference_scenario,
     replay,
     run,
+    _PRIORITY_EMIT,
+    _PRIORITY_REQUEST,
     _audit_rows,
     _decision_summary,
+    _draw_activity,
+    _schedule,
     _simulate,
+    _value_tables,
 )
 
 RESOURCES = (
@@ -126,6 +133,36 @@ NESTED_TYPE_CASES = [
      .update(rate=True),
      "benign_profile.attributes.io_operation_count.rate must be a number, "
      "got True"),
+    ("request_rate_infinite",
+     lambda o: o["benign_profile"].update(request_rate=math.inf),
+     "benign_profile.request_rate must be a finite non-negative number, "
+     "got inf"),
+    ("attribute_rate_infinite",
+     lambda o: o["compromises"][0]["profile"]["attributes"]
+     ["io_operation_count"].update(rate=math.inf),
+     "compromises[0].profile.attributes.io_operation_count.rate must be a "
+     "finite non-negative number, got inf"),
+    ("attribute_rate_nan",
+     lambda o: o["benign_profile"]["attributes"]["io_operation_count"]
+     .update(rate=math.nan),
+     "benign_profile.attributes.io_operation_count.rate must be a finite "
+     "non-negative number, got nan"),
+    ("attribute_rate_past_float_range",
+     lambda o: o["benign_profile"]["attributes"]["io_operation_count"]
+     .update(rate=10**400),
+     "benign_profile.attributes.io_operation_count.rate must be a finite "
+     f"non-negative number, got {10**400}"),
+    ("weights_past_float_range",
+     lambda o: o["benign_profile"]["attributes"]["io_operation_count"]
+     .update(values=[[3, 10**400]]),
+     "benign_profile.attributes.io_operation_count: value weights must "
+     "total at most 1.7976931348623157e+308"),
+    ("device_count_negative",
+     lambda o: o.update(devices={"count": -2}),
+     "devices.count must be non-negative, got -2"),
+    ("device_count_bool",
+     lambda o: o.update(devices={"count": True}),
+     "devices.count must be an integer, got True"),
 ]
 
 
@@ -669,6 +706,76 @@ class TestReferenceScenario:
     def test_refresh_interval_is_the_staleness_ceiling(self):
         report = run(replace(reference_scenario(), refresh_interval=60))
         assert 0 < report.max_served_age <= 60
+
+
+ONE_VALUE_PROFILE = BehaviorProfile(
+    attributes={AttributeKind.SYSTEM_CALL_COUNT: AttributeProfile(
+        rate=0.01, values=((7, 3),))},
+    request_rate=0.002,
+)
+
+
+def choices_activity(rng, device_id, profile, start, window, resource_ids):
+    """``_draw_activity`` written with ``rng.choices``: the draw order
+    that fixes a seed's schedule."""
+
+    actions = []
+    for kind, spec in sorted(profile.attributes.items(),
+                             key=lambda kv: kv[0].value):
+        values = [v for v, _ in spec.values]
+        cum = [sum(w for _, w in spec.values[:i + 1])
+               for i in range(len(spec.values))]
+        for _ in range(round(spec.rate * window)):
+            t = start + rng.randrange(window)
+            value = rng.choices(values, cum_weights=cum)[0]
+            target = rng.choice(resource_ids) if resource_ids else ""
+            actions.append((t, _PRIORITY_EMIT, device_id, kind, value, target))
+    for _ in range(round(profile.request_rate * window)):
+        t = start + rng.randrange(window)
+        target = rng.choice(resource_ids) if resource_ids else ""
+        actions.append((t, _PRIORITY_REQUEST, device_id, None, None, target))
+    return actions
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("seed", [0, 7, 42, 2**40 + 3])
+    @pytest.mark.parametrize(
+        "profile", [benign_profile(), malicious_profile(), ONE_VALUE_PROFILE],
+        ids=["benign", "malicious", "one_value"])
+    def test_bisection_draws_equal_rng_choices(self, seed, profile):
+        ours, reference = random.Random(seed), random.Random(seed)
+        window, resource_ids = 20_000, ["res-a", "res-b", "res-c"]
+        drawn = _draw_activity(ours, "dev-01", _value_tables(profile),
+                               profile.request_rate, 5, window, resource_ids)
+        assert drawn == choices_activity(reference, "dev-01", profile, 5,
+                                         window, resource_ids)
+        assert sum(a[1] == _PRIORITY_EMIT for a in drawn) >= 20
+        assert ours.getstate() == reference.getstate()
+
+    def test_equal_time_and_priority_keep_draw_order(self):
+        # Many draws over a few seconds, devices listed out of id order:
+        # ties are common and a sort on more than (time, priority) would
+        # reorder them by device, value or resource.
+        profile = BehaviorProfile(
+            attributes={AttributeKind.IO_OPERATION_COUNT: AttributeProfile(
+                rate=3.0, values=((9, 1), (3, 1), (5, 1)))},
+            request_rate=2.0,
+        )
+        devices = (DeviceSpec("dev-02", "user-02"),
+                   DeviceSpec("dev-01", "user-01"))
+        config = ScenarioConfig(
+            seed=3, duration=4, devices=devices, benign=profile,
+            policy=default_policy(resources=RESOURCES), alert_rules=(),
+            pretrusted=("dev-01", "dev-02"),
+        )
+        rng = random.Random(3)
+        drawn = [(0, 0, "", None, None, "")]
+        for device in devices:
+            drawn += choices_activity(rng, device.device_id, profile, 0, 4,
+                                      sorted(config.policy.resources))
+        schedule = _schedule(config, random.Random(3))
+        assert schedule == sorted(drawn, key=lambda a: (a[0], a[1]))
+        assert schedule != sorted(drawn)
 
 
 class TestReportFromDecisions:
