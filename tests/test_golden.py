@@ -9,10 +9,13 @@ purpose must say why and show that the grant/deny verdicts still hold.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from trustgate import simnet
+from trustgate.cli import main
+from trustgate.provenance import rule_to_obj
 
 ARTIFACTS = ("config.json", "events.jsonl", "audit.jsonl", "access.json",
              "report.json")
@@ -72,6 +75,8 @@ GOLDEN = {
     },
 }
 
+SKELETON_42 = "65ddcfb41ebdc2943a77f8d97134e57547fcea37cb546a4e254cde7c9298d6fb"
+
 SCENARIOS = {
     "reference-42": lambda: simnet.reference_scenario(42),
     "fleet-200-42": lambda: fleet_200(42),
@@ -87,3 +92,21 @@ def test_artifact_digests(name, tmp_path):
         for artifact in ARTIFACTS
     }
     assert digests == GOLDEN[name]
+
+
+def test_reference_skeleton_digest(tmp_path, capsys):
+    # The reference-42 log as `trustgate skeleton` prints it with the
+    # default rules: 183 nodes, 73 edges and 90 summary edges.
+    simnet.run(simnet.reference_scenario(42), tmp_path)
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps(
+        [rule_to_obj(r) for r in simnet.default_rules()]))
+    code = main(["skeleton", "--in", str(tmp_path / "events.jsonl"),
+                 "--rules", str(rules)])
+    out = capsys.readouterr().out
+    assert code == 0
+    skeleton = json.loads(out)["skeleton"]
+    counts = tuple(len(skeleton[k]) for k in ("nodes", "edges",
+                                              "summary_edges"))
+    assert counts == (183, 73, 90)
+    assert hashlib.sha256(out.encode()).hexdigest() == SKELETON_42

@@ -306,6 +306,35 @@ class TestSkeletonFixtures:
             {(0, 1), (0, 2), (1, 3), (2, 3)}
         )
 
+    def test_run_between_branch_and_join_keeps_its_ends(self):
+        # 0 -> 1 -> 2 -> 3 -> 4, where 0 also feeds the alert 5 and 4
+        # also has parent 6: a summary from 0 or into 4 would hide the
+        # branch or the join, so only the middle node 2 may collapse.
+        events = [
+            make_event(0, 0),
+            make_event(1, 1, parents=(0,)),
+            make_event(2, 2, parents=(1,)),
+            make_event(3, 3, parents=(2,)),
+            make_event(4, 4, parents=(3, 6)),
+            make_event(5, 1, parents=(0,)),
+            make_event(6, 0),
+        ]
+        graph = build_graph(events)
+        graph = ProvenanceGraph(
+            nodes=graph.nodes,
+            alerts=tuple(
+                Alert(alert_id=i, event_id=e, severity=Severity.HIGH,
+                      rule_name="r")
+                for i, e in enumerate((4, 5))
+            ),
+        )
+        skeleton = reduce_to_skeleton(graph)
+        assert sorted(skeleton.nodes) == [0, 1, 3, 4, 5, 6]
+        assert skeleton.edges == frozenset({(0, 1), (0, 5), (3, 4), (6, 4)})
+        assert skeleton.summary_edges == (
+            SummaryEdge(from_id=1, to_id=3, collapsed_count=1),
+        )
+
     def test_non_ancestors_pruned(self):
         events = chain(3) + [make_event(10, 10), make_event(11, 11,
                                                             parents=(10,))]
