@@ -185,88 +185,65 @@ class SummaryEdge:
 
 @dataclass(frozen=True)
 class Skeleton:
-    """Reduced provenance: alert-relevant nodes plus summary edges."""
+    """Reduced provenance: alert-relevant nodes plus summary edges. Its
+    edges are each node's ``parent_ids`` that are also nodes."""
 
     nodes: Mapping[int, EdrEvent]
-    edges: frozenset[tuple[int, int]]
     summary_edges: tuple[SummaryEdge, ...]
-    alerts: tuple[Alert, ...] = ()
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        nodes = self.nodes
+        return frozenset(
+            (p, v) for v, e in nodes.items() for p in e.parent_ids if p in nodes
+        )
 
 
 def reduce_to_skeleton(graph: ProvenanceGraph) -> Skeleton:
     """Keep alerts and their causal ancestors; collapse unary chains.
 
-    A chain collapses only where it cannot be confused with anything
-    else: every interior node is a non-alert with one parent and one
-    child, the node feeding the chain has no other outgoing edge, and
-    the node the chain ends on has no other incoming edge. Nodes on
+    Counting only kept nodes, a non-alert node collapses when it has one
+    parent and one child, its parent has no other child, and its child
+    has no other parent. Each maximal run of collapsing nodes becomes one
+    summary edge from the run's parent to its child, so nodes on
     branching paths always survive verbatim.
     """
 
     alert_ids = graph.alert_event_ids()
-    kept = set(alert_ids) | ancestors(graph, *alert_ids)
+    kept = alert_ids | ancestors(graph, *alert_ids)
 
-    # Every parent of a kept node is kept, since kept is closed under
-    # ancestry; the set counts a repeated parent id once.
-    pruned_edges = {(p, v) for v in kept for p in graph.nodes[v].parent_ids}
-    out_deg: dict[int, int] = {n: 0 for n in kept}
-    in_deg: dict[int, int] = {n: 0 for n in kept}
-    succ: dict[int, int] = {}
-    pred: dict[int, int] = {}
-    for (u, v) in pruned_edges:
-        out_deg[u] += 1
-        in_deg[v] += 1
-        succ[u] = v if out_deg[u] == 1 else succ.get(u)
-        pred[v] = u if in_deg[v] == 1 else pred.get(v)
+    # kept is closed under ancestry, so every parent of a kept node is
+    # kept. only_child maps a node to its one kept child, or to None.
+    parents: dict[int, tuple[int, ...]] = {}
+    only_child: dict[int, int | None] = {}
+    for v in kept:
+        ps = graph.nodes[v].parent_ids
+        if len(ps) > 1:
+            ps = tuple(set(ps))
+        parents[v] = ps
+        for p in ps:
+            only_child[p] = None if p in only_child else v
 
-    def interior(n: int) -> bool:
-        return (
-            n not in alert_ids
-            and in_deg.get(n) == 1
-            and out_deg.get(n) == 1
-        )
+    # A kept non-alert node has a kept child; None is not in parents.
+    collapsed = {
+        n for n, ps in parents.items()
+        if n not in alert_ids and len(ps) == 1 and only_child[ps[0]] == n
+        and len(parents.get(only_child[n], ())) == 1
+    }
 
-    collapsed: set[int] = set()
     summaries: list[SummaryEdge] = []
-    for n in kept:
-        if not interior(n):
-            continue
-        head_parent = pred[n]
-        if head_parent is not None and interior(head_parent):
+    for n in collapsed:
+        head_parent = parents[n][0]
+        if head_parent in collapsed:
             continue  # not the start of its run
-        run = [n]
-        while True:
-            nxt = succ[run[-1]]
-            if nxt is not None and interior(nxt):
-                run.append(nxt)
-            else:
-                break
-        # Trim until both ends of the run sit on purely unary links.
-        if out_deg[pred[run[0]]] != 1:
-            run = run[1:]
-        if run and in_deg[succ[run[-1]]] != 1:
-            run = run[:-1]
-        if run:
-            summaries.append(
-                SummaryEdge(
-                    from_id=pred[run[0]],
-                    to_id=succ[run[-1]],
-                    collapsed_count=len(run),
-                )
-            )
-            collapsed.update(run)
-
-    final_nodes = {n: graph.nodes[n] for n in kept - collapsed}
-    final_edges = frozenset(
-        (u, v) for (u, v) in pruned_edges
-        if u not in collapsed and v not in collapsed
-    )
-    summaries.sort(key=lambda s: (s.from_id, s.to_id))
+        count, tail = 1, only_child[n]
+        while tail in collapsed:
+            count, tail = count + 1, only_child[tail]
+        summaries.append(SummaryEdge(head_parent, tail, count))
+    summaries.sort(key=lambda s: s.from_id)
     return Skeleton(
-        nodes=final_nodes,
-        edges=final_edges,
+        nodes={n: graph.nodes[n] for n in kept - collapsed},
         summary_edges=tuple(summaries),
-        alerts=graph.alerts,
     )
 
 
