@@ -138,8 +138,9 @@ class ResourceSpec:
     sensitivity: str = SENSITIVITY_STANDARD
 
     def __post_init__(self) -> None:
-        if not self.resource_id:
-            raise PolicyError("resource_id must be non-empty")
+        if not isinstance(self.resource_id, str) or not self.resource_id:
+            raise PolicyError(
+                f"resource_id must be a non-empty string, got {self.resource_id!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise PolicyError(
                 f"threshold for {self.resource_id} must lie in [0, 1]"

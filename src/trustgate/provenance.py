@@ -45,8 +45,9 @@ class AlertRule:
     severity: Severity
 
     def __post_init__(self) -> None:
-        if not self.rule_name:
-            raise GraphError("rule_name must be non-empty")
+        if not isinstance(self.rule_name, str) or not self.rule_name:
+            raise GraphError(
+                f"rule_name must be a non-empty string, got {self.rule_name!r}")
         if self.op not in COMPARATORS:
             raise GraphError(f"unknown comparator {self.op!r}")
         if self.attribute.numeric:

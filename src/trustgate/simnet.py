@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import sys
 from bisect import bisect
@@ -147,8 +148,11 @@ class DeviceSpec:
     user_id: str
 
     def __post_init__(self) -> None:
-        if not self.device_id or not self.user_id:
-            raise ScenarioError("device and user ids must be non-empty")
+        for name in ("device_id", "user_id"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise ScenarioError(
+                    f"{name} must be a non-empty string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -223,6 +227,16 @@ class ScenarioConfig:
             raise ScenarioError("cache_capacity must be positive")
         if not 0.0 <= self.damping < 1.0:
             raise ScenarioError("damping must lie in [0, 1)")
+        profiles = [("benign_profile", self.benign)] + [
+            (f"compromises[{i}].profile", p.profile)
+            for i, p in enumerate(self.compromises)
+        ]
+        for where, profile in profiles:
+            _check_draws(profile.request_rate, self.duration,
+                         f"{where}.request_rate")
+            for kind, attribute in profile.attributes.items():
+                _check_draws(attribute.rate, self.duration,
+                             f"{where}.attributes.{kind.value}.rate")
 
     def approver_ids(self) -> tuple[str, ...]:
         return tuple(f"approver-{i}" for i in range(1, self.policy.quorum.n + 1))
@@ -284,6 +298,19 @@ def _check_rate(value: object, where: str) -> float:
         raise ScenarioError(
             f"{where} must be a finite non-negative number, got {value!r}")
     return float(value)
+
+
+def _check_draws(rate: float, duration: int, where: str) -> None:
+    """Raise ScenarioError naming ``where`` unless ``rate * duration``, the
+    most draws a profile can ask of one device, is a finite float."""
+
+    try:
+        finite = math.isfinite(rate * duration)
+    except OverflowError:  # a duration past the float range
+        finite = False
+    if not finite:
+        raise ScenarioError(
+            f"{where} times duration must be finite, got {rate!r} x {duration}")
 
 
 def _profile_from_obj(obj: object, where: str) -> BehaviorProfile:

@@ -434,6 +434,17 @@ class TestSkeleton:
         assert out == ""
         assert err == "error: line 2: user_id must be a non-empty string\n"
 
+    def test_non_string_rule_name_exits_1_with_one_line(
+            self, capsys, tmp_path, events_path, rules_path):
+        rules = json.loads(rules_path.read_text())
+        rules.append({**rules[0], "rule_name": 5})
+        path = tmp_path / "rules-int-name.json"
+        path.write_text(json.dumps(rules))
+        code, out, err = run_cli(capsys, "skeleton", "--in", str(events_path),
+                                 "--rules", str(path))
+        assert (code, out, err) == (
+            1, "", "error: rule_name must be a non-empty string, got 5\n")
+
 
 class TestReputation:
     def test_symmetric_triangle(self, capsys, tmp_path):

@@ -163,6 +163,30 @@ NESTED_TYPE_CASES = [
     ("device_count_bool",
      lambda o: o.update(devices={"count": True}),
      "devices.count must be an integer, got True"),
+    ("user_id_int",
+     lambda o: o["devices"][1].update(user_id=5),
+     "user_id must be a non-empty string, got 5"),
+    ("user_id_list",
+     lambda o: o["devices"][1].update(user_id=["x"]),
+     "user_id must be a non-empty string, got ['x']"),
+    ("resource_id_int_without_policy",
+     lambda o: (o.pop("policy"), o["resources"][0].update(resource_id=7)),
+     "malformed scenario: resource_id must be a non-empty string, got 7"),
+    ("device_id_int_without_pretrusted",
+     lambda o: (o.pop("pretrusted"), o["devices"][0].update(device_id=5)),
+     "device_id must be a non-empty string, got 5"),
+    ("rule_name_int",
+     lambda o: o["alert_rules"][0].update(rule_name=5),
+     "malformed scenario: rule_name must be a non-empty string, got 5"),
+    ("attribute_rate_times_duration_overflows",
+     lambda o: o["benign_profile"]["attributes"]["io_operation_count"]
+     .update(rate=1e306),
+     "benign_profile.attributes.io_operation_count.rate times duration "
+     "must be finite, got 1e+306 x 900"),
+    ("request_rate_times_duration_overflows",
+     lambda o: o["compromises"][0]["profile"].update(request_rate=1e306),
+     "compromises[0].profile.request_rate times duration must be finite, "
+     "got 1e+306 x 900"),
 ]
 
 
@@ -295,6 +319,69 @@ class TestScenarioValidation:
             ResourceSpec("res-x", -0.1)
         with pytest.raises(PolicyError, match="sensitivity"):
             ResourceSpec("res-x", 0.5, "nuclear")
+
+
+FUZZ_VALUES = (5, ["x"], None, True, "zz", 1e306, -1, {})
+
+
+def json_leaves(node, path=()):
+    """Paths to every scalar in a JSON document, in document order."""
+
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        yield path
+        return
+    for key, child in items:
+        yield from json_leaves(child, path + (key,))
+
+
+class TestScenarioFuzz:
+    def test_every_leaf_edit_runs_or_raises_value_error(self):
+        # Each scalar of the document, in turn, set to each FUZZ_VALUES
+        # entry; the document is also tried without its policy and
+        # pre-trusted blocks, which routes ids through other paths. A
+        # config already run is not run again, since runs are
+        # deterministic.
+        devices = tuple(
+            DeviceSpec(f"dev-{i:02d}", f"user-{i:02d}") for i in range(1, 7)
+        )
+        config = ScenarioConfig(
+            seed=3, duration=600, devices=devices, benign=benign_profile(),
+            policy=default_policy(resources=RESOURCES),
+            alert_rules=default_rules(),
+            compromises=(CompromisePlan("dev-03", 300, malicious_profile()),),
+            failures=(FailureWindow("dev-02", 100, 400),
+                      FailureWindow("approver-1", 200, 500)),
+            pretrusted=tuple(d.device_id for d in devices),
+        )
+        full = config_to_obj(config)
+        bare = config_to_obj(config)
+        del bare["policy"], bare["pretrusted"]
+        seen: set[str] = set()
+        escaped = []
+        for doc in (full, bare):
+            for path in list(json_leaves(doc)):
+                holder = doc
+                for key in path[:-1]:
+                    holder = holder[key]
+                original = holder[path[-1]]
+                for value in FUZZ_VALUES:
+                    holder[path[-1]] = json.loads(json.dumps(value))
+                    try:
+                        mutated = config_from_obj(doc)
+                        digest = config_digest(mutated)
+                        if digest not in seen:
+                            seen.add(digest)
+                            run(mutated)
+                    except ValueError:
+                        pass
+                    except Exception as exc:
+                        escaped.append((path, value, repr(exc)))
+                holder[path[-1]] = original
+        assert escaped == []
 
 
 class TestConfigSerialization:
