@@ -63,7 +63,6 @@ from .reputation import (
     ReputationError,
     global_trust,
     ledger_from_obj,
-    ledger_to_obj,
     load_ledger,
     normalize,
     trust_vector_to_obj,
@@ -158,7 +157,7 @@ __all__ = [
     "write_archive",
     # reputation
     "GlobalTrustVector", "InteractionLedger", "LocalTrustMatrix",
-    "ReputationError", "global_trust", "ledger_from_obj", "ledger_to_obj",
+    "ReputationError", "global_trust", "ledger_from_obj",
     "load_ledger", "normalize", "trust_vector_to_obj",
     # secretshare
     "FieldParams", "Share", "ShareError", "ThresholdPolicy",

@@ -214,25 +214,6 @@ def global_trust(
 
 # --- wire format ------------------------------------------------------------
 
-def ledger_to_obj(ledger: InteractionLedger) -> dict:
-    """Export the full peer list plus {"p→q": {"sat": n, "unsat": m}}
-    interaction entries. Untouched pairs are omitted, but silent peers
-    stay in "peers": they are exactly the zero-row case the trust
-    iteration must still account for."""
-
-    pairs = sorted(set(ledger.sat) | set(ledger.unsat))
-    return {
-        "peers": sorted(ledger.peers),
-        "interactions": {
-            f"{p}{LEDGER_SEPARATOR}{q}": {
-                "sat": ledger.sat.get((p, q), 0),
-                "unsat": ledger.unsat.get((p, q), 0),
-            }
-            for p, q in pairs
-        },
-    }
-
-
 def ledger_from_obj(obj: object) -> InteractionLedger:
     if not isinstance(obj, dict) or set(obj) != {"peers", "interactions"}:
         raise ReputationError(

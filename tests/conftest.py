@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from trustgate.model import AttributeKind, EdrEvent, Triplet
+from trustgate.reputation import LEDGER_SEPARATOR, InteractionLedger
 
 DEFAULT_TRIPLET = Triplet(user_id="user-a", device_id="dev-a",
                           resource_id="res-a")
@@ -37,6 +38,25 @@ def chain(length: int, start_ts: int = 0) -> list[EdrEvent]:
             make_event(i, start_ts + i, parents=(i - 1,) if i else ())
         )
     return events
+
+
+def ledger_to_obj(ledger: InteractionLedger) -> dict:
+    """The ledger file that `trustgate reputation --ledger` reads: the
+    full peer list plus {"p→q": {"sat": n, "unsat": m}} entries for the
+    touched pairs. Silent peers stay in "peers", since they are the
+    zero-row case the trust iteration must still account for."""
+
+    pairs = sorted(set(ledger.sat) | set(ledger.unsat))
+    return {
+        "peers": sorted(ledger.peers),
+        "interactions": {
+            f"{p}{LEDGER_SEPARATOR}{q}": {
+                "sat": ledger.sat.get((p, q), 0),
+                "unsat": ledger.unsat.get((p, q), 0),
+            }
+            for p, q in pairs
+        },
+    }
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import pytest
 from trustgate.cli import main
 from trustgate.engine import policy_to_obj
 from trustgate.model import write_events
-from trustgate.reputation import InteractionLedger, ledger_to_obj
+from trustgate.reputation import InteractionLedger
 from trustgate.engine import ResourceSpec
 from trustgate.simnet import (
     config_to_obj,
@@ -19,7 +19,7 @@ from trustgate.simnet import (
     run,
 )
 
-from conftest import make_event
+from conftest import ledger_to_obj, make_event
 from test_simnet import NESTED_TYPE_CASES, failure_scenario, small_scenario
 
 

@@ -11,10 +11,6 @@ import trustgate
 
 NOQA = "# noqa: F401"
 REPO = Path(__file__).resolve().parents[1]
-# The writer of the ledger file that `trustgate reputation --ledger`
-# reads; only the tests write one today, and whether it stays public
-# is an open question rather than an oversight.
-UNREAD_EXEMPT = {"reputation.py": {"ledger_to_obj"}}
 
 
 def test_every_exported_name_resolves():
@@ -113,9 +109,8 @@ def test_every_public_def_is_read_outside_the_tests():
                          for path in readers))
     unread = {}
     for path in modules:
-        exempt = UNREAD_EXEMPT.get(path.name, set())
         unread[path.name] = [
             name for name in public_defs(path.read_text(encoding="utf-8"))
-            if name not in read and name not in exempt
+            if name not in read
         ]
     assert {name: names for name, names in unread.items() if names} == {}

@@ -14,11 +14,12 @@ from trustgate.reputation import (
     ReputationError,
     global_trust,
     ledger_from_obj,
-    ledger_to_obj,
     load_ledger,
     normalize,
     trust_vector_to_obj,
 )
+
+from conftest import ledger_to_obj
 
 
 def random_ledger(rng: random.Random, n: int,
