@@ -241,7 +241,7 @@ def reduce_to_skeleton(graph: ProvenanceGraph) -> Skeleton:
         while tail in collapsed:
             count, tail = count + 1, only_child[tail]
         summaries.append(SummaryEdge(head_parent, tail, count))
-    summaries.sort(key=lambda s: s.from_id)
+    summaries.sort(key=lambda s: (s.from_id, s.to_id))
     return Skeleton(
         nodes={n: graph.nodes[n] for n in kept - collapsed},
         summary_edges=tuple(summaries),

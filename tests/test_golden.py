@@ -1,4 +1,5 @@
-"""Golden digests: the five artifacts of three pinned scenarios, byte for byte.
+"""Golden digests: the five artifacts of three pinned scenarios, and the
+reference skeleton as `trustgate skeleton` prints it, byte for byte.
 
 Determinism elsewhere is checked as "a rerun equals the run", which a
 refactor that changes the output on every run would still pass. These

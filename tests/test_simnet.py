@@ -187,6 +187,10 @@ NESTED_TYPE_CASES = [
      lambda o: o["compromises"][0]["profile"].update(request_rate=1e306),
      "compromises[0].profile.request_rate times duration must be finite, "
      "got 1e+306 x 900"),
+    ("duration_past_float_range",
+     lambda o: o.update(duration=10**400),
+     "benign_profile.request_rate times duration must be finite, "
+     f"got 0.008 x {10**400}"),
 ]
 
 
