@@ -37,6 +37,7 @@ from .logcodec import (
 )
 from .model import ModelError, Triplet, read_events
 from .provenance import (
+    build_graph,
     load_rules,
     skeleton_to_obj,
     write_skeleton,
@@ -101,10 +102,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     events = read_events(args.events)
+    build_graph(events)  # the same log check as skeleton
     policy = load_policy(args.policy)
     triplet = _parse_triplet(args.triplet)
-    hot = HotStore(None)
-    hot.append_events(events)
+    hot = HotStore(events)
     now = args.now if args.now is not None else max(
         (e.timestamp for e in events), default=0
     )

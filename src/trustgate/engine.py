@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol
 
-from .model import Alert, AttributeKind, Severity, Triplet
+from .model import Alert, AttributeKind, Severity, Triplet, load_json
 from .secretshare import Share, ShareError, ThresholdPolicy, reconstruct
 
 SENSITIVITY_STANDARD = "standard"
@@ -536,7 +536,8 @@ def policy_from_obj(obj: object) -> TrustPolicy:
         return _policy_from_obj(obj)
     except PolicyError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, IndexError,
+            OverflowError) as exc:
         raise PolicyError(f"malformed policy: {exc}") from None
 
 
@@ -605,12 +606,7 @@ def _policy_from_obj(obj: object) -> TrustPolicy:
 
 
 def load_policy(path: str | Path) -> TrustPolicy:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise PolicyError(f"policy is not valid JSON: {exc}") from None
-    return policy_from_obj(data)
+    return policy_from_obj(load_json(path, "policy", PolicyError))
 
 
 def policy_to_obj(policy: TrustPolicy) -> dict:

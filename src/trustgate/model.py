@@ -299,3 +299,19 @@ def iter_events(path: str | Path) -> Iterator[EdrEvent]:
 
 def read_events(path: str | Path) -> list[EdrEvent]:
     return list(iter_events(path))
+
+
+def load_json(path: str | Path, what: str,
+              error: type[ValueError]) -> object:
+    """Parse the JSON document at ``path``.
+
+    Any parse failure (bad syntax or UTF-8, nesting too deep, an integer
+    past the digit limit) raises ``error`` naming the document as
+    ``what``. A file that cannot be opened raises OSError.
+    """
+
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{what} is not valid JSON: {exc}") from None

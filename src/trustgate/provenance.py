@@ -21,6 +21,7 @@ from .model import (
     EdrEvent,
     Severity,
     event_to_obj,
+    load_json,
 )
 
 COMPARATORS = (">=", ">", "==", "<", "<=")
@@ -306,11 +307,7 @@ def rule_from_obj(obj: object) -> AlertRule:
 
 
 def load_rules(path: str | Path) -> tuple[AlertRule, ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError as exc:
-            raise GraphError(f"rules file is not valid JSON: {exc}") from None
+    data = load_json(path, "rules file", GraphError)
     if not isinstance(data, list):
         raise GraphError("rules file must contain a JSON array")
     return tuple(rule_from_obj(obj) for obj in data)

@@ -18,13 +18,14 @@ of the number of peers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
+
+from .model import load_json
 
 LEDGER_SEPARATOR = "→"  # "p→q" keys in the wire format
 
@@ -259,12 +260,7 @@ def ledger_from_obj(obj: object) -> InteractionLedger:
 
 
 def load_ledger(path: str | Path) -> InteractionLedger:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except RecursionError as exc:
-            raise ReputationError(f"ledger is not valid JSON: {exc}") from None
-    return ledger_from_obj(obj)
+    return ledger_from_obj(load_json(path, "ledger", ReputationError))
 
 
 def trust_vector_to_obj(vector: GlobalTrustVector) -> dict:

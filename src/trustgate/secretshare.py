@@ -17,6 +17,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
+from .model import load_json
+
 DEFAULT_PRIME = 2**61 - 1
 # Weight sets kept by reconstruct: one per (share x values, prime) seen.
 LAGRANGE_CACHE_SIZE = 64
@@ -369,11 +371,7 @@ def write_share_file(path: str | Path, chunks: Sequence[Share]) -> None:
 
 
 def read_share_file(path: str | Path) -> list[Share]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError as exc:
-            raise ShareError(f"{path}: not valid JSON: {exc}") from None
+    data = load_json(path, f"share file {path}", ShareError)
     if isinstance(data, dict):
         return [share_from_obj(data)]
     if isinstance(data, list) and data:

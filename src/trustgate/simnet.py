@@ -39,6 +39,7 @@ from .model import (
     EdrEvent,
     Severity,
     Triplet,
+    load_json,
     write_events,
 )
 # bench/test_bench.py asserts that simnet binds reduce_to_skeleton.
@@ -201,15 +202,20 @@ class ScenarioConfig:
         if len(set(device_ids)) != len(device_ids):
             raise ScenarioError("duplicate device ids")
         known = set(device_ids)
-        for plan in self.compromises:
+        for i, plan in enumerate(self.compromises):
+            _check_integer(plan.start_time, f"compromises[{i}].start_time")
             if plan.device_id not in known:
                 raise ScenarioError(f"unknown compromised device {plan.device_id}")
             if not 0 <= plan.start_time < max(self.duration, 1):
                 raise ScenarioError("compromise start must fall inside the run")
         approver_ids = set(self.approver_ids())
-        for window in self.failures:
+        for i, window in enumerate(self.failures):
             if window.node not in known and window.node not in approver_ids:
                 raise ScenarioError(f"unknown failure node {window.node}")
+            down = [window.start, window.end]
+            if any(isinstance(t, bool) or not isinstance(t, int) for t in down):
+                raise ScenarioError(
+                    f"failures[{i}].down must be two integers, got {down!r}")
             if not 0 <= window.start <= window.end <= self.duration:
                 raise ScenarioError("failure window must fall inside the run")
         unknown = set(self.pretrusted) - known
@@ -227,6 +233,9 @@ class ScenarioConfig:
             raise ScenarioError("cache_capacity must be positive")
         if not 0.0 <= self.damping < 1.0:
             raise ScenarioError("damping must lie in [0, 1)")
+        if not 0 < self.epsilon <= _FLOAT_MAX:  # NaN fails both
+            raise ScenarioError(
+                f"epsilon must be a finite positive number, got {self.epsilon!r}")
         profiles = [("benign_profile", self.benign)] + [
             (f"compromises[{i}].profile", p.profile)
             for i, p in enumerate(self.compromises)
@@ -343,9 +352,7 @@ def _profile_from_obj(obj: object, where: str) -> BehaviorProfile:
 
 def _window_from_obj(obj: dict, where: str) -> FailureWindow:
     down = obj["down"]
-    if (not isinstance(down, list) or len(down) != 2
-            or any(isinstance(t, bool) or not isinstance(t, int)
-                   for t in down)):
+    if not isinstance(down, list) or len(down) != 2:
         raise ScenarioError(f"{where}.down must be two integers, got {down!r}")
     return FailureWindow(node=obj["node"], start=down[0], end=down[1])
 
@@ -411,7 +418,8 @@ def config_from_obj(obj: object) -> ScenarioConfig:
         raise
     except KeyError as exc:
         raise ScenarioError(f"missing scenario field {exc}") from None
-    except (AttributeError, TypeError, ValueError, IndexError) as exc:
+    except (AttributeError, TypeError, ValueError, IndexError,
+            OverflowError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from None
 
 
@@ -487,8 +495,7 @@ def _config_from_obj(obj: object) -> ScenarioConfig:
         compromises=tuple(
             CompromisePlan(
                 device_id=p["device_id"],
-                start_time=_check_integer(p["start_time"],
-                                          f"compromises[{i}].start_time"),
+                start_time=p["start_time"],
                 profile=_profile_from_obj(p["profile"],
                                           f"compromises[{i}].profile"),
             )
@@ -506,12 +513,7 @@ def _config_from_obj(obj: object) -> ScenarioConfig:
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except RecursionError as exc:
-            raise ScenarioError(f"scenario is not valid JSON: {exc}") from None
-    return config_from_obj(obj)
+    return config_from_obj(load_json(path, "scenario", ScenarioError))
 
 
 def config_digest(config: ScenarioConfig) -> str:
@@ -1183,9 +1185,8 @@ def replay(out_dir: str | Path) -> SimReport:
     except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
         raise ReplayError(f"cannot load scenario: {exc}") from None
     try:
-        with open(out / "report.json", "r", encoding="utf-8") as fh:
-            stored = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
+        stored = load_json(out / "report.json", "report.json", ReplayError)
+    except (OSError, ValueError) as exc:
         raise ReplayError(f"cannot load report: {exc}") from None
     if not isinstance(stored, dict):
         raise ReplayError("report must be a JSON object")

@@ -1,6 +1,6 @@
 """Event storage and the archival pipeline.
 
-Fresh telemetry lives in a hot JSON Lines pool indexed by triplet.
+Fresh telemetry lives in a hot in-memory pool indexed by triplet.
 Archival runs a batch of events through both reduction stages: alert
 rules and skeleton reduction keep only alert ancestry, then the
 surviving attribute records are tallied into patterns and given an
@@ -11,16 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable, Sequence
 
-from .model import (
-    AttributeKind,
-    EdrEvent,
-    Triplet,
-    dumps_event,
-    iter_events,
-)
+from .model import AttributeKind, EdrEvent, Triplet
 from .logcodec import (
     AttributeRecord,
     PatternTable,
@@ -47,41 +40,29 @@ class StoreError(ValueError):
 
 
 class HotStore:
-    """Append-only pool of recent events, indexed by triplet.
+    """Append-only in-memory pool of recent events, indexed by triplet.
 
-    Pass a file path for a persistent pool, or ``None`` to keep the
-    pool in memory only.
+    The store trusts its caller: it keeps no id set and checks no
+    parentage, so every event passed in, at construction or through
+    :meth:`append_events`, must belong to a log that
+    :func:`trustgate.provenance.build_graph` would accept. ``None``
+    starts an empty store.
     """
 
-    def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path is not None else None
+    def __init__(self, events: Iterable[EdrEvent] | None = None):
         self._events: list[EdrEvent] = []
-        self._ids: set[int] = set()
         self._by_triplet: dict[Triplet, list[EdrEvent]] = {}
-        if self.path is not None and self.path.exists():
-            for event in iter_events(self.path):
-                self._admit(event)
-
-    def _admit(self, event: EdrEvent) -> None:
-        if event.event_id in self._ids:
-            raise StoreError(f"duplicate event id {event.event_id}")
-        self._events.append(event)
-        self._ids.add(event.event_id)
-        self._by_triplet.setdefault(event.triplet, []).append(event)
+        if events is not None:
+            self.append_events(events)
 
     def append_events(self, events: Iterable[EdrEvent]) -> int:
-        """Append pre-validated events; returns how many were added."""
+        """Append events; returns how many were added."""
 
         start = len(self._events)
         for event in events:
-            self._admit(event)
-        added = len(self._events) - start
-        if added and self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                for event in self._events[start:]:
-                    fh.write(dumps_event(event))
-                    fh.write("\n")
-        return added
+            self._events.append(event)
+            self._by_triplet.setdefault(event.triplet, []).append(event)
+        return len(self._events) - start
 
     def query_window(
         self, triplet: Triplet, now: int, horizon: int

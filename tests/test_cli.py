@@ -307,6 +307,25 @@ class TestScore:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("events, message", [
+        ((make_event(1, 100), make_event(1, 110)),
+         "duplicate event ids in log"),
+        ((make_event(1, 100), make_event(2, 110, parents=(9,))),
+         "dangling parent: event 2 references 9"),
+        ((make_event(1, 100), make_event(2, 100, parents=(1,))),
+         "causality: event 2 is not later than its parent 1"),
+    ], ids=["duplicate_id", "dangling_parent", "non_causal_parent"])
+    def test_log_is_checked_as_skeleton_checks_it(self, capsys, tmp_path,
+                                                  policy_path, events,
+                                                  message):
+        path = tmp_path / "bad.jsonl"
+        write_events(path, events)
+        code, out, err = run_cli(
+            capsys, "score", "--events", str(path),
+            "--policy", str(policy_path), "--triplet", "user-a,dev-a,res-a",
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_missing_events_file(self, capsys, policy_path, tmp_path):
         code, _, err = run_cli(
             capsys, "score",
@@ -542,7 +561,7 @@ class TestDeeplyNestedJson:
         path = self.deep(tmp_path, "share.json")
         self.assert_one_line(
             capsys, ("share-join", "--shares", str(path)),
-            f"{path}: not valid JSON: {RECURSION}")
+            f"share file {path} is not valid JSON: {RECURSION}")
 
     def test_scenario(self, capsys, tmp_path):
         path = self.deep(tmp_path, "scenario.json")
@@ -560,7 +579,8 @@ class TestDeeplyNestedJson:
     @pytest.mark.parametrize("artifact, message", [
         ("config.json",
          f"cannot load scenario: scenario is not valid JSON: {RECURSION}"),
-        ("report.json", f"cannot load report: {RECURSION}"),
+        ("report.json",
+         f"cannot load report: report.json is not valid JSON: {RECURSION}"),
         ("audit.jsonl", f"audit line 1: {RECURSION}"),
     ])
     def test_replay_artifact(self, capsys, tmp_path, artifact, message):
@@ -568,6 +588,61 @@ class TestDeeplyNestedJson:
         self.deep(tmp_path, artifact)
         self.assert_one_line(capsys, ("replay", "--out", str(tmp_path)),
                              message)
+
+
+# (loader id, the bad document's file name, the command's argv, and the
+# stderr prefix that names the document), given the file's path, the
+# test's directory and the events and rules fixtures
+DOCUMENT_LOADERS = {
+    "scenario": ("scenario.json", lambda path, tmp, events, rules: (
+        ("simulate", "--config", str(path), "--out", str(tmp / "out")),
+        "scenario is not valid JSON: ")),
+    "policy": ("policy.json", lambda path, tmp, events, rules: (
+        ("score", "--events", str(events), "--policy", str(path),
+         "--triplet", "user-a,dev-a,res-a"),
+        "policy is not valid JSON: ")),
+    "rules": ("rules.json", lambda path, tmp, events, rules: (
+        ("skeleton", "--in", str(events), "--rules", str(path)),
+        "rules file is not valid JSON: ")),
+    "ledger": ("ledger.json", lambda path, tmp, events, rules: (
+        ("reputation", "--ledger", str(path), "--pretrusted", "p1"),
+        "ledger is not valid JSON: ")),
+    "share": ("share.json", lambda path, tmp, events, rules: (
+        ("share-join", "--shares", str(path)),
+        f"share file {path} is not valid JSON: ")),
+    "replay_config": ("config.json", lambda path, tmp, events, rules: (
+        ("replay", "--out", str(tmp)),
+        "cannot load scenario: scenario is not valid JSON: ")),
+    "replay_report": ("report.json", lambda path, tmp, events, rules: (
+        ("replay", "--out", str(tmp)),
+        "cannot load report: report.json is not valid JSON: ")),
+}
+
+BAD_DOCUMENTS = {
+    "truncated": b'{"seed": ',
+    "5000_digit_integer": b"1" * 5000,
+    "invalid_utf8": b'{"seed": "\xff"}',
+}
+
+
+class TestMalformedDocument:
+    """Every JSON document a command reads fails to parse the same way:
+    exit 1, nothing on stdout, one stderr line naming the document."""
+
+    @pytest.mark.parametrize("content", sorted(BAD_DOCUMENTS))
+    @pytest.mark.parametrize("loader", sorted(DOCUMENT_LOADERS))
+    def test_exits_1_naming_the_document(self, capsys, tmp_path, events_path,
+                                         rules_path, loader, content):
+        name, command = DOCUMENT_LOADERS[loader]
+        if loader.startswith("replay_"):
+            run(small_scenario(), tmp_path)
+        path = tmp_path / name
+        path.write_bytes(BAD_DOCUMENTS[content])
+        argv, prefix = command(path, tmp_path, events_path, rules_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {prefix}")
+        assert err.count("\n") == 1
 
 
 class TestShareCommands:

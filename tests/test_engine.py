@@ -33,13 +33,15 @@ from trustgate.engine import (
     token_digest,
 )
 from trustgate.model import Alert, AttributeKind, Severity, Triplet
-from trustgate.simnet import default_policy
+from trustgate.simnet import default_policy, reference_scenario
 from trustgate.secretshare import (
     FieldParams,
     Share,
     ThresholdPolicy,
     split,
 )
+
+from test_simnet import FUZZ_VALUES, json_leaves
 
 TRIPLET = Triplet("user-1", "dev-1", "res-std")
 HIGH_TRIPLET = Triplet("user-1", "dev-1", "res-high")
@@ -729,3 +731,25 @@ class TestPolicyDocuments:
         policy = policy_from_obj(self.doc())
         total = sum(policy.weights.values(), start=Fraction(0))
         assert total == 1
+
+    def test_every_leaf_edit_loads_or_raises_policy_error(self):
+        # Each scalar of the reference policy document (the default
+        # policy over four resources), in turn, set to each junk value of
+        # the scenario fuzz and to an integer past the float range.
+        doc = policy_to_obj(reference_scenario().policy)
+        escaped = []
+        for path in list(json_leaves(doc)):
+            holder = doc
+            for key in path[:-1]:
+                holder = holder[key]
+            original = holder[path[-1]]
+            for value in (*FUZZ_VALUES, 10**400):
+                holder[path[-1]] = json.loads(json.dumps(value))
+                try:
+                    policy_from_obj(doc)
+                except PolicyError:
+                    pass
+                except Exception as exc:
+                    escaped.append((path, value, repr(exc)))
+            holder[path[-1]] = original
+        assert escaped == []

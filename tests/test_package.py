@@ -1,6 +1,7 @@
 """The package's export list: every name in ``__all__`` resolves; no
 module binds an import it never uses; every public top-level function
-and class has a reader outside the tests."""
+and class has a reader outside the tests; JSON documents are read in
+one place."""
 
 from __future__ import annotations
 
@@ -67,6 +68,39 @@ def test_no_module_binds_an_unused_import():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def json_load_lines(source: str) -> list[int]:
+    """Lines that call ``json.load`` or import ``load`` from json."""
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "load"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "json"
+                and any(alias.name == "load" for alias in node.names)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_json_load_scan_finds_calls_and_imports():
+    source = (
+        "import json\njson.loads('1')\nwith open(p) as fh:\n"
+        "    json.load(fh)\nfrom json import dumps, load\n"
+    )
+    assert json_load_lines(source) == [4, 5]
+
+
+def test_only_model_reads_json_documents():
+    package = Path(trustgate.__file__).parent
+    found = {
+        path.name: json_load_lines(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+        if path.name != "model.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def public_defs(source: str) -> list[str]:

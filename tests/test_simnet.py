@@ -191,6 +191,28 @@ NESTED_TYPE_CASES = [
      lambda o: o.update(duration=10**400),
      "benign_profile.request_rate times duration must be finite, "
      f"got 0.008 x {10**400}"),
+    ("resource_threshold_past_float_range",
+     lambda o: o["resources"][0].update(threshold=10**400),
+     "malformed scenario: int too large to convert to float"),
+    ("epsilon_past_float_range",
+     lambda o: o.update(epsilon=10**400),
+     f"epsilon must be a finite positive number, got {10**400}"),
+]
+
+
+# (id, edit of reference_scenario(42) as built in Python, the message)
+DIRECT_TYPE_CASES = [
+    ("start_time_bool",
+     lambda c: replace(c, compromises=(
+         CompromisePlan("dev-17", True, malicious_profile()),)),
+     "compromises[0].start_time must be an integer, got True"),
+    ("start_time_float",
+     lambda c: replace(c, compromises=(
+         c.compromises[0], replace(c.compromises[1], start_time=300.5))),
+     "compromises[1].start_time must be an integer, got 300.5"),
+    ("down_float",
+     lambda c: replace(c, failures=(FailureWindow("dev-05", 1.5, 3),)),
+     "failures[0].down must be two integers, got [1.5, 3]"),
 ]
 
 
@@ -203,6 +225,14 @@ class TestScenarioValidation:
         edit(obj)
         with pytest.raises(ScenarioError) as info:
             config_from_obj(obj)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "edit, message", [case[1:] for case in DIRECT_TYPE_CASES],
+        ids=[case[0] for case in DIRECT_TYPE_CASES])
+    def test_direct_construction_types(self, edit, message):
+        with pytest.raises(ScenarioError) as info:
+            edit(reference_scenario(42))
         assert str(info.value) == message
 
     def test_whole_number_rates_accepted(self):

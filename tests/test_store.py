@@ -42,29 +42,6 @@ class TestHotStore:
         assert store.append_events([make_event(i, i) for i in range(5)]) == 5
         assert len(store) == 5
 
-    def test_duplicate_id_rejected(self):
-        store = HotStore(None)
-        store.append_events([make_event(1, 0)])
-        with pytest.raises(StoreError, match="duplicate event id"):
-            store.append_events([make_event(1, 10)])
-
-    def test_persistence_across_reopen(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        store = HotStore(path)
-        store.append_events([make_event(i, i * 10) for i in range(3)])
-        reopened = HotStore(path)
-        assert reopened.events == store.events
-
-    def test_append_writes_each_new_event_once(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        store = HotStore(path)
-        assert store.append_events(()) == 0
-        assert not path.exists()
-        assert store.append_events((make_event(0, 0),)) == 1
-        assert store.append_events(make_event(i, i) for i in (1, 2)) == 2
-        assert len(path.read_text().splitlines()) == 3
-        assert HotStore(path).events == store.events
-
     def test_window_is_half_open(self):
         store = HotStore(None)
         store.append_events([
