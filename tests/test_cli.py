@@ -590,30 +590,30 @@ class TestDeeplyNestedJson:
                              message)
 
 
-# (loader id, the bad document's file name, the command's argv, and the
-# stderr prefix that names the document), given the file's path, the
-# test's directory and the events and rules fixtures
+# loader id -> (the bad document's file name, and, given the file's path,
+# the test's directory and the events fixture, the command's argv and
+# the stderr prefix that names the document)
 DOCUMENT_LOADERS = {
-    "scenario": ("scenario.json", lambda path, tmp, events, rules: (
+    "scenario": ("scenario.json", lambda path, tmp, events: (
         ("simulate", "--config", str(path), "--out", str(tmp / "out")),
         "scenario is not valid JSON: ")),
-    "policy": ("policy.json", lambda path, tmp, events, rules: (
+    "policy": ("policy.json", lambda path, tmp, events: (
         ("score", "--events", str(events), "--policy", str(path),
          "--triplet", "user-a,dev-a,res-a"),
         "policy is not valid JSON: ")),
-    "rules": ("rules.json", lambda path, tmp, events, rules: (
+    "rules": ("rules.json", lambda path, tmp, events: (
         ("skeleton", "--in", str(events), "--rules", str(path)),
         "rules file is not valid JSON: ")),
-    "ledger": ("ledger.json", lambda path, tmp, events, rules: (
+    "ledger": ("ledger.json", lambda path, tmp, events: (
         ("reputation", "--ledger", str(path), "--pretrusted", "p1"),
         "ledger is not valid JSON: ")),
-    "share": ("share.json", lambda path, tmp, events, rules: (
+    "share": ("share.json", lambda path, tmp, events: (
         ("share-join", "--shares", str(path)),
         f"share file {path} is not valid JSON: ")),
-    "replay_config": ("config.json", lambda path, tmp, events, rules: (
+    "replay_config": ("config.json", lambda path, tmp, events: (
         ("replay", "--out", str(tmp)),
         "cannot load scenario: scenario is not valid JSON: ")),
-    "replay_report": ("report.json", lambda path, tmp, events, rules: (
+    "replay_report": ("report.json", lambda path, tmp, events: (
         ("replay", "--out", str(tmp)),
         "cannot load report: report.json is not valid JSON: ")),
 }
@@ -632,13 +632,13 @@ class TestMalformedDocument:
     @pytest.mark.parametrize("content", sorted(BAD_DOCUMENTS))
     @pytest.mark.parametrize("loader", sorted(DOCUMENT_LOADERS))
     def test_exits_1_naming_the_document(self, capsys, tmp_path, events_path,
-                                         rules_path, loader, content):
+                                         loader, content):
         name, command = DOCUMENT_LOADERS[loader]
         if loader.startswith("replay_"):
             run(small_scenario(), tmp_path)
         path = tmp_path / name
         path.write_bytes(BAD_DOCUMENTS[content])
-        argv, prefix = command(path, tmp_path, events_path, rules_path)
+        argv, prefix = command(path, tmp_path, events_path)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {prefix}")
