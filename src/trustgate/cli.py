@@ -25,11 +25,9 @@ from .cache import (
 )
 from .engine import behavioral_score, load_policy, make_record
 from .logcodec import (
-    archive_from_bytes,
     average_length,
     build_codebook,
     collect_patterns,
-    decode,
     encode,
     read_archive,
     records_from_events,
@@ -148,8 +146,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompress(args: argparse.Namespace) -> int:
-    archive = read_archive(args.infile)
-    records = decode(archive)
+    _, records = read_archive(args.infile)
     lines = [
         json.dumps(dict(r.items), sort_keys=True, separators=(",", ":"))
         for r in records
@@ -278,10 +275,7 @@ def _cmd_cache_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_archive(args: argparse.Namespace) -> int:
-    with open(args.infile, "rb") as fh:
-        data = fh.read()
-    archive = archive_from_bytes(data)
-    records = decode(archive)
+    archive, records = read_archive(args.infile)
     avg = average_length(
         build_codebook(collect_patterns(records))
     ) if records else None

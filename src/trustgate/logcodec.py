@@ -11,7 +11,8 @@ Logs repeat few distinct records, so JSON work happens once per pattern:
 ``records_from_events`` shares one record object per distinct
 (attribute, value), ``collect_patterns`` and ``encode`` key by
 ``items``, and ``decode`` parses one record per codeword. Decoding
-walks the bits as the integer "1" + prefix, one path for any length.
+matches the payload's bit string against one regular expression shaped
+as the code tree, one match per codeword, for any code length.
 
 Archive layout (all integers big-endian):
 
@@ -25,9 +26,12 @@ from __future__ import annotations
 
 import heapq
 import json
+import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -89,8 +93,9 @@ class AttributeRecord:
 
 
 def records_from_events(events: Iterable[EdrEvent]) -> list[AttributeRecord]:
-    pairs = [(e.attribute.value, e.value) for e in events]
-    shared = {pair: AttributeRecord((pair,)) for pair in set(pairs)}
+    pairs = [(e.attribute, e.value) for e in events]
+    shared = {(kind, value): AttributeRecord(((kind.value, value),))
+              for kind, value in set(pairs)}
     return [shared[pair] for pair in pairs]
 
 
@@ -225,37 +230,55 @@ def _check_prefix_free(codebook: Mapping[str, str]) -> None:
             raise CodecError("corrupt archive: codebook is not prefix-free")
 
 
-def decode(archive: CompressedArchive) -> list[AttributeRecord]:
-    """Walk the payload back into the original record sequence."""
+def _tree_pattern(codes: Sequence[str], depth: int = 0) -> str:
+    """A regular expression matching exactly the codewords in ``codes``,
+    which are sorted, prefix-free and share their first ``depth`` bits:
+    one ``(?:0...|1...)`` branch per node of the code tree below them."""
 
-    if archive.record_count and not archive.codebook:
+    if len(codes[0]) == depth:  # a leaf: prefix-free, so the only code
+        return ""
+    split = bisect_left(codes, "1", key=itemgetter(depth))
+    branches = [bit + _tree_pattern(part, depth + 1)
+                for bit, part in (("0", codes[:split]), ("1", codes[split:]))
+                if part]
+    return branches[0] if len(branches) == 1 else f"(?:{'|'.join(branches)})"
+
+
+def decode(archive: CompressedArchive) -> list[AttributeRecord]:
+    """Parse the payload back into the original record sequence."""
+
+    count = archive.record_count
+    if count and not archive.codebook:
         raise CodecError("corrupt archive: records but no codebook")
     _check_prefix_free(archive.codebook)
-    # A prefix is the node int("1" + prefix, 2); from bound up, it is
-    # as long as the longest code.
-    by_node = {int("1" + code, 2): AttributeRecord.from_key(key)
+    by_code = {code: AttributeRecord.from_key(key)
                for key, code in archive.codebook.items()}
-    bound = 1 << max(map(len, archive.codebook.values()), default=0)
     total_bits = len(archive.payload) * 8
     bits = format(int.from_bytes(archive.payload, "big"), f"0{total_bits}b")
-    records: list[AttributeRecord] = []
-    pos, node = 0, 1
-    while len(records) < archive.record_count:
-        if node >= bound:
+    codes: list[str] = []
+    if count:
+        # An empty codeword matches nothing: the walk falls off at once.
+        codes = re.findall(_tree_pattern(sorted(by_code)) or "(?!)", bits)
+        del codes[count:]
+    parsed = "".join(codes)
+    if len(codes) < count or not bits.startswith(parsed):
+        # The first position no codeword starts at: the bit walk falls
+        # off the tree there if a longest codeword's worth of bits is
+        # left, else it runs out of bits first.
+        pos = 0
+        for code in codes:
+            if not bits.startswith(code, pos):
+                break
+            pos += len(code)
+        if total_bits - pos >= max(map(len, by_code)):
             raise CodecError("corrupt archive: prefix walk fell off the tree")
-        if pos >= total_bits:
-            raise CodecError("corrupt archive: bit stream exhausted early")
-        node = 2 * node + (bits[pos] == "1")
-        pos += 1
-        record = by_node.get(node)
-        if record is not None:
-            records.append(record)
-            node = 1
+        raise CodecError("corrupt archive: bit stream exhausted early")
+    pos = len(parsed)
     if total_bits - pos >= 8:
         raise CodecError("corrupt archive: trailing payload beyond padding")
     if "1" in bits[pos:]:
         raise CodecError("corrupt archive: nonzero padding bits")
-    return records
+    return list(map(by_code.__getitem__, codes))
 
 
 # --- binary wire format -----------------------------------------------------
@@ -281,7 +304,9 @@ def archive_to_bytes(archive: CompressedArchive) -> bytes:
     return bytes(out)
 
 
-def archive_from_bytes(data: bytes) -> CompressedArchive:
+def _parse_archive(
+    data: bytes,
+) -> tuple[CompressedArchive, list[AttributeRecord]]:
     view = memoryview(data)
     pos = 0
 
@@ -323,13 +348,21 @@ def archive_from_bytes(data: bytes) -> CompressedArchive:
     # Parsing is verification: a container that cannot decode cleanly
     # (truncated payload, trailing bytes, dirty padding, inconsistent
     # record count) is rejected at the border, not at first use.
-    decode(archive)
-    return archive
+    return archive, decode(archive)
+
+
+def archive_from_bytes(data: bytes) -> CompressedArchive:
+    return _parse_archive(data)[0]
 
 
 def write_archive(path: str | Path, archive: CompressedArchive) -> None:
     Path(path).write_bytes(archive_to_bytes(archive))
 
 
-def read_archive(path: str | Path) -> CompressedArchive:
-    return archive_from_bytes(Path(path).read_bytes())
+def read_archive(
+    path: str | Path,
+) -> tuple[CompressedArchive, list[AttributeRecord]]:
+    """The archive at ``path`` and its records, from the one decode that
+    verifies it."""
+
+    return _parse_archive(Path(path).read_bytes())

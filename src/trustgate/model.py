@@ -6,12 +6,15 @@ triplets, endpoint attribute observations, and the alerts raised on
 them.
 
 Logs are JSON Lines, one event per line. A read shares one ``Triplet``
-per distinct (user, device, resource) among the events that carry it.
+per distinct (user, device, resource) among the events that carry it,
+and reads lines in ``dumps_event``'s layout with a regular expression,
+the rest with the JSON parser.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii
@@ -264,41 +267,125 @@ def write_events(path: str | Path, events: Iterable[EdrEvent]) -> int:
     return count
 
 
-def iter_events(path: str | Path) -> Iterator[EdrEvent]:
-    """Yield events from a JSON Lines file.
+# The layout dumps_event writes, as a whole line of a file read as bytes:
+# ASCII strings with no escape or control character, a known attribute
+# kind, integers of at most 20 digits with no sign or leading zero.
+# json.loads reads such a line into exactly the eight fields the groups
+# hold. A match spans one line from its start to its end, so a chunk
+# with as many matches as lines has every line in this layout.
+_ID = rb"0|[1-9][0-9]{0,19}"
+_STR = rb'"([^"\\\x00-\x1f\x80-\xff]*)"'
+_CANONICAL_LINE = re.compile(
+    rb'(?m)^\{"event_id": (' + _ID + rb'), '
+    rb'("user": ' + _STR + rb', "device": ' + _STR + rb', '
+    rb'"resource": ' + _STR + rb'), '
+    rb'("attribute": "(' + b"|".join(sorted(k.encode() for k in _KINDS))
+    + rb')", "value": (?:(' + _ID + rb')|' + _STR + rb')), '
+    rb'"ts": (' + _ID + rb'), '
+    rb'"parents": \[((?:' + _ID + rb')(?:, (?:' + _ID + rb'))*)?\]\}'
+    rb'(?:\r?\n|\r?\Z)'
+)
+_CHUNK_BYTES = 1 << 16
 
-    Malformed lines, nesting too deep to parse included, raise ModelError
-    carrying the 1-based line number.
+
+def _lines(raw_lines: Iterable[bytes]) -> Iterator[bytes]:
+    r"""Split binary lines as text mode does: at "\n", "\r\n" and a lone
+    "\r"."""
+
+    for raw in raw_lines:
+        if raw.endswith(b"\n"):
+            raw = raw[:-1]
+        if raw.endswith(b"\r"):
+            raw = raw[:-1]
+        if b"\r" in raw:
+            yield from raw.split(b"\r")
+        else:
+            yield raw
+
+
+def _canonical_events(
+    found: list[tuple[bytes, ...]], triplets: dict[tuple, Triplet],
+    triplet_of: dict[bytes, Triplet],
+    pair_of: dict[bytes, tuple[AttributeKind, int | str]],
+) -> list[EdrEvent]:
+    """The events of a chunk's matched lines. ``triplet_of`` and
+    ``pair_of`` cache the triplet and the (kind, value) of a field run's
+    text; a refused event raises ModelError with no line number."""
+
+    events = []
+    append = events.append
+    for (event_id, identity_text, user, device, resource,
+         pair_text, kind, number, text, ts, parents) in found:
+        triplet = triplet_of.get(identity_text)
+        if triplet is None:
+            identity = (user.decode(), device.decode(), resource.decode())
+            triplet = triplets.get(identity)
+            if triplet is None:
+                triplet = triplets[identity] = Triplet(*identity)
+            triplet_of[identity_text] = triplet
+        pair = pair_of.get(pair_text)
+        if pair is None:
+            pair = pair_of[pair_text] = (
+                _KINDS[kind.decode()],
+                int(number) if number else text.decode())
+        append(EdrEvent(
+            int(event_id), triplet, pair[0], pair[1], int(ts),
+            tuple(map(int, parents.split(b", "))) if parents else ()))
+    return events
+
+
+def read_events(path: str | Path) -> list[EdrEvent]:
+    """Read the events of a JSON Lines file.
+
+    The file is read in chunks of whole lines. A chunk whose every line is
+    in ``dumps_event``'s layout is read by one regular expression scan,
+    one match per line. Any other chunk, or one with an event its
+    constructor refuses, is read line by line through the JSON parser: a
+    malformed line, invalid UTF-8 and nesting too deep to parse included,
+    raises ModelError carrying its 1-based line number.
     """
 
     raw_decode = json.JSONDecoder().raw_decode
     triplets: dict[tuple, Triplet] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                # raw_decode skips json.loads's type, BOM and whitespace
-                # checks; a line it cannot take whole goes through
-                # json.loads to raise that function's own message.
-                obj, end = raw_decode(line)
-            except (ValueError, RecursionError):
-                end = None
-            try:
-                if end != len(line):  # trailing data, or not JSON at all
-                    obj = json.loads(line)
-                event = event_from_obj(obj, triplets)
-            # ValueError covers JSONDecodeError, ModelError and an integer
-            # past the interpreter's digit limit; RecursionError is
-            # nesting deeper than the parser follows.
-            except (ValueError, RecursionError) as exc:
-                raise ModelError(f"line {lineno}: {exc}") from None
-            yield event
-
-
-def read_events(path: str | Path) -> list[EdrEvent]:
-    return list(iter_events(path))
+    triplet_of: dict[bytes, Triplet] = {}
+    pair_of: dict[bytes, tuple[AttributeKind, int | str]] = {}
+    events: list[EdrEvent] = []
+    lineno = 0
+    with open(path, "rb") as fh:
+        while chunk := fh.readlines(_CHUNK_BYTES):
+            found = _CANONICAL_LINE.findall(b"".join(chunk))
+            if len(found) == len(chunk):
+                try:
+                    events += _canonical_events(found, triplets,
+                                                triplet_of, pair_of)
+                    lineno += len(chunk)
+                    continue
+                except ModelError:
+                    pass  # the line-by-line reading names the line
+            for raw in _lines(chunk):
+                lineno += 1
+                try:
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
+                    try:
+                        # raw_decode skips json.loads's type, BOM and
+                        # whitespace checks; a line it cannot take whole
+                        # goes through json.loads to raise that
+                        # function's own message.
+                        obj, end = raw_decode(line)
+                    except (ValueError, RecursionError):
+                        end = None
+                    if end != len(line):  # trailing data, or not JSON
+                        obj = json.loads(line)
+                    events.append(event_from_obj(obj, triplets))
+                # ValueError covers UnicodeDecodeError, JSONDecodeError,
+                # ModelError and an integer past the interpreter's digit
+                # limit; RecursionError is nesting deeper than the parser
+                # follows.
+                except (ValueError, RecursionError) as exc:
+                    raise ModelError(f"line {lineno}: {exc}") from None
+    return events
 
 
 def load_json(path: str | Path, what: str,

@@ -137,11 +137,13 @@ def apply_rules(
     the same alert list.
     """
 
-    ordered = sorted(rules, key=lambda r: r.rule_name)
+    by_kind: dict[AttributeKind, list[AlertRule]] = {}
+    for rule in sorted(rules, key=lambda r: r.rule_name):
+        by_kind.setdefault(rule.attribute, []).append(rule)
     hits = []
     for event_id in sorted(graph.nodes):
         event = graph.nodes[event_id]
-        for rule in ordered:
+        for rule in by_kind.get(event.attribute, ()):
             if rule.matches(event):
                 hits.append((event_id, rule))
     alerts = tuple(

@@ -93,6 +93,8 @@ _PRIORITY_EMIT = 1
 _PRIORITY_REQUEST = 2
 
 _FLOAT_MAX = sys.float_info.max
+# A scenario names each approver, so its quorum size is bounded.
+MAX_APPROVERS = 1000
 
 
 class ScenarioError(ValueError):
@@ -204,13 +206,17 @@ class ScenarioConfig:
         known = set(device_ids)
         for i, plan in enumerate(self.compromises):
             _check_integer(plan.start_time, f"compromises[{i}].start_time")
-            if plan.device_id not in known:
+            if not isinstance(plan.device_id, str) or plan.device_id not in known:
                 raise ScenarioError(f"unknown compromised device {plan.device_id}")
             if not 0 <= plan.start_time < max(self.duration, 1):
                 raise ScenarioError("compromise start must fall inside the run")
+        if self.policy.quorum.n > MAX_APPROVERS:
+            raise ScenarioError(f"approvers.n must be at most {MAX_APPROVERS}, "
+                                f"got {self.policy.quorum.n}")
         approver_ids = set(self.approver_ids())
         for i, window in enumerate(self.failures):
-            if window.node not in known and window.node not in approver_ids:
+            if not isinstance(window.node, str) or (
+                    window.node not in known and window.node not in approver_ids):
                 raise ScenarioError(f"unknown failure node {window.node}")
             down = [window.start, window.end]
             if any(isinstance(t, bool) or not isinstance(t, int) for t in down):

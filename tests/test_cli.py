@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from trustgate import cli, logcodec
 from trustgate.cli import main
 from trustgate.engine import policy_to_obj
 from trustgate.model import write_events
@@ -367,6 +368,36 @@ class TestCompressionCommands:
                                "--in", str(archive_path))
         assert code == 0
         assert len(out.splitlines()) == 5
+
+    def test_compress_names_the_line_with_invalid_utf8(self, capsys,
+                                                       events_path, tmp_path):
+        lines = events_path.read_bytes().splitlines(keepends=True)
+        events_path.write_bytes(lines[0] + b'{"event_id": \xff}\n')
+        code, out, err = run_cli(capsys, "compress", "--in", str(events_path),
+                                 "--out", str(tmp_path / "log.ztlc"))
+        assert (code, out) == (1, "")
+        assert err == ("error: line 2: 'utf-8' codec can't decode byte 0xff "
+                       "in position 13: invalid start byte\n")
+
+    @pytest.mark.parametrize("command", ["decompress", "verify-archive"])
+    def test_archive_is_decoded_once(self, capsys, events_path, tmp_path,
+                                     monkeypatch, command):
+        archive_path = tmp_path / "log.ztlc"
+        run_json(capsys, "compress",
+                 "--in", str(events_path), "--out", str(archive_path))
+        decoded = []
+        decode = logcodec.decode
+
+        def counting(archive):
+            decoded.append(archive)
+            return decode(archive)
+
+        # The command module is patched too, should it import decode.
+        monkeypatch.setattr(logcodec, "decode", counting)
+        monkeypatch.setattr(cli, "decode", counting, raising=False)
+        code, _, _ = run_cli(capsys, command, "--in", str(archive_path))
+        assert code == 0
+        assert len(decoded) == 1
 
     def test_verify_accepts_clean_archive(self, capsys, events_path,
                                           tmp_path):

@@ -14,6 +14,7 @@ from trustgate.logcodec import (
     AttributeRecord,
     CodecError,
     CompressedArchive,
+    _pack_bits,
     archive_from_bytes,
     archive_to_bytes,
     average_length,
@@ -260,7 +261,8 @@ class TestRoundTrip:
         archive = encode(records, table)
         path = tmp_path / "log.ztlc"
         write_archive(path, archive)
-        assert decode(read_archive(path)) == records
+        recovered, decoded = read_archive(path)
+        assert decoded == decode(recovered) == records
 
     def test_single_pattern_stream(self):
         records = [
@@ -275,6 +277,29 @@ class TestRoundTrip:
         records = fibonacci_records()
         table = build_codebook(collect_patterns(records))
         assert max(len(code) for code in table.codebook.values()) == 19
+        data = archive_to_bytes(encode(records, table))
+        assert decode(archive_from_bytes(data)) == records
+
+    def test_255_bit_codes_round_trip(self):
+        # A chain-shaped code tree: code i is i ones and a zero, and the
+        # last code is 255 ones, the longest the archive format holds.
+        records = [AttributeRecord.from_mapping({"io_operation_count": i})
+                   for i in range(256)]
+        codebook = {r.key: "1" * i + "0" for i, r in enumerate(records)}
+        codebook[records[-1].key] = "1" * 255
+        archive = CompressedArchive(
+            codebook, len(records),
+            _pack_bits("".join(codebook[r.key] for r in records)))
+        assert decode(archive_from_bytes(archive_to_bytes(archive))) == records
+
+    def test_thousand_patterns_round_trip(self):
+        rng = random.Random(10)
+        records = [
+            AttributeRecord.from_mapping({"io_operation_count": rng.randrange(1000)})
+            for _ in range(20_000)
+        ]
+        table = build_codebook(collect_patterns(records))
+        assert len(table.codebook) == 1000
         data = archive_to_bytes(encode(records, table))
         assert decode(archive_from_bytes(data)) == records
 
@@ -325,6 +350,9 @@ def raw_archive(
 
 A = '{"io_operation_count":1}'
 B = '{"io_operation_count":2}'
+C = '{"io_operation_count":3}'
+# Codes "0", "10" and "11" + 20 zeros: no codeword starts "111".
+GAPPED = [(A, 1, b"\x00"), (B, 2, b"\x80"), (C, 22, b"\xc0\x00\x00")]
 LONG_INT = '{"io_operation_count":' + "9" * 5000 + "}"
 
 # case -> (archive bytes, exact CodecError message)
@@ -335,6 +363,18 @@ CORRUPT_ARCHIVES = {
         "corrupt archive: prefix walk fell off the tree",
     ),
     # One record "0", then padding 0000001.
+    # "0", "0", then "111" with 22 bits left, the longest code's length:
+    # the walk reaches that depth off the tree.
+    "gap_mid_payload_walk_falls_off": (
+        raw_archive(GAPPED, 5, b"\x38\x00\x00"),
+        "corrupt archive: prefix walk fell off the tree",
+    ),
+    # "0", "10", then "111" with 21 bits left, one short of the longest
+    # code: the walk runs out of bits first.
+    "gap_mid_payload_bits_run_out": (
+        raw_archive(GAPPED, 5, b"\x5c\x00\x00"),
+        "corrupt archive: bit stream exhausted early",
+    ),
     "nonzero_payload_padding": (
         raw_archive([(A, 1, b"\x00"), (B, 1, b"\x80")], 1, b"\x01"),
         "corrupt archive: nonzero padding bits",
@@ -431,6 +471,20 @@ class TestCorruptArchives:
         )
         with pytest.raises(CodecError, match="trailing"):
             decode(deflated)
+
+    def test_empty_codeword_falls_off_the_tree(self):
+        archive = CompressedArchive(codebook={A: ""}, record_count=1,
+                                    payload=b"\x00")
+        with pytest.raises(CodecError) as info:
+            decode(archive)
+        assert str(info.value) == "corrupt archive: prefix walk fell off the tree"
+
+    def test_empty_archive(self):
+        assert decode(archive_from_bytes(raw_archive([], 0, b""))) == []
+        with pytest.raises(CodecError) as info:
+            archive_from_bytes(raw_archive([], 0, b"\x00"))
+        assert str(info.value) == (
+            "corrupt archive: trailing payload beyond padding")
 
     def test_non_prefix_free_codebook_rejected(self):
         archive = CompressedArchive(

@@ -10,6 +10,8 @@ import random
 import pytest
 
 from trustgate.model import (
+    _CANONICAL_LINE,
+    EVENT_FIELDS,
     MAX_NUMERIC_VALUE,
     AttributeKind,
     EdrEvent,
@@ -22,7 +24,7 @@ from trustgate.model import (
     write_events,
 )
 from trustgate.provenance import GraphError, build_graph
-from trustgate.simnet import run
+from trustgate.simnet import reference_scenario, run
 
 from conftest import DEFAULT_TRIPLET, make_event
 from test_simnet import small_scenario
@@ -98,6 +100,10 @@ MALFORMED_EVENT_LINES = [
      "line 2: Exceeds the limit (4300 digits) for integer string "
      "conversion: value has 5000 digits; use sys.set_int_max_str_digits() "
      "to increase the limit"),
+    # Bytes rows are written as they are; the position is in the line.
+    ("invalid_utf8", GOOD_LINE[:26].encode() + b"\xff" + b"x",
+     "line 2: 'utf-8' codec can't decode byte 0xff in position 26: "
+     "invalid start byte"),
 ]
 
 
@@ -317,8 +323,9 @@ class TestSerialization:
         ids=[row[0] for row in MALFORMED_EVENT_LINES],
     )
     def test_malformed_line_table(self, tmp_events_path, text, message):
-        tmp_events_path.write_text(GOOD_LINE + "\n" + text + "\n",
-                                   encoding="utf-8")
+        if isinstance(text, str):
+            text = text.encode("utf-8")
+        tmp_events_path.write_bytes(GOOD_LINE.encode() + b"\n" + text + b"\n")
         with pytest.raises(ModelError) as info:
             read_events(tmp_events_path)
         assert str(info.value) == message
@@ -362,6 +369,125 @@ class TestSerialization:
                 ),
             )
             assert event_from_obj(event_to_obj(event), {}) == event
+
+
+# One canonical line, as dumps_event writes it, with a parent so that
+# the parents list has an element to edit.
+CANON_OBJ = event_to_obj(make_event(7, 9, value=5, parents=(3,)))
+
+
+def _edited(field: str, text: str) -> str:
+    """The canonical line with ``field``'s JSON text replaced by ``text``
+    (inside the list, for parents)."""
+
+    parts = []
+    for key, value in CANON_OBJ.items():
+        if key == field:
+            value_text = f"[{text}]" if key == "parents" else text
+        else:
+            value_text = json.dumps(value)
+        parts.append(f'"{key}": {value_text}')
+    return "{" + ", ".join(parts) + "}"
+
+
+FIELD_EDITS = {
+    "zero": "0",
+    "u64_max": str(MAX_NUMERIC_VALUE),
+    "u64_max_plus_one": str(MAX_NUMERIC_VALUE + 1),
+    "twenty_digits": "9" * 20,
+    "twenty_one_digits": "1" + "0" * 20,
+    "leading_zero": "05",
+    "negative": "-5",
+    "empty_string": '""',
+    "escaped_string": '"net-\\u0041"',
+    "non_ascii_string": '"n\u00e9t"',
+    "unknown_kind": '"made_up_counter"',
+    "categorical_kind": '"frequent_external_network_id"',
+}
+
+# (id, line): every field at every edit, plus whole-line edits.
+READER_LINES = [
+    (f"{field}-{edit}", _edited(field, text))
+    for field in EVENT_FIELDS for edit, text in FIELD_EDITS.items()
+] + [
+    ("canonical", _edited("ts", "9")),
+    ("swapped_keys", json.dumps(
+        {"user": CANON_OBJ["user"],
+         **{k: v for k, v in CANON_OBJ.items() if k != "user"}})),
+    ("extra_spaces", json.dumps(CANON_OBJ).replace(": ", ":  ")),
+    ("compact", json.dumps(CANON_OBJ, separators=(",", ":"))),
+    ("no_parents", _edited("parents", "")),
+    ("two_parents", _edited("parents", "1, 2")),
+    ("surrounding_spaces", "  " + json.dumps(CANON_OBJ) + "\t"),
+]
+
+
+class TestCanonicalReader:
+    """read_events's regular expression path reads what the JSON parser
+    reads, or refuses with the parser path's message."""
+
+    @staticmethod
+    def parser_reading(line: str) -> EdrEvent | str:
+        try:
+            return event_from_obj(json.loads(line), {})
+        except ValueError as exc:
+            return f"line 2: {exc}"
+
+    @pytest.mark.parametrize("line", [row[1] for row in READER_LINES],
+                             ids=[row[0] for row in READER_LINES])
+    def test_field_edit_reads_as_the_parser_reads(self, tmp_events_path,
+                                                  line):
+        tmp_events_path.write_text(GOOD_LINE + "\n" + line + "\n",
+                                   encoding="utf-8")
+        try:
+            got = read_events(tmp_events_path)[1]
+        except ModelError as exc:
+            got = str(exc)
+        want = self.parser_reading(line)
+        assert got == want
+        if isinstance(want, EdrEvent):  # 1 == True, so compare types too
+            assert type(got.value) is type(want.value)
+
+    def test_simulator_log_is_canonical(self, tmp_path):
+        run(reference_scenario(42), tmp_path)
+        lines = (tmp_path / "events.jsonl").read_bytes().splitlines()
+        assert len(lines) > 1000
+        assert all(_CANONICAL_LINE.fullmatch(line) for line in lines)
+
+    @pytest.mark.parametrize("separator", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_line_numbers_across_chunks(self, tmp_events_path, separator):
+        # Enough lines for several read chunks, a blank line, then an
+        # event the constructor refuses, then one the parser refuses.
+        lines = [dumps_event(make_event(i, i)) for i in range(2000)]
+        lines[1500] = ""
+        refused = _edited("value", str(MAX_NUMERIC_VALUE + 1))
+        for bad, message in (
+            (refused, "attribute io_operation_count value "
+                      "18446744073709551616 outside the unsigned 64-bit "
+                      "range"),
+            ("{not json}", "Expecting property name enclosed in double "
+                           "quotes: line 1 column 2 (char 1)"),
+        ):
+            text = separator.join(lines[:1800] + [bad] + lines[1800:])
+            tmp_events_path.write_bytes(text.encode())
+            with pytest.raises(ModelError) as info:
+                read_events(tmp_events_path)
+            assert str(info.value) == f"line 1801: {message}"
+        tmp_events_path.write_bytes(separator.join(lines).encode())
+        assert read_events(tmp_events_path) == [
+            make_event(i, i) for i in range(2000) if i != 1500]
+
+    def test_mixed_chunk_shares_triplets(self, tmp_events_path):
+        # A non-canonical line sends its chunk through the parser; the
+        # events of both paths share one Triplet per identity.
+        lines = [dumps_event(make_event(i, i)) for i in range(1000)]
+        lines[10] = json.dumps(event_to_obj(make_event(10, 10)),
+                               separators=(",", ":"))
+        tmp_events_path.write_text("\n".join(lines) + "\n")
+        events = read_events(tmp_events_path)
+        assert events == [make_event(i, i) for i in range(1000)]
+        assert len({id(event.triplet) for event in events}) == 1
 
 
 class _ReprInt(int):

@@ -209,6 +209,30 @@ class TestApplyRules:
             (2, "b-rule", 3),
         ]
 
+    def test_each_event_meets_every_rule_of_its_kind(self):
+        # Rules of several kinds, names interleaved across kinds, against
+        # events of every kind: the alerts are every (event, rule) match
+        # in (event_id, rule_name) order.
+        rng = random.Random(22)
+        kinds = list(AttributeKind)
+        events = [
+            make_event(i, i, attribute=kind,
+                       value=rng.randrange(12) if kind.numeric
+                       else f"net-{rng.randrange(3)}")
+            for i, kind in enumerate(rng.choice(kinds) for _ in range(300))
+        ]
+        rules = [*default_rules()] + [
+            AlertRule(f"r{i:02d}", kind, ">=", rng.randrange(12),
+                      Severity.LOW)
+            for i, kind in enumerate(k for k in kinds if k.numeric)
+        ] + [AlertRule("r-net", AttributeKind.FREQUENT_EXTERNAL_NETWORK_ID,
+                       "==", "net-1", Severity.MEDIUM)]
+        graph = apply_rules(build_graph(events), rules[::-1])
+        want = sorted((e.event_id, r.rule_name) for e in events
+                      for r in rules if r.matches(e))
+        assert [(a.event_id, a.rule_name) for a in graph.alerts] == want
+        assert [a.alert_id for a in graph.alerts] == list(range(len(want)))
+
     def test_no_rules_no_alerts(self):
         graph = apply_rules(build_graph(chain(4)), [])
         assert graph.alerts == ()

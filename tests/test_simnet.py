@@ -13,7 +13,9 @@ import pytest
 from trustgate.engine import PolicyError, parse_audit_line
 from trustgate.model import AttributeKind, Triplet, read_events
 from trustgate.provenance import build_graph
+from trustgate.secretshare import ThresholdPolicy
 from trustgate.simnet import (
+    MAX_APPROVERS,
     AttributeProfile,
     BehaviorProfile,
     CompromisePlan,
@@ -213,6 +215,18 @@ DIRECT_TYPE_CASES = [
     ("down_float",
      lambda c: replace(c, failures=(FailureWindow("dev-05", 1.5, 3),)),
      "failures[0].down must be two integers, got [1.5, 3]"),
+    ("failure_node_list",
+     lambda c: replace(c, failures=(FailureWindow(["x"], 1, 3),)),
+     "unknown failure node ['x']"),
+    ("compromised_device_list",
+     lambda c: replace(c, compromises=(
+         CompromisePlan(["x"], 300, malicious_profile()),)),
+     "unknown compromised device ['x']"),
+    ("approvers_past_bound",
+     lambda c: replace(c, policy=replace(
+         c.policy, quorum=ThresholdPolicy(MAX_APPROVERS + 1, 3))),
+     f"approvers.n must be at most {MAX_APPROVERS}, "
+     f"got {MAX_APPROVERS + 1}"),
 ]
 
 
@@ -234,6 +248,16 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError) as info:
             edit(reference_scenario(42))
         assert str(info.value) == message
+
+    def test_approvers_bound_in_document(self):
+        obj = config_to_obj(reference_scenario(42))
+        del obj["policy"]
+        obj["approvers"] = {"n": 10**6, "z": 3}
+        with pytest.raises(ScenarioError) as info:
+            config_from_obj(obj)
+        assert str(info.value) == "approvers.n must be at most 1000, got 1000000"
+        obj["approvers"]["n"] = MAX_APPROVERS
+        assert len(config_from_obj(obj).approver_ids()) == MAX_APPROVERS
 
     def test_whole_number_rates_accepted(self):
         obj = config_to_obj(failure_scenario())
