@@ -12,6 +12,7 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from .logcodec import (
     records_from_events,
     write_archive,
 )
-from .model import ModelError, Triplet, read_events
+from .model import ModelError, Triplet, format_json, parse_lines, read_events
 from .provenance import (
     build_graph,
     load_rules,
@@ -61,8 +62,7 @@ from .store import DEFAULT_ATTRIBUTE_WINDOW, HotStore, archive_batch
 
 
 def _emit(obj: object) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(format_json(obj))
 
 
 def _parse_triplet(text: str) -> Triplet:
@@ -80,9 +80,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.config is not None:
         config = simnet.load_config(args.config)
         if args.seed is not None:
-            config = simnet.config_from_obj(
-                {**simnet.config_to_obj(config), "seed": args.seed}
-            )
+            config = replace(config, seed=args.seed)
     else:
         config = simnet.reference_scenario(
             seed=args.seed if args.seed is not None else 42
@@ -230,10 +228,11 @@ def _cmd_share_join(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_row(obj: object) -> tuple[Triplet, int]:
+def _trace_row(line: str) -> tuple[Triplet, int]:
     """The triplet and time of one cache-bench trace line, which must be
     ``{"triplet": [user, device, resource], "now": int}``."""
 
+    obj = json.loads(line)
     if not isinstance(obj, dict) or set(obj) != {"triplet", "now"}:
         raise ModelError('expected an object with keys "triplet" and "now"')
     ids, now = obj["triplet"], obj["now"]
@@ -254,15 +253,9 @@ def _cmd_cache_bench(args: argparse.Namespace) -> int:
         return make_record(triplet, 1.0, 1.0, Fraction(1, 2), now)
 
     tiers = {"cache_hit": 0, "store_hit": 0, "recomputed": 0}
-    with open(args.trace, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                triplet, now = _trace_row(json.loads(line))
-            except (ValueError, RecursionError) as exc:
-                raise ModelError(f"trace line {lineno}: {exc}") from None
+    with open(args.trace, "rb") as fh:
+        for triplet, now in parse_lines(fh, _trace_row, ModelError,
+                                        "trace line"):
             _, tier = cache.get_score(triplet, now, recompute)
             tiers[tier] += 1
     _emit({

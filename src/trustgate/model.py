@@ -9,6 +9,11 @@ Logs are JSON Lines, one event per line. A read shares one ``Triplet``
 per distinct (user, device, resource) among the events that carry it,
 and reads lines in ``dumps_event``'s layout with a regular expression,
 the rest with the JSON parser.
+
+This module is also the package's one home for JSON wire formats:
+``load_json`` reads every JSON document, ``format_json`` formats every
+one written, and ``parse_lines`` reads every JSON Lines input with
+numbered lines.
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 MAX_NUMERIC_VALUE = 2**64 - 1
 
@@ -288,21 +294,6 @@ _CANONICAL_LINE = re.compile(
 _CHUNK_BYTES = 1 << 16
 
 
-def _lines(raw_lines: Iterable[bytes]) -> Iterator[bytes]:
-    r"""Split binary lines as text mode does: at "\n", "\r\n" and a lone
-    "\r"."""
-
-    for raw in raw_lines:
-        if raw.endswith(b"\n"):
-            raw = raw[:-1]
-        if raw.endswith(b"\r"):
-            raw = raw[:-1]
-        if b"\r" in raw:
-            yield from raw.split(b"\r")
-        else:
-            yield raw
-
-
 def _canonical_events(
     found: list[tuple[bytes, ...]], triplets: dict[tuple, Triplet],
     triplet_of: dict[bytes, Triplet],
@@ -339,13 +330,13 @@ def read_events(path: str | Path) -> list[EdrEvent]:
 
     The file is read in chunks of whole lines. A chunk whose every line is
     in ``dumps_event``'s layout is read by one regular expression scan,
-    one match per line. Any other chunk, or one with an event its
-    constructor refuses, is read line by line through the JSON parser: a
-    malformed line, invalid UTF-8 and nesting too deep to parse included,
-    raises ModelError carrying its 1-based line number.
+    one match per line. From the first chunk that is not, or that holds
+    an event its constructor refuses, the rest of the file is read by
+    :func:`parse_lines`, one ``json.loads`` per line: a malformed line,
+    invalid UTF-8 and nesting too deep to parse included, raises
+    ModelError carrying its 1-based line number.
     """
 
-    raw_decode = json.JSONDecoder().raw_decode
     triplets: dict[tuple, Triplet] = {}
     triplet_of: dict[bytes, Triplet] = {}
     pair_of: dict[bytes, tuple[AttributeKind, int | str]] = {}
@@ -361,31 +352,53 @@ def read_events(path: str | Path) -> list[EdrEvent]:
                     lineno += len(chunk)
                     continue
                 except ModelError:
-                    pass  # the line-by-line reading names the line
-            for raw in _lines(chunk):
-                lineno += 1
-                try:
-                    line = raw.decode("utf-8").strip()
-                    if not line:
-                        continue
-                    try:
-                        # raw_decode skips json.loads's type, BOM and
-                        # whitespace checks; a line it cannot take whole
-                        # goes through json.loads to raise that
-                        # function's own message.
-                        obj, end = raw_decode(line)
-                    except (ValueError, RecursionError):
-                        end = None
-                    if end != len(line):  # trailing data, or not JSON
-                        obj = json.loads(line)
-                    events.append(event_from_obj(obj, triplets))
-                # ValueError covers UnicodeDecodeError, JSONDecodeError,
-                # ModelError and an integer past the interpreter's digit
-                # limit; RecursionError is nesting deeper than the parser
-                # follows.
-                except (ValueError, RecursionError) as exc:
-                    raise ModelError(f"line {lineno}: {exc}") from None
+                    pass  # parse_lines names the line
+            events += parse_lines(
+                chain(chunk, fh),
+                lambda line: event_from_obj(json.loads(line), triplets),
+                ModelError, "line", lineno)
+            break
     return events
+
+
+_Row = TypeVar("_Row")
+
+
+def parse_lines(raw_lines: Iterable[bytes], parse: Callable[[str], _Row],
+                error: type[ValueError], what: str,
+                lineno: int = 0) -> Iterator[_Row]:
+    r"""Yield ``parse`` of each non-blank line of a JSON Lines input.
+
+    Binary lines are split as text mode splits them, at "\n", "\r\n"
+    and a lone "\r", numbered from ``lineno + 1``, decoded as UTF-8 and
+    stripped. A ValueError or RecursionError from decoding or ``parse``
+    (bad UTF-8 or JSON, nesting too deep, an integer past the digit
+    limit, a refused record) raises ``error`` naming the line as
+    ``what`` and its number.
+    """
+
+    for raw in raw_lines:
+        if raw.endswith(b"\n"):
+            raw = raw[:-1]
+        if raw.endswith(b"\r"):
+            raw = raw[:-1]
+        for part in raw.split(b"\r") if b"\r" in raw else (raw,):
+            lineno += 1
+            try:
+                line = part.decode("utf-8").strip()
+                if not line:
+                    continue
+                row = parse(line)
+            except (ValueError, RecursionError) as exc:
+                raise error(f"{what} {lineno}: {exc}") from None
+            yield row
+
+
+def format_json(obj: object) -> str:
+    """A JSON document as every artifact and command writes one: sorted
+    keys, two-space indent and a trailing newline."""
+
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def load_json(path: str | Path, what: str,

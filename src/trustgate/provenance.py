@@ -10,7 +10,6 @@ exactly the ancestor structure of every alert that the full graph had.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -21,6 +20,7 @@ from .model import (
     EdrEvent,
     Severity,
     event_to_obj,
+    format_json,
     load_json,
 )
 
@@ -270,9 +270,8 @@ def skeleton_to_obj(skeleton: Skeleton) -> dict:
 
 
 def write_skeleton(path: str | Path, skeleton: Skeleton) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(skeleton_to_obj(skeleton), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(format_json(skeleton_to_obj(skeleton)),
+                          encoding="utf-8")
 
 
 def rule_to_obj(rule: AlertRule) -> dict:

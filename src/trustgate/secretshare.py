@@ -10,14 +10,13 @@ small fields.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
-from .model import load_json
+from .model import format_json, load_json
 
 DEFAULT_PRIME = 2**61 - 1
 # Weight sets kept by reconstruct: one per (share x values, prime) seen.
@@ -365,9 +364,7 @@ def write_share_file(path: str | Path, chunks: Sequence[Share]) -> None:
         payload: object = share_to_obj(chunks[0])
     else:
         payload = [share_to_obj(s) for s in chunks]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(format_json(payload), encoding="utf-8")
 
 
 def read_share_file(path: str | Path) -> list[Share]:

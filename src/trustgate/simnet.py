@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .model import (
     Alert,
@@ -39,7 +39,9 @@ from .model import (
     EdrEvent,
     Severity,
     Triplet,
+    format_json,
     load_json,
+    parse_lines,
     write_events,
 )
 # bench/test_bench.py asserts that simnet binds reduce_to_skeleton.
@@ -700,9 +702,6 @@ class SimReport:
     def from_obj(cls, obj: dict) -> "SimReport":
         return cls(**{**obj, "flags": tuple(obj["flags"])})
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, indent=2) + "\n"
-
 
 @dataclass(frozen=True, slots=True)
 class _AuditRow:
@@ -860,39 +859,30 @@ def _draw_activity(
     return actions
 
 
-def _audit_rows(
-    config: ScenarioConfig, lines: Iterable[str]
-) -> list[_AuditRow]:
-    """Parse audit lines into rows; a malformed line, one naming a
-    device or resource outside the scenario, or one whose theta is not
-    the policy's threshold for its resource raises ReplayError."""
+def _audit_row(
+    config: ScenarioConfig, devices: frozenset[str], line: str
+) -> _AuditRow:
+    """One audit line as a row, for a scenario with device ids
+    ``devices``. A malformed line, one naming a device or resource
+    outside the scenario, or one whose theta is not the policy's
+    threshold for its resource raises a ValueError that replay prefixes
+    with the line number."""
 
-    devices = {d.device_id for d in config.devices}
-    rows = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = parse_audit_line(line)
-        except (ValueError, KeyError, RecursionError) as exc:
-            raise ReplayError(f"audit line {lineno}: {exc}") from None
-        device_id = obj["triplet"][1]
-        if not isinstance(device_id, str) or device_id not in devices:
-            raise ReplayError(f"audit line {lineno}: unknown device {device_id!r}")
-        resource_id = obj["triplet"][2]
-        if (not isinstance(resource_id, str)
-                or resource_id not in config.policy.resources):
-            raise ReplayError(
-                f"audit line {lineno}: unknown resource {resource_id!r}")
-        if obj["theta"] != config.policy.threshold_for(resource_id):
-            raise ReplayError(
-                f"audit line {lineno}: theta {obj['theta']!r} is not the "
-                f"policy threshold for resource {resource_id!r}"
-            )
-        rows.append(_AuditRow(ts=obj["ts"], device_id=device_id,
-                              granted=obj["verdict"] == "grant"))
-    return rows
+    obj = parse_audit_line(line)
+    device_id = obj["triplet"][1]
+    if not isinstance(device_id, str) or device_id not in devices:
+        raise ReplayError(f"unknown device {device_id!r}")
+    resource_id = obj["triplet"][2]
+    if (not isinstance(resource_id, str)
+            or resource_id not in config.policy.resources):
+        raise ReplayError(f"unknown resource {resource_id!r}")
+    if obj["theta"] != config.policy.threshold_for(resource_id):
+        raise ReplayError(
+            f"theta {obj['theta']!r} is not the policy threshold for "
+            f"resource {resource_id!r}"
+        )
+    return _AuditRow(ts=obj["ts"], device_id=device_id,
+                     granted=obj["verdict"] == "grant")
 
 
 def _deal_tokens(
@@ -1129,12 +1119,6 @@ def _reduction(
     }
 
 
-def _write_json(path: Path, obj: object) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _simulate(config: ScenarioConfig) -> tuple[_Loop, dict]:
     """Step a fresh loop through the scenario's whole schedule; return
     it with the ``access.json`` object."""
@@ -1168,13 +1152,13 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "config.json", config_to_obj(config))
+        for name, obj in (("config.json", config_to_obj(config)),
+                          ("report.json", report.to_obj()),
+                          ("access.json", access)):
+            (out / name).write_text(format_json(obj), encoding="utf-8")
         write_events(out / "events.jsonl", events)
         with open(out / "audit.jsonl", "w", encoding="utf-8") as fh:
             fh.writelines(line + "\n" for line in loop.audit_lines)
-        with open(out / "report.json", "w", encoding="utf-8") as fh:
-            fh.write(report.dumps())
-        _write_json(out / "access.json", access)
     return report
 
 
@@ -1202,9 +1186,12 @@ def replay(out_dir: str | Path) -> SimReport:
             f"report fields differ: missing {sorted(expected - set(stored))}, "
             f"extra {sorted(set(stored) - expected)}"
         )
+    devices = frozenset(d.device_id for d in config.devices)
     try:
-        with open(out / "audit.jsonl", "r", encoding="utf-8") as fh:
-            rows = _audit_rows(config, fh)
+        with open(out / "audit.jsonl", "rb") as fh:
+            rows = list(parse_lines(
+                fh, lambda line: _audit_row(config, devices, line),
+                ReplayError, "audit line"))
     except OSError as exc:
         raise ReplayError(f"cannot read audit log: {exc}") from None
     summary = _decision_summary(config, rows)

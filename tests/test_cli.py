@@ -127,6 +127,21 @@ class TestSimulateReplay:
         )
         assert first["config_digest"] != second["config_digest"]
 
+    def test_seed_override_equals_a_config_with_that_seed(
+            self, capsys, tmp_path, scenario_path):
+        run_json(capsys, "simulate", "--config", str(scenario_path),
+                 "--seed", "9", "--out", str(tmp_path / "a"))
+        obj = json.loads(scenario_path.read_text())
+        assert obj.get("seed") != 9
+        seeded = tmp_path / "seeded.json"
+        seeded.write_text(json.dumps({**obj, "seed": 9}))
+        run_json(capsys, "simulate", "--config", str(seeded),
+                 "--out", str(tmp_path / "b"))
+        for name in ("config.json", "events.jsonl", "audit.jsonl",
+                     "access.json", "report.json"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
+
 
 def _empty_policy_registry(obj: dict) -> None:
     obj["policy"]["thresholds"] = {}
@@ -240,6 +255,17 @@ class TestMalformedAuditLine:
         assert out == ""
         assert err.startswith("error: audit line 1: ")
         assert err.count("\n") == 1
+
+    def test_invalid_utf8_names_its_line(self, capsys, tmp_path):
+        run(small_scenario(), tmp_path)
+        audit = tmp_path / "audit.jsonl"
+        lines = audit.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2][:10] + b"\xff" + lines[2][11:]
+        audit.write_bytes(b"".join(lines))
+        code, out, err = run_cli(capsys, "replay", "--out", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == ("error: audit line 3: 'utf-8' codec can't decode "
+                       "byte 0xff in position 10: invalid start byte\n")
 
 
 MALFORMED_POLICIES = {
@@ -803,15 +829,21 @@ MALFORMED_TRACE_LINES = {
     "extra_key": '{"triplet": ["u", "d", "r"], "now": 0, "x": 1}',
     "not_an_object": '[["u", "d", "r"], 0]',
     "not_json": '{"triplet": ',
+    "invalid_utf8": b'{"triplet": \xff}',
 }
+
+
+TRACE_ROW = b'{"triplet": ["u", "d", "r"], "now": 0}'
 
 
 class TestCacheBench:
     @pytest.mark.parametrize("case", sorted(MALFORMED_TRACE_LINES))
     def test_malformed_trace_line_exits_1(self, capsys, tmp_path, case):
+        line = MALFORMED_TRACE_LINES[case]
+        if isinstance(line, str):
+            line = line.encode()
         trace = tmp_path / "trace.jsonl"
-        trace.write_text('{"triplet": ["u", "d", "r"], "now": 0}\n'
-                         + MALFORMED_TRACE_LINES[case] + "\n")
+        trace.write_bytes(TRACE_ROW + b"\n" + line + b"\n")
         code, out, err = run_cli(
             capsys, "cache-bench", "--trace", str(trace),
         )
@@ -847,6 +879,22 @@ class TestCacheBench:
         )
         assert code == 1
         assert "trace line 1" in err
+
+    # Lines are numbered as text mode splits them: at "\n", "\r\n" and
+    # a lone "\r".
+    @pytest.mark.parametrize("trace, message", [
+        (TRACE_ROW + b"\r" + TRACE_ROW + b"\r\n\r" + b'{"triplet": \xff}',
+         "trace line 4: 'utf-8' codec can't decode byte 0xff in position "
+         "12: invalid start byte"),
+        (TRACE_ROW + b"\r" + TRACE_ROW + b"\r\n\r" + b'{"triplet": \n',
+         "trace line 4: Expecting value: line 1 column 12 (char 11)"),
+    ], ids=["invalid_utf8", "not_json"])
+    def test_lone_cr_splits_lines(self, capsys, tmp_path, trace, message):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(trace)
+        code, out, err = run_cli(capsys, "cache-bench", "--trace", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
 
 class TestUsageErrors:

@@ -1,7 +1,7 @@
 """The package's export list: every name in ``__all__`` resolves; no
 module binds an import it never uses; every public top-level function
 and class has a reader outside the tests; JSON documents are read in
-one place."""
+one place and written in one format."""
 
 from __future__ import annotations
 
@@ -97,6 +97,42 @@ def test_only_model_reads_json_documents():
     package = Path(trustgate.__file__).parent
     found = {
         path.name: json_load_lines(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+        if path.name != "model.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def json_format_lines(source: str) -> list[int]:
+    """Lines that call ``json.dump``, or ``json.dumps`` with ``indent=``."""
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"):
+            continue
+        if node.func.attr == "dump" or (
+                node.func.attr == "dumps"
+                and any(kw.arg == "indent" for kw in node.keywords)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_json_format_scan_finds_dump_and_indented_dumps():
+    source = (
+        "import json\njson.dumps(obj)\njson.dump(obj, fh)\n"
+        "json.dumps(obj, separators=(',', ':'))\n"
+        "json.dumps(obj, sort_keys=True, indent=2)\n"
+    )
+    assert json_format_lines(source) == [3, 5]
+
+
+def test_only_model_formats_json_documents():
+    package = Path(trustgate.__file__).parent
+    found = {
+        path.name: json_format_lines(path.read_text(encoding="utf-8"))
         for path in sorted(package.glob("*.py"))
         if path.name != "model.py"
     }

@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 
 from trustgate.engine import PolicyError, parse_audit_line
-from trustgate.model import AttributeKind, Triplet, read_events
+from trustgate.model import AttributeKind, Triplet, format_json, read_events
 from trustgate.provenance import build_graph
 from trustgate.secretshare import ThresholdPolicy
 from trustgate.simnet import (
@@ -39,7 +39,7 @@ from trustgate.simnet import (
     run,
     _PRIORITY_EMIT,
     _PRIORITY_REQUEST,
-    _audit_rows,
+    _audit_row,
     _decision_summary,
     _draw_activity,
     _schedule,
@@ -553,8 +553,9 @@ class TestDeterminism:
 
     def test_report_round_trip(self):
         report = run(small_scenario())
-        restored = SimReport.from_obj(json.loads(report.dumps()))
-        assert restored.dumps() == report.dumps()
+        text = format_json(report.to_obj())
+        restored = SimReport.from_obj(json.loads(text))
+        assert format_json(restored.to_obj()) == text
 
 
 class TestArtifacts:
@@ -623,6 +624,15 @@ class TestReplay:
         text = path.read_text()
         path.write_text("not json\n" + text)
         with pytest.raises(ReplayError, match="audit line 1"):
+            replay(tmp_path)
+
+    def test_replay_names_the_line_of_invalid_utf8(self, tmp_path):
+        run(small_scenario(), tmp_path)
+        path = tmp_path / "audit.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ReplayError, match="^audit line 3: 'utf-8' codec"):
             replay(tmp_path)
 
     def test_replay_requires_config(self, tmp_path):
@@ -933,10 +943,12 @@ class TestReportFromDecisions:
     def test_rows_equal_parsed_audit_lines(self, config):
         loop, _ = _simulate(config)
         assert len(loop.rows) == len(loop.audit_lines) > 0
-        assert loop.rows == _audit_rows(config, loop.audit_lines)
+        devices = frozenset(d.device_id for d in config.devices)
+        parsed = [_audit_row(config, devices, line)
+                  for line in loop.audit_lines]
+        assert loop.rows == parsed
         assert (_decision_summary(config, loop.rows)
-                == _decision_summary(config, _audit_rows(config,
-                                                         loop.audit_lines)))
+                == _decision_summary(config, parsed))
 
     def test_failure_window_drops_requests(self):
         loop, _ = _simulate(failure_scenario())
