@@ -378,11 +378,7 @@ def parse_lines(raw_lines: Iterable[bytes], parse: Callable[[str], _Row],
     """
 
     for raw in raw_lines:
-        if raw.endswith(b"\n"):
-            raw = raw[:-1]
-        if raw.endswith(b"\r"):
-            raw = raw[:-1]
-        for part in raw.split(b"\r") if b"\r" in raw else (raw,):
+        for part in raw.splitlines():  # unlike str, not at \x0b, \x85 or \u2028
             lineno += 1
             try:
                 line = part.decode("utf-8").strip()

@@ -28,6 +28,7 @@ import random
 import sys
 from bisect import bisect
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
@@ -1189,9 +1190,8 @@ def replay(out_dir: str | Path) -> SimReport:
     devices = frozenset(d.device_id for d in config.devices)
     try:
         with open(out / "audit.jsonl", "rb") as fh:
-            rows = list(parse_lines(
-                fh, lambda line: _audit_row(config, devices, line),
-                ReplayError, "audit line"))
+            rows = list(parse_lines(fh, partial(_audit_row, config, devices),
+                                    ReplayError, "audit line"))
     except OSError as exc:
         raise ReplayError(f"cannot read audit log: {exc}") from None
     summary = _decision_summary(config, rows)
