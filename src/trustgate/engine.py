@@ -490,14 +490,16 @@ def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+_AUDIT_FIELDS = frozenset(("ts", "triplet", "verdict", "reasons", "T", "theta"))
+
+
 def parse_audit_line(line: str) -> dict:
     """Parse one audit record and check that its verdict follows from
     its reasons, and its reasons from ``T`` and ``theta``, as ``decide``
     derives them."""
 
     obj = json.loads(line)
-    required = {"ts", "triplet", "verdict", "reasons", "T", "theta"}
-    if not isinstance(obj, dict) or set(obj) != required:
+    if not isinstance(obj, dict) or obj.keys() != _AUDIT_FIELDS:
         raise EngineError("malformed audit record")
     if isinstance(obj["ts"], bool) or not isinstance(obj["ts"], int):
         raise EngineError(f"malformed audit ts {obj['ts']!r}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -108,6 +108,10 @@ class EdrEvent:
     on. Log-level invariants (unique ids, parents present and strictly
     earlier) are checked by :func:`trustgate.provenance.build_graph`,
     not at construction.
+
+    The constructor is written by hand: it checks the fields, then
+    stores each through its slot's descriptor, past the frozen
+    ``__setattr__``. Its parameters must stay the fields, in order.
     """
 
     event_id: int
@@ -117,21 +121,21 @@ class EdrEvent:
     timestamp: int
     parent_ids: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, event_id: int, triplet: Triplet,
+                 attribute: AttributeKind, value: int | str, timestamp: int,
+                 parent_ids: tuple[int, ...] = ()) -> None:
         # bool is an int subclass; it is not an id, a time or a value.
         # Each check tests the exact type first, which is the common case.
-        event_id = self.event_id
         if type(event_id) is not int and (
                 isinstance(event_id, bool) or not isinstance(event_id, int)):
             raise ModelError("event_id must be an integer")
         if event_id < 0:
             raise ModelError("event_id must be non-negative")
-        if not isinstance(self.triplet, Triplet):
+        if not isinstance(triplet, Triplet):
             raise ModelError("triplet must be a Triplet")
-        attribute, value = self.attribute, self.value
         if not isinstance(attribute, AttributeKind):
             raise ModelError("attribute must be an AttributeKind")
-        if attribute.numeric:
+        if attribute is not _CATEGORICAL:
             if type(value) is not int and (
                     isinstance(value, bool) or not isinstance(value, int)):
                 raise ModelError(
@@ -146,18 +150,30 @@ class EdrEvent:
             raise ModelError(
                 f"attribute {attribute.value} expects a non-empty string value"
             )
-        timestamp = self.timestamp
         if type(timestamp) is not int and (
                 isinstance(timestamp, bool) or not isinstance(timestamp, int)):
             raise ModelError("timestamp must be an integer")
         if timestamp < 0:
             raise ModelError("timestamp must be non-negative")
-        if type(self.parent_ids) is not tuple:
-            object.__setattr__(self, "parent_ids", tuple(self.parent_ids))
-        for pid in self.parent_ids:
+        if type(parent_ids) is not tuple:
+            parent_ids = tuple(parent_ids)
+        for pid in parent_ids:
             if type(pid) is not int and (
                     isinstance(pid, bool) or not isinstance(pid, int)) or pid < 0:
                 raise ModelError("parent ids must be non-negative integers")
+        _set_event_id(self, event_id)
+        _set_triplet(self, triplet)
+        _set_attribute(self, attribute)
+        _set_value(self, value)
+        _set_timestamp(self, timestamp)
+        _set_parent_ids(self, parent_ids)
+
+
+# Each field's slot descriptor stores past the frozen __setattr__; the
+# slotted class exists only once the decorator has run.
+(_set_event_id, _set_triplet, _set_attribute, _set_value, _set_timestamp,
+ _set_parent_ids) = (EdrEvent.__dict__[field.name].__set__
+                     for field in fields(EdrEvent))
 
 
 @dataclass(frozen=True)
@@ -274,19 +290,21 @@ def write_events(path: str | Path, events: Iterable[EdrEvent]) -> int:
 
 
 # The layout dumps_event writes, as a whole line of a file read as bytes:
-# ASCII strings with no escape or control character, a known attribute
-# kind, integers of at most 20 digits with no sign or leading zero.
-# json.loads reads such a line into exactly the eight fields the groups
-# hold. A match spans one line from its start to its end, so a chunk
+# ASCII strings with no quote, escape or control character, a known
+# attribute kind, integers of at most 20 digits with no sign or leading
+# zero. json.loads reads such a line into the eight fields the five
+# groups hold: the event id, the identity run ("user", "device" and
+# "resource"), the pair run ("attribute" and "value"), ts and the
+# parents. A match spans one line from its start to its end, so a chunk
 # with as many matches as lines has every line in this layout.
 _ID = rb"0|[1-9][0-9]{0,19}"
-_STR = rb'"([^"\\\x00-\x1f\x80-\xff]*)"'
+_STR = rb'"[^"\\\x00-\x1f\x80-\xff]*"'
 _CANONICAL_LINE = re.compile(
     rb'(?m)^\{"event_id": (' + _ID + rb'), '
     rb'("user": ' + _STR + rb', "device": ' + _STR + rb', '
     rb'"resource": ' + _STR + rb'), '
-    rb'("attribute": "(' + b"|".join(sorted(k.encode() for k in _KINDS))
-    + rb')", "value": (?:(' + _ID + rb')|' + _STR + rb')), '
+    rb'("attribute": "(?:' + b"|".join(sorted(k.encode() for k in _KINDS))
+    + rb')", "value": (?:' + _ID + rb'|' + _STR + rb')), '
     rb'"ts": (' + _ID + rb'), '
     rb'"parents": \[((?:' + _ID + rb')(?:, (?:' + _ID + rb'))*)?\]\}'
     rb'(?:\r?\n|\r?\Z)'
@@ -300,28 +318,37 @@ def _canonical_events(
     pair_of: dict[bytes, tuple[AttributeKind, int | str]],
 ) -> list[EdrEvent]:
     """The events of a chunk's matched lines. ``triplet_of`` and
-    ``pair_of`` cache the triplet and the (kind, value) of a field run's
-    text; a refused event raises ModelError with no line number."""
+    ``pair_of`` hold the triplet and the (kind, value) of each identity
+    and pair run already read, so each distinct run is parsed once; every
+    line still builds its event, and a refused one raises ModelError
+    with no line number."""
 
     events = []
     append = events.append
-    for (event_id, identity_text, user, device, resource,
-         pair_text, kind, number, text, ts, parents) in found:
+    for event_id, identity_text, pair_text, ts, parents in found:
         triplet = triplet_of.get(identity_text)
         if triplet is None:
-            identity = (user.decode(), device.decode(), resource.decode())
+            # The run's strings hold no quote, so its 4th, 8th and 12th
+            # quote-separated parts are the user, device and resource.
+            identity = tuple(identity_text.decode().split('"')[3::4])
             triplet = triplets.get(identity)
             if triplet is None:
                 triplet = triplets[identity] = Triplet(*identity)
             triplet_of[identity_text] = triplet
         pair = pair_of.get(pair_text)
         if pair is None:
+            kind, value = pair_text.decode().removeprefix(
+                '"attribute": "').split('", "value": ')
             pair = pair_of[pair_text] = (
-                _KINDS[kind.decode()],
-                int(number) if number else text.decode())
-        append(EdrEvent(
-            int(event_id), triplet, pair[0], pair[1], int(ts),
-            tuple(map(int, parents.split(b", "))) if parents else ()))
+                _KINDS[kind], value[1:-1] if value[0] == '"' else int(value))
+        if not parents:
+            parent_ids = ()
+        elif b"," in parents:
+            parent_ids = tuple(map(int, parents.split(b", ")))
+        else:
+            parent_ids = (int(parents),)
+        append(EdrEvent(int(event_id), triplet, pair[0], pair[1], int(ts),
+                        parent_ids))
     return events
 
 

@@ -977,9 +977,11 @@ class _Loop:
             rid: device_ids[i % len(device_ids)] if device_ids else ""
             for i, rid in enumerate(sorted(config.policy.resources))
         }
-        self.critical_rules = tuple(
-            r for r in config.alert_rules if r.severity is Severity.CRITICAL
-        )
+        # Critical rules by the kind they read, in config.alert_rules order.
+        self.critical_rules: dict[AttributeKind, list[AlertRule]] = {}
+        for rule in config.alert_rules:
+            if rule.severity is Severity.CRITICAL:
+                self.critical_rules.setdefault(rule.attribute, []).append(rule)
         self.hot = HotStore(None)
         self.cache = TrustScoreCache(
             CacheConfig(capacity=config.cache_capacity,
@@ -1053,21 +1055,16 @@ class _Loop:
              value: int | str, resource_id: str) -> None:
         parent = self.last_event.get(device_id)
         event = EdrEvent(
-            event_id=len(self.hot),
-            triplet=self._triplet(device_id, resource_id),
-            attribute=attribute,
-            value=value,
-            timestamp=t,
-            parent_ids=(
-                (parent.event_id,)
-                if parent is not None and parent.timestamp < t else ()
-            ),
+            len(self.hot), self._triplet(device_id, resource_id), attribute,
+            value, t,
+            (parent.event_id,)
+            if parent is not None and parent.timestamp < t else (),
         )
         self.hot.append_events((event,))
         self.last_event[device_id] = event
         if device_id in self.critical:
             return
-        for rule in self.critical_rules:
+        for rule in self.critical_rules.get(attribute, ()):
             if rule.matches(event):
                 alert = Alert(alert_id=len(self.critical),
                               event_id=event.event_id,

@@ -59,9 +59,14 @@ class HotStore:
         """Append events; returns how many were added."""
 
         start = len(self._events)
+        by_triplet = self._by_triplet
         for event in events:
             self._events.append(event)
-            self._by_triplet.setdefault(event.triplet, []).append(event)
+            same = by_triplet.get(event.triplet)
+            if same is None:
+                by_triplet[event.triplet] = [event]
+            else:
+                same.append(event)
         return len(self._events) - start
 
     def query_window(

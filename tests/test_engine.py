@@ -646,6 +646,22 @@ class TestAuditLog:
         with pytest.raises(EngineError):
             parse_audit_line(json.dumps(obj))
 
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj.update(note="x"),
+        lambda obj: obj.pop("theta"),
+        lambda obj: obj.update(note=obj.pop("theta")),
+        lambda obj: obj.clear(),
+    ], ids=["extra", "missing", "renamed", "empty"])
+    def test_field_set_checked(self, edit):
+        obj = json.loads(audit_line(
+            0, TRIPLET, decide(TRIPLET, simple_policy(), passing_source,
+                               [], None)
+        ))
+        edit(obj)
+        for text in (json.dumps(obj), json.dumps([obj]), "null"):
+            with pytest.raises(EngineError, match="^malformed audit record$"):
+                parse_audit_line(text)
+
     def test_bad_verdict_rejected(self):
         obj = json.loads(audit_line(
             0, TRIPLET, decide(TRIPLET, simple_policy(), passing_source,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import pickle
 import random
@@ -16,6 +17,7 @@ from trustgate.model import (
     AttributeKind,
     EdrEvent,
     ModelError,
+    Severity,
     Triplet,
     dumps_event,
     event_from_obj,
@@ -259,6 +261,157 @@ class TestConstructionEdgeCases:
             assert not hasattr(obj, "__dict__")
 
 
+def reference_checks(event_id, triplet, attribute, value, timestamp,
+                     parent_ids=()):
+    """The checks of EdrEvent's former ``__post_init__``, in their order
+    with their messages, as a function of the field values. Returns the
+    parent ids as the event stores them."""
+
+    if type(event_id) is not int and (
+            isinstance(event_id, bool) or not isinstance(event_id, int)):
+        raise ModelError("event_id must be an integer")
+    if event_id < 0:
+        raise ModelError("event_id must be non-negative")
+    if not isinstance(triplet, Triplet):
+        raise ModelError("triplet must be a Triplet")
+    if not isinstance(attribute, AttributeKind):
+        raise ModelError("attribute must be an AttributeKind")
+    if attribute.numeric:
+        if type(value) is not int and (
+                isinstance(value, bool) or not isinstance(value, int)):
+            raise ModelError(
+                f"attribute {attribute.value} expects an integer value")
+        if not 0 <= value <= MAX_NUMERIC_VALUE:
+            raise ModelError(
+                f"attribute {attribute.value} value {value} outside the "
+                f"unsigned 64-bit range")
+    elif not isinstance(value, str) or not value:
+        raise ModelError(
+            f"attribute {attribute.value} expects a non-empty string value")
+    if type(timestamp) is not int and (
+            isinstance(timestamp, bool) or not isinstance(timestamp, int)):
+        raise ModelError("timestamp must be an integer")
+    if timestamp < 0:
+        raise ModelError("timestamp must be non-negative")
+    if type(parent_ids) is not tuple:
+        parent_ids = tuple(parent_ids)
+    for pid in parent_ids:
+        if type(pid) is not int and (
+                isinstance(pid, bool) or not isinstance(pid, int)) or pid < 0:
+            raise ModelError("parent ids must be non-negative integers")
+    return parent_ids
+
+
+_INTS = [0, 5, MAX_NUMERIC_VALUE, 2**64, -1, True, False, _Int(3), _Int(-2),
+         1.5, "3", None]
+# Each field's candidates; parent ids are made afresh for every event,
+# since a generator is spent by one construction.
+CONSTRUCTOR_CANDIDATES = {
+    "event_id": [lambda v=v: v for v in _INTS],
+    "triplet": [lambda: DEFAULT_TRIPLET,
+                lambda: Triplet(_Str("u"), "d", "r"),
+                lambda: tuple(DEFAULT_TRIPLET), lambda: "user-a", lambda: None],
+    "attribute": [lambda: AttributeKind.IO_OPERATION_COUNT,
+                  lambda: AttributeKind.FREQUENT_EXTERNAL_NETWORK_ID,
+                  lambda: "io_operation_count", lambda: Severity.LOW,
+                  lambda: None],
+    "value": [lambda v=v: v for v in _INTS + [
+        "net-1", "", _Str("net-2"), _Str(""), b"net"]],
+    "timestamp": [lambda v=v: v for v in _INTS],
+    "parent_ids": [
+        lambda: (), lambda: (0, 4), lambda: [1, 2], lambda: [],
+        lambda: (i for i in (3, 1)), lambda: (i for i in (3, -1)),
+        lambda: (_Int(2),), lambda: (True,), lambda: (-1,), lambda: (2**64,),
+        lambda: (1.0,), lambda: ["0"], lambda: "12", lambda: 5,
+        lambda: None],
+}
+
+
+def _outcome(build, values):
+    """``("ok", build(*values))``, or ``("raised", type, text)`` of what
+    it raises."""
+
+    try:
+        return "ok", build(*values)
+    except Exception as exc:  # TypeError too: tuple(5) raises it
+        return "raised", type(exc), str(exc)
+
+
+class TestConstructor:
+    """The hand-written constructor accepts and refuses exactly where the
+    former ``__post_init__`` did, and the type keeps its dataclass
+    behaviour."""
+
+    def test_matches_the_reference_checks(self):
+        rng = random.Random(11)
+        names = list(CONSTRUCTOR_CANDIDATES)
+        good = {name: CONSTRUCTOR_CANDIDATES[name][0] for name in names}
+        cases = [
+            {**good, name: make} for name in names
+            for make in CONSTRUCTOR_CANDIDATES[name]
+        ] + [
+            {name: rng.choice(CONSTRUCTOR_CANDIDATES[name]) for name in names}
+            for _ in range(3000)
+        ]
+        accepted = 0
+        for case in cases:
+            values = [case[name]() for name in names]
+            want = _outcome(reference_checks, values)
+            values[-1] = case["parent_ids"]()
+            got = _outcome(EdrEvent, values)
+            if got[0] == "raised":
+                assert got == want
+                continue
+            accepted += 1
+            assert want[0] == "ok"
+            event = got[1]
+            for name, value in zip(names, values[:-1]):
+                assert getattr(event, name) is value
+            assert event.parent_ids == want[1]
+            assert type(event.parent_ids) is tuple
+            if type(values[-1]) is tuple:
+                assert event.parent_ids is values[-1]
+        assert 20 < accepted < len(cases) - 1000
+
+    def test_replace_runs_the_checks(self):
+        event = make_event(3, 9, parents=(1,))
+        assert dataclasses.replace(event, value=7) == make_event(
+            3, 9, value=7, parents=(1,))
+        with pytest.raises(ModelError) as info:
+            dataclasses.replace(event, timestamp=-1)
+        assert str(info.value) == "timestamp must be non-negative"
+
+    @pytest.mark.parametrize(
+        "name", [field.name for field in dataclasses.fields(EdrEvent)])
+    def test_fields_are_frozen(self, name):
+        event = make_event(3, 9, parents=(1,))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(event, name, getattr(event, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(event, name)
+
+    def test_copy_and_pickle_round_trip(self):
+        event = make_event(
+            3, 9, attribute=AttributeKind.FREQUENT_EXTERNAL_NETWORK_ID,
+            value="net-1", parents=(1, 2))
+        copies = [copy.copy(event), copy.deepcopy(event)] + [
+            pickle.loads(pickle.dumps(event, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for other in copies:
+            assert type(other) is EdrEvent
+            assert other == event and hash(other) == hash(event)
+            assert repr(other) == repr(event)
+
+    def test_not_equal_to_the_tuple_of_its_fields(self):
+        event = make_event(3, 9, parents=(1,))
+        values = tuple(getattr(event, field.name)
+                       for field in dataclasses.fields(event))
+        assert values == (3, DEFAULT_TRIPLET,
+                          AttributeKind.IO_OPERATION_COUNT, 1, 9, (1,))
+        assert event != values and values != event
+
+
 class TestValidation:
     """The event-log invariants hold where a log is assembled: build_graph."""
 
@@ -477,6 +630,42 @@ class TestCanonicalReader:
         tmp_events_path.write_bytes(separator.join(lines).encode())
         assert read_events(tmp_events_path) == [
             make_event(i, i) for i in range(2000) if i != 1500]
+
+    @pytest.mark.parametrize("field,text,message", [
+        ("value", str(MAX_NUMERIC_VALUE + 1),
+         "attribute io_operation_count value 18446744073709551616 outside "
+         "the unsigned 64-bit range"),
+        ("user", '""', "user_id must be a non-empty string"),
+    ], ids=["value_above_u64", "user_empty"])
+    def test_repeated_refused_run_is_numbered_at_its_first_line(
+            self, tmp_events_path, field, text, message):
+        # The same refused run on two lines of one chunk: the run's text
+        # is parsed once, but each line still goes through the
+        # constructor, so the first line is the one named.
+        lines = [dumps_event(make_event(i, i)) for i in range(50)]
+        lines[20] = lines[35] = _edited(field, text)
+        tmp_events_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelError) as info:
+            read_events(tmp_events_path)
+        assert str(info.value) == f"line 21: {message}"
+
+    def test_identity_first_seen_in_a_later_chunk(self, tmp_events_path):
+        late = Triplet("user-late", "dev-late", "res-late")
+        events = [make_event(i, i, value=i % 7) for i in range(3000)]
+        events[2500:2600] = [
+            make_event(i, i, triplet=late,
+                       attribute=AttributeKind.FREQUENT_EXTERNAL_NETWORK_ID,
+                       value=f"net-{i % 3}")
+            if i % 2 else make_event(i, i, triplet=late, value=i % 3)
+            for i in range(2500, 2600)]
+        lines = [dumps_event(event) for event in events]
+        assert sum(map(len, lines[:2500])) > 2 * 65536  # past two chunks
+        tmp_events_path.write_text("\n".join(lines) + "\n")
+        triplets: dict = {}
+        want = [event_from_obj(json.loads(line), triplets) for line in lines]
+        got = read_events(tmp_events_path)
+        assert got == want == events
+        assert len({id(event.triplet) for event in got}) == 2
 
     def test_mixed_chunk_shares_triplets(self, tmp_events_path):
         # A non-canonical line sends its chunk through the parser; the

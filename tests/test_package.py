@@ -1,14 +1,18 @@
 """The package's export list: every name in ``__all__`` resolves; no
 module binds an import it never uses; every public top-level function
 and class has a reader outside the tests; JSON documents are read in
-one place and written in one format."""
+one place and written in one format; ``EdrEvent``'s hand-written
+constructor takes exactly its fields."""
 
 from __future__ import annotations
 
 import ast
+import inspect
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import trustgate
+from trustgate.model import EdrEvent
 
 NOQA = "# noqa: F401"
 REPO = Path(__file__).resolve().parents[1]
@@ -184,3 +188,13 @@ def test_every_public_def_is_read_outside_the_tests():
             if name not in read
         ]
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def test_event_constructor_takes_the_fields_in_order():
+    # EdrEvent writes its own __init__; the dataclass decorator keeps it,
+    # so nothing else ties its parameters to the field list.
+    params = list(inspect.signature(EdrEvent).parameters.values())
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+         inspect.Parameter.empty if f.default is MISSING else f.default)
+        for f in fields(EdrEvent)]

@@ -11,8 +11,14 @@ from dataclasses import replace
 import pytest
 
 from trustgate.engine import PolicyError, parse_audit_line
-from trustgate.model import AttributeKind, Triplet, format_json, read_events
-from trustgate.provenance import build_graph
+from trustgate.model import (
+    AttributeKind,
+    Severity,
+    Triplet,
+    format_json,
+    read_events,
+)
+from trustgate.provenance import AlertRule, build_graph
 from trustgate.secretshare import ThresholdPolicy
 from trustgate.simnet import (
     MAX_APPROVERS,
@@ -955,6 +961,41 @@ class TestReportFromDecisions:
         dev_02 = [row.ts for row in loop.rows if row.device_id == "dev-02"]
         assert dev_02 and not any(100 <= ts <= 400 for ts in dev_02)
         assert any(not row.granted for row in loop.rows)
+
+
+class TestCriticalRules:
+    def test_first_alert_follows_the_configured_rule_order(self):
+        # Two critical rules on one kind, listed out of name order, and
+        # one on a kind no profile emits. A value of 4 matches both file
+        # rules; the one listed first must win.
+        file_kind = AttributeKind.MALICIOUS_FILE_ACCESS_COUNT
+        rules = (
+            AlertRule("zz-file-burst", file_kind, ">=", 4, Severity.CRITICAL),
+            AlertRule("malicious-file-access", file_kind, ">=", 1,
+                      Severity.HIGH),
+            AlertRule("aa-file-any", file_kind, ">=", 2, Severity.CRITICAL),
+            AlertRule("flash-drive-critical",
+                      AttributeKind.FLASH_DRIVE_USAGE_SECONDS, ">=", 0,
+                      Severity.CRITICAL),
+        )
+        config = replace(reference_scenario(42), alert_rules=rules)
+        loop, _ = _simulate(config)
+        want: dict[str, tuple[int, int, str]] = {}
+        for event in loop.hot.events:
+            device_id = event.triplet.device_id
+            if device_id in want:
+                continue
+            for rule in config.alert_rules:
+                if rule.severity is Severity.CRITICAL and rule.matches(event):
+                    want[device_id] = (len(want), event.event_id,
+                                       rule.rule_name)
+                    break
+        got = {device_id: (a.alert.alert_id, a.alert.event_id,
+                           a.alert.rule_name)
+               for device_id, a in loop.critical.items()}
+        assert got == want
+        assert {name for _, _, name in want.values()} == {
+            "zz-file-burst", "aa-file-any"}
 
 
 class TestTripletKeys:
