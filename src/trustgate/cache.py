@@ -167,17 +167,20 @@ class TrustScoreCache:
 
         metrics = self.metrics
         record = self.store.get(triplet)
-        if not self._fresh(record, now):
+        if (record is not None and record.computed_at <= now
+                and now - record.computed_at <= self.config.max_refresh):
+            # ``_fresh``, inline: this is the lookup every request makes.
+            if triplet in self._entries:
+                metrics.cache_hits += 1
+                kind = HitKind.CACHE_HIT
+            else:
+                metrics.store_hits += 1
+                kind = HitKind.STORE_HIT
+        else:
             record = self._checked_recompute(triplet, now, recompute)
             self.store.put(record)
             metrics.recomputes += 1
             kind = HitKind.RECOMPUTED
-        elif triplet in self._entries:
-            metrics.cache_hits += 1
-            kind = HitKind.CACHE_HIT
-        else:
-            metrics.store_hits += 1
-            kind = HitKind.STORE_HIT
         self._touch(triplet, now)
         age = now - record.computed_at
         if age > metrics.max_served_age:

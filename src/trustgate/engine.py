@@ -14,8 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -279,15 +280,34 @@ def combined_score(behavioral: float, reputation: float, alpha: float) -> float:
     return alpha * behavioral + (1.0 - alpha) * reputation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrustRecord:
-    """A scored triplet at a point in simulated time."""
+    """A scored triplet at a point in simulated time.
+
+    The constructor is written by hand: it stores each field through its
+    slot's descriptor, past the frozen ``__setattr__``. Its parameters
+    must stay the fields, in order.
+    """
 
     triplet: Triplet
     behavioral: float
     reputation: float
     combined: float
     computed_at: int
+
+    def __init__(self, triplet: Triplet, behavioral: float,
+                 reputation: float, combined: float,
+                 computed_at: int) -> None:
+        _set_triplet(self, triplet)
+        _set_behavioral(self, behavioral)
+        _set_reputation(self, reputation)
+        _set_combined(self, combined)
+        _set_computed_at(self, computed_at)
+
+
+(_set_triplet, _set_behavioral, _set_reputation, _set_combined,
+ _set_computed_at) = (TrustRecord.__dict__[f.name].__set__
+                      for f in fields(TrustRecord))
 
 
 def make_record(
@@ -297,13 +317,14 @@ def make_record(
     alpha: float,
     computed_at: int,
 ) -> TrustRecord:
-    return TrustRecord(
-        triplet=triplet,
-        behavioral=behavioral,
-        reputation=reputation,
-        combined=combined_score(behavioral, reputation, alpha),
-        computed_at=computed_at,
-    )
+    """A record blending the scores as ``combined_score`` does."""
+
+    # One chain: behavioral, reputation and alpha each lie in [0, 1].
+    if not 0.0 <= behavioral <= 1.0 >= reputation >= 0.0 <= alpha <= 1.0:
+        combined_score(behavioral, reputation, alpha)  # raises its error
+    return TrustRecord(triplet, behavioral, reputation,
+                       alpha * behavioral + (1.0 - alpha) * reputation,
+                       computed_at)
 
 
 # --- quorum -----------------------------------------------------------------
@@ -392,16 +413,32 @@ class ActiveAlert:
     device_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
+    """A verdict, its denial reasons, and the score and threshold it
+    compared. The constructor is written by hand, as ``TrustRecord``'s
+    is."""
+
     verdict: str  # "grant" or "deny"
     reasons: tuple[str, ...]
     combined: float | None = None
     threshold: float | None = None
 
+    def __init__(self, verdict: str, reasons: tuple[str, ...],
+                 combined: float | None = None,
+                 threshold: float | None = None) -> None:
+        _set_verdict(self, verdict)
+        _set_reasons(self, reasons)
+        _set_decision_combined(self, combined)
+        _set_threshold(self, threshold)
+
     @property
     def granted(self) -> bool:
         return self.verdict == "grant"
+
+
+(_set_verdict, _set_reasons, _set_decision_combined, _set_threshold) = (
+    Decision.__dict__[f.name].__set__ for f in fields(Decision))
 
 
 ScoreSource = Callable[[Triplet, int], TrustRecord]
@@ -422,35 +459,31 @@ def decide(
     a fail-closed deny with reason score_unavailable.
     """
 
-    theta = policy.threshold_for(triplet.resource_id)
+    # threshold_for and sensitivity_for, from one registry lookup.
+    spec = policy.resources.get(triplet.resource_id)
+    if spec is None:
+        theta, high = DEFAULT_THRESHOLD_STANDARD, False
+    else:
+        theta, high = spec.threshold, spec.sensitivity == SENSITIVITY_HIGH
     try:
         record = score_source(triplet, now)
     except Exception:
-        return Decision(
-            verdict="deny",
-            reasons=(REASON_SCORE_UNAVAILABLE,),
-            threshold=theta,
-        )
+        return Decision("deny", (REASON_SCORE_UNAVAILABLE,), None, theta)
     reasons: list[str] = []
     device_id = triplet.device_id
     for a in active_alerts:
         if a.device_id == device_id and a.alert.severity is Severity.CRITICAL:
             reasons.append(REASON_CRITICAL_ALERT)
             break
-    if record.combined < theta:
+    combined = record.combined
+    if combined < theta:
         reasons.append(REASON_LOW_TRUST)
-    if policy.sensitivity_for(triplet.resource_id) == SENSITIVITY_HIGH:
-        if quorum_client is None or not quorum_approve(
-            triplet.resource_id, quorum_client, policy.quorum, now
-        ):
-            reasons.append(REASON_QUORUM_FAILED)
-    verdict = "deny" if reasons else "grant"
-    return Decision(
-        verdict=verdict,
-        reasons=tuple(reasons),
-        combined=record.combined,
-        threshold=theta,
-    )
+    if high and (quorum_client is None or not quorum_approve(
+            triplet.resource_id, quorum_client, policy.quorum, now)):
+        reasons.append(REASON_QUORUM_FAILED)
+    if reasons:
+        return Decision("deny", tuple(reasons), combined, theta)
+    return Decision("grant", (), combined, theta)
 
 
 # --- audit log --------------------------------------------------------------
@@ -493,6 +526,29 @@ def _is_number(value: object) -> bool:
 _AUDIT_FIELDS = frozenset(("ts", "triplet", "verdict", "reasons", "T", "theta"))
 
 
+def _audit_fault(verdict: str, reasons: list[str] | tuple[str, ...],
+                 score: object, theta: object) -> str | None:
+    """Why an audit record's verdict does not follow from its known
+    ``reasons``, or its reasons from ``T`` and ``theta``, as ``decide``
+    derives them; None when they agree. A float, the common case, is
+    taken for a number without a call."""
+
+    if (verdict == "grant") == bool(reasons):
+        return f"audit verdict {verdict} disagrees with reasons {reasons!r}"
+    if type(theta) is not float and not _is_number(theta):
+        return f"malformed audit theta {theta!r}"
+    unavailable = len(reasons) == 1 and reasons[0] == REASON_SCORE_UNAVAILABLE
+    if (score is None) != unavailable:
+        return f"audit T {score!r} disagrees with reasons {reasons!r}"
+    if score is not None:
+        if type(score) is not float and not _is_number(score):
+            return f"malformed audit T {score!r}"
+        if (REASON_LOW_TRUST in reasons) != (score < theta):
+            return (f"audit T {score!r} against theta {theta!r} disagrees "
+                    f"with reasons {reasons!r}")
+    return None
+
+
 def parse_audit_line(line: str) -> dict:
     """Parse one audit record and check that its verdict follows from
     its reasons, and its reasons from ``T`` and ``theta``, as ``decide``
@@ -507,26 +563,78 @@ def parse_audit_line(line: str) -> dict:
         raise EngineError(f"malformed audit verdict {obj['verdict']!r}")
     if not isinstance(obj["triplet"], list) or len(obj["triplet"]) != 3:
         raise EngineError("malformed audit triplet")
-    reasons, score, theta = obj["reasons"], obj["T"], obj["theta"]
+    reasons = obj["reasons"]
     if not isinstance(reasons, list) or any(r not in REASONS for r in reasons):
         raise EngineError(f"malformed audit reasons {reasons!r}")
-    if (obj["verdict"] == "grant") == bool(reasons):
-        raise EngineError(
-            f"audit verdict {obj['verdict']} disagrees with reasons {reasons!r}"
-        )
-    if not _is_number(theta):
-        raise EngineError(f"malformed audit theta {theta!r}")
-    if (score is None) != (reasons == [REASON_SCORE_UNAVAILABLE]):
-        raise EngineError(f"audit T {score!r} disagrees with reasons {reasons!r}")
-    if score is not None:
-        if not _is_number(score):
-            raise EngineError(f"malformed audit T {score!r}")
-        if (REASON_LOW_TRUST in reasons) != (score < theta):
-            raise EngineError(
-                f"audit T {score!r} against theta {theta!r} disagrees with "
-                f"reasons {reasons!r}"
-            )
+    fault = _audit_fault(obj["verdict"], reasons, obj["T"], obj["theta"])
+    if fault is not None:
+        raise EngineError(fault)
     return obj
+
+
+# The layout audit_line writes, as a whole line of ASCII text: strings
+# with no quote, escape or control character, a ts of at most 20 digits
+# with no sign or leading zero, a known verdict and known reasons, and T
+# (or null) and theta as JSON numbers with a fraction or an exponent,
+# which json.loads reads as floats. The groups are ts, the triplet's
+# three strings, the verdict-and-reasons run, T and theta. A match spans
+# one line from its start to its end, so a chunk with as many matches
+# as lines has every line in this layout.
+_AUDIT_STR = r'"([^"\\\x00-\x1f]*)"'
+_AUDIT_FLOAT = (r"-?(?:0|[1-9][0-9]*)"
+                r"(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)")
+_AUDIT_REASON = '"(?:' + "|".join(REASONS) + ')"'
+_AUDIT_LINE = re.compile(
+    r'(?m)^\{"ts": (0|[1-9][0-9]{0,19}), '
+    r'"triplet": \[' + _AUDIT_STR + ", " + _AUDIT_STR + ", " + _AUDIT_STR
+    + r'\], ("verdict": "(?:grant|deny)", "reasons": \[(?:'
+    + _AUDIT_REASON + "(?:, " + _AUDIT_REASON + r')*)?\]), '
+    r'"T": (null|' + _AUDIT_FLOAT + r'), "theta": (' + _AUDIT_FLOAT + r')\}'
+    r"(?:\r?\n|\r?\Z)"
+)
+
+# One scanned audit record: ts, the triplet's (user, device, resource),
+# verdict, reasons, T and theta, in the order audit_line writes them.
+AuditRecord = tuple[int, tuple[str, str, str], str, tuple[str, ...],
+                    float | None, float]
+
+
+def scan_audit_lines(lines: list[bytes]) -> list[AuditRecord] | None:
+    """The records of a chunk of audit lines, read by one regular
+    expression scan, when every line is in ``audit_line``'s layout and
+    passes ``parse_audit_line``'s checks; None otherwise.
+
+    It never raises: a chunk it refuses is left to ``parse_audit_line``,
+    whose message names the fault. Each record reads as the values
+    ``parse_audit_line`` gives for that line.
+    """
+
+    try:
+        text = b"".join(lines).decode("ascii")
+    except UnicodeDecodeError:
+        return None
+    found = _AUDIT_LINE.findall(text)
+    if len(found) != len(lines):
+        return None
+    decisions: dict[str, tuple[str, tuple[str, ...]]] = {}
+    records = []
+    append = records.append
+    for ts, user, device, resource, run, score, theta in found:
+        decision = decisions.get(run)
+        if decision is None:
+            # In '"verdict": "deny", "reasons": ["a", "b"]' the verdict
+            # is the 4th quote-separated part and the reasons every
+            # other part from the 8th.
+            parts = run.split('"')
+            decision = decisions[run] = (parts[3], tuple(parts[7::2]))
+        verdict, reasons = decision
+        score = None if score == "null" else float(score)
+        theta = float(theta)
+        if _audit_fault(verdict, reasons, score, theta) is not None:
+            return None
+        append((int(ts), (user, device, resource), verdict, reasons, score,
+                theta))
+    return records
 
 
 # --- policy documents -------------------------------------------------------

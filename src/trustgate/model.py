@@ -26,7 +26,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
 
 MAX_NUMERIC_VALUE = 2**64 - 1
 
@@ -256,35 +256,61 @@ def event_from_obj(obj: object, triplets: dict[tuple, Triplet]) -> EdrEvent:
 _int_repr = int.__repr__
 
 
+def _identity_text(triplet: Triplet) -> str:
+    """The "user", "device" and "resource" fields of an event line."""
+
+    user, device, resource = triplet
+    return (f'"user": {encode_basestring_ascii(user)}, '
+            f'"device": {encode_basestring_ascii(device)}, '
+            f'"resource": {encode_basestring_ascii(resource)}')
+
+
+def _pair_text(attribute: AttributeKind, value: int | str) -> str:
+    """The "attribute" and "value" fields of an event line."""
+
+    value = (encode_basestring_ascii(value) if isinstance(value, str)
+             else _int_repr(value))
+    return f'"attribute": {encode_basestring_ascii(attribute)}, "value": {value}'
+
+
+def _event_line(event: EdrEvent, identity: str, pair: str) -> str:
+    return (
+        f'{{"event_id": {_int_repr(event.event_id)}, {identity}, {pair}, '
+        f'"ts": {_int_repr(event.timestamp)}, '
+        f'"parents": [{", ".join(map(_int_repr, event.parent_ids))}]}}'
+    )
+
+
 def dumps_event(event: EdrEvent) -> str:
     """One event as a JSON line, byte for byte ``json.dumps`` of
     :func:`event_to_obj`. ``int.__repr__`` and ``encode_basestring_ascii``
     are what the encoder applies to int and str subclasses too, and an
     AttributeKind is a str whose content is its value."""
 
-    user, device, resource = event.triplet
-    value = event.value
-    value = (encode_basestring_ascii(value) if isinstance(value, str)
-             else _int_repr(value))
-    return (
-        f'{{"event_id": {_int_repr(event.event_id)}, '
-        f'"user": {encode_basestring_ascii(user)}, '
-        f'"device": {encode_basestring_ascii(device)}, '
-        f'"resource": {encode_basestring_ascii(resource)}, '
-        f'"attribute": {encode_basestring_ascii(event.attribute)}, '
-        f'"value": {value}, "ts": {_int_repr(event.timestamp)}, '
-        f'"parents": [{", ".join(map(_int_repr, event.parent_ids))}]}}'
-    )
+    return _event_line(event, _identity_text(event.triplet),
+                       _pair_text(event.attribute, event.value))
 
 
 def write_events(path: str | Path, events: Iterable[EdrEvent]) -> int:
-    """Write events as JSON Lines; returns the number written."""
+    """Write events as JSON Lines, each line as :func:`dumps_event`
+    formats it; returns the number written. Each distinct identity and
+    (attribute, value) pair is formatted once per call."""
 
+    identities: dict[Triplet, str] = {}
+    pairs: dict[tuple[AttributeKind, int | str], str] = {}
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
+        write = fh.write
         for event in events:
-            fh.write(dumps_event(event))
-            fh.write("\n")
+            identity = identities.get(event.triplet)
+            if identity is None:
+                identity = identities[event.triplet] = _identity_text(
+                    event.triplet)
+            key = (event.attribute, event.value)
+            pair = pairs.get(key)
+            if pair is None:
+                pair = pairs[key] = _pair_text(*key)
+            write(_event_line(event, identity, pair) + "\n")
             count += 1
     return count
 
@@ -367,28 +393,48 @@ def read_events(path: str | Path) -> list[EdrEvent]:
     triplets: dict[tuple, Triplet] = {}
     triplet_of: dict[bytes, Triplet] = {}
     pair_of: dict[bytes, tuple[AttributeKind, int | str]] = {}
-    events: list[EdrEvent] = []
-    lineno = 0
+
+    def scan(chunk: list[bytes]) -> list[EdrEvent] | None:
+        found = _CANONICAL_LINE.findall(b"".join(chunk))
+        if len(found) != len(chunk):
+            return None
+        try:
+            return _canonical_events(found, triplets, triplet_of, pair_of)
+        except ModelError:
+            return None  # parse_lines names the line
+
     with open(path, "rb") as fh:
-        while chunk := fh.readlines(_CHUNK_BYTES):
-            found = _CANONICAL_LINE.findall(b"".join(chunk))
-            if len(found) == len(chunk):
-                try:
-                    events += _canonical_events(found, triplets,
-                                                triplet_of, pair_of)
-                    lineno += len(chunk)
-                    continue
-                except ModelError:
-                    pass  # parse_lines names the line
-            events += parse_lines(
-                chain(chunk, fh),
-                lambda line: event_from_obj(json.loads(line), triplets),
-                ModelError, "line", lineno)
-            break
-    return events
+        return scan_lines(
+            fh, scan, lambda line: event_from_obj(json.loads(line), triplets),
+            ModelError, "line")
 
 
 _Row = TypeVar("_Row")
+
+
+def scan_lines(fh: BinaryIO, scan: Callable[[list[bytes]], list[_Row] | None],
+               parse: Callable[[str], _Row], error: type[ValueError],
+               what: str) -> list[_Row]:
+    """The rows of a binary JSON Lines file, read in chunks of whole lines.
+
+    ``scan`` reads a chunk's lines into their rows, one per line, or
+    returns None when it cannot vouch for every line (a line off its
+    layout, or a record it would refuse); a line it vouches for holds no
+    line break but its last. From the first chunk it returns None for,
+    the rest of the file goes through :func:`parse_lines`, so that a
+    malformed line raises ``error`` naming it as ``what`` and its number.
+    """
+
+    rows: list[_Row] = []
+    lineno = 0
+    while chunk := fh.readlines(_CHUNK_BYTES):
+        scanned = scan(chunk)
+        if scanned is None:
+            rows += parse_lines(chain(chunk, fh), parse, error, what, lineno)
+            break
+        rows += scanned
+        lineno += len(chunk)
+    return rows
 
 
 def parse_lines(raw_lines: Iterable[bytes], parse: Callable[[str], _Row],

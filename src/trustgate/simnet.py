@@ -30,9 +30,8 @@ from bisect import bisect
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from itertools import accumulate
-from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .model import (
     Alert,
@@ -42,7 +41,7 @@ from .model import (
     Triplet,
     format_json,
     load_json,
-    parse_lines,
+    scan_lines,
     write_events,
 )
 # bench/test_bench.py asserts that simnet binds reduce_to_skeleton.
@@ -77,6 +76,7 @@ from .engine import (
     parse_audit_line,
     policy_from_obj,
     policy_to_obj,
+    scan_audit_lines,
     token_digest,
 )
 from .cache import (
@@ -704,11 +704,22 @@ class SimReport:
         return cls(**{**obj, "flags": tuple(obj["flags"])})
 
 
-@dataclass(frozen=True, slots=True)
-class _AuditRow:
+class _AuditRow(NamedTuple):
     ts: int
     device_id: str
     granted: bool
+
+
+def _compromise_starts(config: ScenarioConfig) -> dict[str, int]:
+    """Each compromised device's earliest compromise start. A request
+    by ``d`` at ``t`` is malicious iff ``t >= starts.get(d, inf)``: the
+    predicate of ``ScenarioConfig.malicious``, at one lookup a call."""
+
+    starts: dict[str, int] = {}
+    for plan in config.compromises:
+        starts[plan.device_id] = min(
+            plan.start_time, starts.get(plan.device_id, plan.start_time))
+    return starts
 
 
 def _decision_summary(
@@ -717,6 +728,7 @@ def _decision_summary(
     """The decision-derived SimReport fields, computed from audit rows."""
 
     first_compromise = config.first_compromise_time()
+    starts = _compromise_starts(config)
     per_device: dict[str, dict[str, dict[str, int]]] = {
         d.device_id: {
             "before": {"grants": 0, "denies": 0},
@@ -727,23 +739,23 @@ def _decision_summary(
     grants = denies = 0
     malicious_total = malicious_granted = 0
     last_malicious_grant: int | None = None
-    for row in rows:
-        outcome = "grants" if row.granted else "denies"
-        if row.granted:
+    for ts, device_id, granted in rows:
+        outcome = "grants" if granted else "denies"
+        if granted:
             grants += 1
         else:
             denies += 1
         phase = (
             "after"
-            if first_compromise is not None and row.ts >= first_compromise
+            if first_compromise is not None and ts >= first_compromise
             else "before"
         )
-        per_device[row.device_id][phase][outcome] += 1
-        if config.malicious(row.device_id, row.ts):
+        per_device[device_id][phase][outcome] += 1
+        if ts >= starts.get(device_id, math.inf):
             malicious_total += 1
-            if row.granted:
+            if granted:
                 malicious_granted += 1
-                last_malicious_grant = row.ts
+                last_malicious_grant = ts
     flags = []
     if not config.devices:
         flags.append(FLAG_NO_DEVICES)
@@ -757,11 +769,11 @@ def _decision_summary(
         time_to_containment = last_malicious_grant + 1
     post_total = post_granted = 0
     if time_to_containment is not None:
-        for row in rows:
-            if (row.ts >= time_to_containment
-                    and config.malicious(row.device_id, row.ts)):
+        for ts, device_id, granted in rows:
+            if (ts >= time_to_containment
+                    and ts >= starts.get(device_id, math.inf)):
                 post_total += 1
-                if row.granted:
+                if granted:
                     post_granted += 1
     return {
         "config_digest": config_digest(config),
@@ -793,7 +805,13 @@ def _decision_summary(
 # no device, an emission no resource when the registry is empty, and a
 # request no attribute or value.
 _Action = tuple[int, int, str, AttributeKind | None, int | str | None, str]
-_by_time_and_priority = itemgetter(0, 1)
+
+
+def _action_order(action: _Action) -> int:
+    """The sort key of an action: its time, then its priority, as one
+    int (every priority is below 3)."""
+
+    return action[0] * 3 + action[1]
 
 
 class _SimApprover:
@@ -842,21 +860,37 @@ def _draw_activity(
 
     The draw order (per attribute kind by name: time, value, target;
     then requests: time, target) is what lets a seed fix the schedule.
+    A time is ``rng.randrange(window)`` and a target
+    ``rng.choice(resource_ids)``, drawn inline as CPython (3.10 and
+    later) draws both: ``getrandbits(n.bit_length())`` until the result
+    is below ``n``, then that offset or index. The RNG stream is theirs.
     """
 
     actions = []
     append = actions.append
-    randrange, random_, choice = rng.randrange, rng.random, rng.choice
-    for kind, rate, values, cum, total, hi in tables:
+    getrandbits, random_ = rng.getrandbits, rng.random
+    time_bits = window.bit_length()
+    targets = len(resource_ids)
+    target_bits = targets.bit_length()
+    # Emissions per kind, then requests, which draw no value.
+    streams = [(_PRIORITY_EMIT, *table) for table in tables]
+    streams.append((_PRIORITY_REQUEST, None, request_rate, None, None, None,
+                    None))
+    for priority, kind, rate, values, cum, total, hi in streams:
+        value = None
         for _ in range(round(rate * window)):
-            t = start + randrange(window)
-            value = values[bisect(cum, random_() * total, 0, hi)]
-            target = choice(resource_ids) if resource_ids else ""
-            append((t, _PRIORITY_EMIT, device_id, kind, value, target))
-    for _ in range(round(request_rate * window)):
-        t = start + randrange(window)
-        target = choice(resource_ids) if resource_ids else ""
-        append((t, _PRIORITY_REQUEST, device_id, None, None, target))
+            t = getrandbits(time_bits)
+            while t >= window:
+                t = getrandbits(time_bits)
+            if values is not None:
+                value = values[bisect(cum, random_() * total, 0, hi)]
+            target = ""
+            if targets:
+                i = getrandbits(target_bits)
+                while i >= targets:
+                    i = getrandbits(target_bits)
+                target = resource_ids[i]
+            append((start + t, priority, device_id, kind, value, target))
     return actions
 
 
@@ -882,8 +916,28 @@ def _audit_row(
             f"theta {obj['theta']!r} is not the policy threshold for "
             f"resource {resource_id!r}"
         )
-    return _AuditRow(ts=obj["ts"], device_id=device_id,
-                     granted=obj["verdict"] == "grant")
+    return _AuditRow(obj["ts"], device_id, obj["verdict"] == "grant")
+
+
+def _scan_audit_rows(
+    config: ScenarioConfig, devices: frozenset[str], chunk: list[bytes]
+) -> list[_AuditRow] | None:
+    """The rows of a chunk of audit lines, when ``scan_audit_lines``
+    reads them all and ``_audit_row`` would accept each; None otherwise,
+    so that replay parses the chunk line by line and names the fault."""
+
+    records = scan_audit_lines(chunk)
+    if records is None:
+        return None
+    resources = config.policy.resources
+    rows = []
+    for ts, (_, device_id, resource_id), verdict, _, _, theta in records:
+        spec = resources.get(resource_id)
+        if (device_id not in devices or spec is None
+                or theta != spec.threshold):
+            return None
+        rows.append(_AuditRow(ts, device_id, verdict == "grant"))
+    return rows
 
 
 def _deal_tokens(
@@ -953,12 +1007,13 @@ def _schedule(config: ScenarioConfig, rng: random.Random) -> list[_Action]:
                                   plan.profile.request_rate, plan.start_time,
                                   config.duration - plan.start_time,
                                   resource_ids)
-    actions.sort(key=_by_time_and_priority)
+    actions.sort(key=_action_order)
     return actions
 
 
 class _Loop:
-    """The engine wired for one run, stepped through its schedule.
+    """The engine wired for one run; ``_simulate`` steps it through its
+    schedule.
 
     Only a device's first critical alert is kept: alerts stay in force
     until the end of the run, and ``decide`` reads nothing else.
@@ -999,19 +1054,7 @@ class _Loop:
         self.critical: dict[str, ActiveAlert] = {}
         self.audit_lines: list[str] = []
         self.rows: list[_AuditRow] = []
-
-    def step(self, action: _Action) -> None:
-        t, priority, device_id, attribute, value, resource_id = action
-        if priority == _PRIORITY_SWEEP:
-            self.sweep(t)
-            return
-        windows = self.down.get(device_id)
-        if windows and any(w.covers(t) for w in windows):
-            return
-        if priority == _PRIORITY_EMIT:
-            self.emit(t, device_id, attribute, value, resource_id)
-        else:
-            self.request(t, device_id, resource_id)
+        self.compromise_starts = _compromise_starts(config)
 
     def recompute(self, triplet: Triplet, now: int) -> TrustRecord:
         window = self.hot.query_window(triplet, now,
@@ -1083,12 +1126,12 @@ class _Loop:
             self.quorum_client, now=t,
         )
         self.audit_lines.append(audit_line(t, triplet, decision))
-        self.rows.append(_AuditRow(t, device_id, decision.granted))
+        granted = decision.granted
+        self.rows.append(_AuditRow(t, device_id, granted))
         host = self.host_of.get(resource_id, "")
-        if (not decision.granted or self.ledger is None or not host
-                or host == device_id):
+        if not granted or self.ledger is None or not host or host == device_id:
             return
-        if self.config.malicious(device_id, t):
+        if t >= self.compromise_starts.get(device_id, math.inf):
             self.ledger.record_unsat(host, device_id)
         else:
             self.ledger.record_sat(host, device_id)
@@ -1124,8 +1167,18 @@ def _simulate(config: ScenarioConfig) -> tuple[_Loop, dict]:
     rng = random.Random(config.seed)
     quorum_client, access = _deal_tokens(config, rng)
     loop = _Loop(config, quorum_client)
-    for action in _schedule(config, rng):
-        loop.step(action)
+    sweep, emit, request, down = loop.sweep, loop.emit, loop.request, loop.down
+    for t, priority, device_id, attribute, value, resource_id in _schedule(
+            config, rng):
+        if priority == _PRIORITY_SWEEP:
+            sweep(t)
+        elif (windows := down.get(device_id)) and any(
+                w.covers(t) for w in windows):
+            continue  # the device is down: it neither emits nor requests
+        elif priority == _PRIORITY_EMIT:
+            emit(t, device_id, attribute, value, resource_id)
+        else:
+            request(t, device_id, resource_id)
     return loop, access
 
 
@@ -1187,8 +1240,9 @@ def replay(out_dir: str | Path) -> SimReport:
     devices = frozenset(d.device_id for d in config.devices)
     try:
         with open(out / "audit.jsonl", "rb") as fh:
-            rows = list(parse_lines(fh, partial(_audit_row, config, devices),
-                                    ReplayError, "audit line"))
+            rows = scan_lines(fh, partial(_scan_audit_rows, config, devices),
+                              partial(_audit_row, config, devices),
+                              ReplayError, "audit line")
     except OSError as exc:
         raise ReplayError(f"cannot read audit log: {exc}") from None
     summary = _decision_summary(config, rows)

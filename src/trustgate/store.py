@@ -9,8 +9,10 @@ optimal prefix code.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .model import AttributeKind, EdrEvent, Triplet
@@ -34,6 +36,9 @@ from .provenance import (
 
 DEFAULT_ATTRIBUTE_WINDOW = 900  # seconds of telemetry a trust score reads
 
+_timestamp = attrgetter("timestamp")
+_order = attrgetter("timestamp", "event_id")
+
 
 class StoreError(ValueError):
     """Raised for storage consistency violations."""
@@ -41,6 +46,12 @@ class StoreError(ValueError):
 
 class HotStore:
     """Append-only in-memory pool of recent events, indexed by triplet.
+
+    Each triplet's events are kept sorted by (timestamp, event id), so a
+    window query bisects to its time range and reads only the events in
+    it. An event appended in that order, as the simulator and a time
+    ordered log append them, costs one comparison; any other is inserted
+    in place.
 
     The store trusts its caller: it keeps no id set and checks no
     parentage, so every event passed in, at construction or through
@@ -65,8 +76,16 @@ class HotStore:
             same = by_triplet.get(event.triplet)
             if same is None:
                 by_triplet[event.triplet] = [event]
-            else:
+                continue
+            last = same[-1]
+            if event.timestamp > last.timestamp or (
+                    event.timestamp == last.timestamp
+                    and event.event_id > last.event_id):
                 same.append(event)
+            else:
+                # Before any equal key, so that the first appended of
+                # equal keys stays the one a window reads last.
+                insort_left(same, event, key=_order)
         return len(self._events) - start
 
     def query_window(
@@ -78,16 +97,15 @@ class HotStore:
 
         if horizon < 0:
             raise StoreError("horizon must be non-negative")
-        best: dict[AttributeKind, EdrEvent] = {}
-        for event in self._by_triplet.get(triplet, ()):
-            if not now - horizon < event.timestamp <= now:
-                continue
-            cur = best.get(event.attribute)
-            if cur is None or (event.timestamp, event.event_id) > (
-                cur.timestamp, cur.event_id
-            ):
-                best[event.attribute] = event
-        return {kind: e.value for kind, e in best.items()}
+        events = self._by_triplet.get(triplet)
+        if events is None:
+            return {}
+        end = len(events)
+        if events[-1].timestamp > now:  # a query into the past
+            end = bisect_right(events, now, key=_timestamp)
+        start = bisect_right(events, now - horizon, 0, end, key=_timestamp)
+        # In (timestamp, id) order, so the last event of a kind wins.
+        return {e.attribute: e.value for e in events[start:end]}
 
     @property
     def events(self) -> tuple[EdrEvent, ...]:

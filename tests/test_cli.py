@@ -4,6 +4,7 @@ including exit codes for domain and usage errors."""
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -14,6 +15,8 @@ from trustgate.model import write_events
 from trustgate.reputation import InteractionLedger
 from trustgate.engine import ResourceSpec
 from trustgate.simnet import (
+    _audit_row,
+    config_from_obj,
     config_to_obj,
     default_policy,
     reference_scenario,
@@ -266,6 +269,90 @@ class TestMalformedAuditLine:
         assert (code, out) == (1, "")
         assert err == ("error: audit line 3: 'utf-8' codec can't decode "
                        "byte 0xff in position 10: invalid start byte\n")
+
+
+def fleet_scenario():
+    """The reference scenario at 200 devices, dev-001 to dev-200, all
+    pre-trusted: an audit log of several 64 KiB chunks."""
+
+    obj = config_to_obj(reference_scenario(1))
+    obj["devices"] = {"count": 200}
+    del obj["pretrusted"]
+    for plan in obj["compromises"]:
+        plan["device_id"] = plan["device_id"].replace("dev-", "dev-0")
+    return config_from_obj(obj)
+
+
+@pytest.fixture(scope="module")
+def fleet_run(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("fleet")
+    run(fleet_scenario(), out_dir)
+    return out_dir
+
+
+def copy_replay_inputs(src, dst):
+    dst.mkdir()
+    for name in ("config.json", "report.json", "audit.jsonl"):
+        shutil.copyfile(src / name, dst / name)
+    return dst / "audit.jsonl"
+
+
+def late_grant(lines: list[bytes]) -> int:
+    """The index of the first grant at theta 0.5 that starts past the
+    first 64 KiB of the log."""
+
+    offset = 0
+    for i, line in enumerate(lines):
+        obj = json.loads(line)
+        if (offset > 1 << 16 and obj["verdict"] == "grant"
+                and obj["theta"] == 0.5):
+            return i
+        offset += len(line)
+    raise AssertionError("no late grant")
+
+
+class TestReplayParity:
+    """Replay scans audit chunks with a regular expression and parses a
+    chunk it cannot vouch for line by line. The scan must change neither
+    a message nor a line number, nor refuse a valid line."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_AUDIT_LINES))
+    def test_late_malformed_line_gets_the_json_message(self, capsys,
+                                                       tmp_path, fleet_run,
+                                                       case):
+        audit = copy_replay_inputs(fleet_run, tmp_path / "run")
+        lines = audit.read_bytes().splitlines(keepends=True)
+        index = late_grant(lines)
+        obj = json.loads(lines[index])
+        MALFORMED_AUDIT_LINES[case](obj)
+        bad = json.dumps(obj)
+        lines[index] = bad.encode() + b"\n"
+        audit.write_bytes(b"".join(lines))
+        config = fleet_scenario()
+        devices = frozenset(d.device_id for d in config.devices)
+        with pytest.raises(ValueError) as refused:
+            _audit_row(config, devices, bad)
+        code, out, err = run_cli(capsys, "replay", "--out", str(audit.parent))
+        assert (code, out) == (1, "")
+        assert err == f"error: audit line {index + 1}: {refused.value}\n"
+
+    @pytest.mark.parametrize("layout", ["compact", "crlf", "blank_line"])
+    def test_valid_non_canonical_log_replays_clean(self, capsys, tmp_path,
+                                                   fleet_run, layout):
+        audit = copy_replay_inputs(fleet_run, tmp_path / "run")
+        lines = audit.read_bytes().splitlines(keepends=True)
+        index = late_grant(lines)
+        if layout == "compact":
+            obj = json.loads(lines[index])
+            lines[index] = json.dumps(obj, separators=(",", ":")).encode() + (
+                b"\n")
+        elif layout == "crlf":
+            lines = [line.replace(b"\n", b"\r\n") for line in lines]
+        else:
+            lines.insert(index, b"\n")
+        audit.write_bytes(b"".join(lines))
+        replayed = run_json(capsys, "replay", "--out", str(audit.parent))
+        assert replayed == json.loads((fleet_run / "report.json").read_text())
 
 
 MALFORMED_POLICIES = {

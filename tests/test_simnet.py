@@ -6,7 +6,9 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect
 from dataclasses import replace
+from operator import itemgetter
 
 import pytest
 
@@ -45,7 +47,9 @@ from trustgate.simnet import (
     run,
     _PRIORITY_EMIT,
     _PRIORITY_REQUEST,
+    _action_order,
     _audit_row,
+    _compromise_starts,
     _decision_summary,
     _draw_activity,
     _schedule,
@@ -367,6 +371,20 @@ class TestScenarioValidation:
         assert config.malicious("dev-03", 300)
         assert not config.malicious("dev-01", 300)
         assert config.first_compromise_time() == 300
+
+    def test_compromise_starts_equal_the_malicious_predicate(self):
+        # Two plans on one device, listed latest first: the earliest wins.
+        config = small_scenario(compromises=(
+            CompromisePlan("dev-03", 500, malicious_profile()),
+            CompromisePlan("dev-02", 40, malicious_profile()),
+            CompromisePlan("dev-03", 300, malicious_profile()),
+        ))
+        starts = _compromise_starts(config)
+        assert starts == {"dev-03": 300, "dev-02": 40}
+        for device in ("dev-01", "dev-02", "dev-03", "dev-04"):
+            for t in (0, 39, 40, 41, 299, 300, 301, 499, 500, 899):
+                assert (t >= starts.get(device, math.inf)) == (
+                    config.malicious(device, t))
 
     def test_attribute_profile_validation(self):
         with pytest.raises(ScenarioError, match="rate"):
@@ -937,6 +955,70 @@ class TestSchedule:
         schedule = _schedule(config, random.Random(3))
         assert schedule == sorted(drawn, key=lambda a: (a[0], a[1]))
         assert schedule != sorted(drawn)
+
+
+def randrange_activity(rng, device_id, profile, start, window, resource_ids):
+    """``_draw_activity`` as it draws through ``rng.randrange``,
+    ``rng.random`` and ``rng.choice``."""
+
+    actions = []
+    for kind, rate, values, cum, total, hi in _value_tables(profile):
+        for _ in range(round(rate * window)):
+            t = start + rng.randrange(window)
+            value = values[bisect(cum, rng.random() * total, 0, hi)]
+            target = rng.choice(resource_ids) if resource_ids else ""
+            actions.append((t, _PRIORITY_EMIT, device_id, kind, value, target))
+    for _ in range(round(profile.request_rate * window)):
+        t = start + rng.randrange(window)
+        target = rng.choice(resource_ids) if resource_ids else ""
+        actions.append((t, _PRIORITY_REQUEST, device_id, None, None, target))
+    return actions
+
+
+class TestScheduleDraws:
+    """The inline draws stand for ``randrange`` and ``choice``; these pin
+    that equivalence, which the golden digests show only as a changed
+    hash."""
+
+    @pytest.mark.parametrize("seed", [1, 5, 99, 2**33 + 1])
+    @pytest.mark.parametrize("window", [1, 2, 3, 64, 65, 1000, 2**31 + 7])
+    @pytest.mark.parametrize("targets", [0, 1, 2, 4, 5])
+    def test_inline_draws_equal_randrange_and_choice(self, seed, window,
+                                                     targets):
+        profile = BehaviorProfile(
+            attributes={
+                AttributeKind.IO_OPERATION_COUNT: AttributeProfile(
+                    rate=40 / window, values=((3, 5), (12, 3), (40, 2))),
+                AttributeKind.FREQUENT_EXTERNAL_NETWORK_ID: AttributeProfile(
+                    rate=25 / window, values=(("net-a", 1), ("net-b", 4))),
+            },
+            request_rate=30 / window,
+        )
+        resource_ids = [f"res-{i}" for i in range(targets)]
+        ours, reference = random.Random(seed), random.Random(seed)
+        drawn = _draw_activity(ours, "dev-01", _value_tables(profile),
+                               profile.request_rate, 11, window,
+                               resource_ids)
+        assert drawn == randrange_activity(reference, "dev-01", profile, 11,
+                                           window, resource_ids)
+        assert len(drawn) == 95
+        assert ours.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 3, 42])
+    def test_int_key_sort_equals_stable_time_priority_sort(self, seed):
+        rng = random.Random(seed)
+        actions = [(t, 0, "", None, None, "") for t in range(0, 50, 7)]
+        for device in ("dev-02", "dev-01", "dev-03"):
+            actions += _draw_activity(rng, device,
+                                      _value_tables(benign_profile()), 0.3,
+                                      0, 50, ["res-a", "res-b"])
+        # Far-apart times: the key must not fold one time into another.
+        actions += [(2**70, 2, "dev-01", None, None, "res-a"),
+                    (2**70 - 1, 1, "dev-01", AttributeKind.IO_OPERATION_COUNT,
+                     3, "res-a")]
+        by_key = sorted(actions, key=_action_order)
+        assert by_key == sorted(actions, key=itemgetter(0, 1))
+        assert by_key != sorted(actions)  # ties are common
 
 
 class TestReportFromDecisions:

@@ -4,6 +4,7 @@ access table a run writes as access.json."""
 from __future__ import annotations
 
 import json
+import random
 import re
 
 import pytest
@@ -106,6 +107,89 @@ class TestHotStore:
     def test_empty_window(self):
         store = HotStore(None)
         assert store.query_window(DEFAULT_TRIPLET, 100, 100) == {}
+
+
+WINDOW_TRIPLETS = tuple(Triplet(f"user-{i}", f"dev-{i}", "res-a")
+                        for i in range(3))
+WINDOW_KINDS = (AttributeKind.IO_OPERATION_COUNT,
+                AttributeKind.SYSTEM_CALL_COUNT,
+                AttributeKind.FREQUENT_EXTERNAL_NETWORK_ID)
+
+
+def brute_force_window(events, triplet, now, horizon):
+    """The latest (timestamp, event id) per kind in (now - horizon, now],
+    the first appended of equal keys winning."""
+
+    best = {}
+    for event in events:
+        if event.triplet != triplet:
+            continue
+        if not now - horizon < event.timestamp <= now:
+            continue
+        cur = best.get(event.attribute)
+        if cur is None or (event.timestamp, event.event_id) > (
+                cur.timestamp, cur.event_id):
+            best[event.attribute] = event
+    return {kind: event.value for kind, event in best.items()}
+
+
+def random_log(rng: random.Random, count: int) -> list:
+    """Events over few timestamps, so that equal timestamps are common."""
+
+    events = []
+    for event_id in range(count):
+        kind = rng.choice(WINDOW_KINDS)
+        value = (f"net-{rng.randrange(9)}" if not kind.numeric
+                 else rng.randrange(50))
+        events.append(make_event(event_id, rng.randrange(40), kind, value,
+                                 triplet=rng.choice(WINDOW_TRIPLETS)))
+    return events
+
+
+class TestWindowOracle:
+    """``query_window`` reads a sorted tail of each triplet's events; on
+    any append order it must equal a scan of the whole log."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("order", ["time", "shuffled", "reversed"])
+    def test_window_equals_brute_force(self, seed, order):
+        rng = random.Random(seed)
+        events = random_log(rng, 400)
+        if order == "time":
+            events.sort(key=lambda e: (e.timestamp, e.event_id))
+        elif order == "shuffled":
+            rng.shuffle(events)
+        else:
+            events.sort(key=lambda e: (e.timestamp, e.event_id), reverse=True)
+        store = HotStore(None)
+        start = 0
+        while start < len(events):  # batches of random size
+            size = rng.randrange(1, 60)
+            assert store.append_events(events[start:start + size]) == len(
+                events[start:start + size])
+            start += size
+        assert store.events == tuple(events)
+        absent = Triplet("user-x", "dev-x", "res-a")
+        for _ in range(300):
+            triplet = rng.choice(WINDOW_TRIPLETS + (absent,))
+            # Past the newest timestamp, inside the log and before it.
+            now = rng.randrange(-3, 46)
+            horizon = rng.randrange(0, 30)
+            assert store.query_window(triplet, now, horizon) == (
+                brute_force_window(events, triplet, now, horizon))
+
+    def test_equal_keys_keep_the_first_appended(self):
+        # Duplicate (timestamp, id) pairs: the store trusts its caller,
+        # and the first one appended is the one a window reads.
+        store = HotStore(None)
+        store.append_events([make_event(2, 10, value=1),
+                             make_event(5, 20, value=2),
+                             make_event(2, 10, value=3),
+                             make_event(5, 20, value=4)])
+        assert store.query_window(DEFAULT_TRIPLET, 20, 100) == {
+            AttributeKind.IO_OPERATION_COUNT: 2}
+        assert store.query_window(DEFAULT_TRIPLET, 15, 100) == {
+            AttributeKind.IO_OPERATION_COUNT: 1}
 
 
 def access_scenario(
