@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .model import Triplet
 from .engine import TrustRecord
@@ -59,8 +59,10 @@ class ScoreStore:
     def put(self, record: TrustRecord) -> None:
         self._records[record.triplet] = record
 
-    def triplets(self) -> list[Triplet]:
-        return sorted(self._records)
+    def records(self) -> Iterable[TrustRecord]:
+        """Every stored record, in no particular order."""
+
+        return self._records.values()
 
 
 Recompute = Callable[[Triplet, int], TrustRecord]
@@ -188,17 +190,17 @@ class TrustScoreCache:
         return record, kind
 
     def refresh_sweep(self, now: int, recompute: Recompute) -> SweepResult:
-        """Recompute every stale record in the backing store.
+        """Recompute every stale record in the backing store, in triplet
+        order.
 
         A failing callback does not stop the sweep; failures are
         reported per triplet alongside the refreshed count. The sweep
         leaves the recency index alone.
         """
 
-        stale = [
-            t for t in self.store.triplets()
-            if not self._fresh(self.store.get(t), now)
-        ]
+        fresh = self._fresh
+        stale = sorted(record.triplet for record in self.store.records()
+                       if not fresh(record, now))
         refreshed = 0
         failures: list[tuple[Triplet, str]] = []
         for triplet in stale:

@@ -341,6 +341,20 @@ def token_digest(scheme_id: str, token: int) -> str:
 
 
 @dataclass(frozen=True)
+class QuorumResult:
+    token: int | None
+    failure: str | None = None
+
+    def __bool__(self) -> bool:
+        return self.token is not None
+
+
+# Verified share sets a QuorumClient remembers; the memo is emptied
+# when it holds this many.
+QUORUM_MEMO_SIZE = 256
+
+
+@dataclass(frozen=True)
 class QuorumClient:
     """Approvers keyed by id, plus expected token digests per resource.
     The set of approvers is fixed once the client is built."""
@@ -355,14 +369,14 @@ class QuorumClient:
 
         return tuple(self.approvers[aid] for aid in sorted(self.approvers))
 
+    @cached_property
+    def verified(self) -> dict[tuple, QuorumResult]:
+        """The outcome of each share set ``quorum_approve`` has
+        interpolated, keyed by resource id, expected digest, scheme id
+        and the shares themselves, so a share whose value changes is
+        verified again. At most ``QUORUM_MEMO_SIZE`` entries."""
 
-@dataclass(frozen=True)
-class QuorumResult:
-    token: int | None
-    failure: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.token is not None
+        return {}
 
 
 def quorum_approve(
@@ -373,9 +387,12 @@ def quorum_approve(
 ) -> QuorumResult:
     """Collect shares, rebuild the token, and verify its digest.
 
-    Approvers are polled in id order; the first ``z`` collected shares
-    are interpolated. Anything short of ``z`` responses, or a rebuilt
-    token whose digest disagrees with the registry, fails the quorum.
+    Approvers are polled in id order, on every call; the first ``z``
+    collected shares are interpolated. Anything short of ``z``
+    responses, or a rebuilt token whose digest disagrees with the
+    registry, fails the quorum. The client remembers the outcome of
+    each share set it has verified (``QuorumClient.verified``), so the
+    same shares are interpolated and hashed once.
     """
 
     expected = client.digests.get(resource_id)
@@ -394,13 +411,24 @@ def quorum_approve(
             token=None,
             failure=f"quorum short: {len(shares)} of {policy.z} shares",
         )
-    try:
-        token = reconstruct(shares[: policy.z])
-    except ShareError as exc:
-        return QuorumResult(token=None, failure=str(exc))
-    if token_digest(scheme_id, token) != expected:
-        return QuorumResult(token=None, failure="corrupt share quorum")
-    return QuorumResult(token=token)
+    chosen = shares[: policy.z]
+    key = (resource_id, expected, scheme_id, *chosen)
+    memo = client.verified
+    result = memo.get(key)
+    if result is None:
+        try:
+            token = reconstruct(chosen)
+        except ShareError as exc:
+            result = QuorumResult(token=None, failure=str(exc))
+        else:
+            result = (QuorumResult(token=token)
+                      if token_digest(scheme_id, token) == expected
+                      else QuorumResult(token=None,
+                                        failure="corrupt share quorum"))
+        if len(memo) >= QUORUM_MEMO_SIZE:
+            memo.clear()
+        memo[key] = result
+    return result
 
 
 # --- decisions --------------------------------------------------------------
@@ -490,6 +518,7 @@ def decide(
 
 _int_repr = int.__repr__
 _float_repr = float.__repr__
+_INF = math.inf
 
 
 def _json_number(value: float | None) -> str:
@@ -509,13 +538,19 @@ def audit_line(ts: int, triplet: Triplet, decision: Decision) -> str:
     for byte ``json.dumps`` of that dict."""
 
     quoted = encode_basestring_ascii
+    # _json_number, inline for the finite floats a decision's score and
+    # threshold are.
+    score, theta = decision.combined, decision.threshold
+    score = (_float_repr(score) if type(score) is float
+             and -_INF < score < _INF else _json_number(score))
+    theta = (_float_repr(theta) if type(theta) is float
+             and -_INF < theta < _INF else _json_number(theta))
     return (
         f'{{"ts": {_int_repr(ts)}, '
         f'"triplet": [{", ".join(map(quoted, triplet))}], '
         f'"verdict": {quoted(decision.verdict)}, '
         f'"reasons": [{", ".join(map(quoted, decision.reasons))}], '
-        f'"T": {_json_number(decision.combined)}, '
-        f'"theta": {_json_number(decision.threshold)}}}'
+        f'"T": {score}, "theta": {theta}}}'
     )
 
 

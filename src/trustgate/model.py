@@ -22,7 +22,7 @@ import json
 import re
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -291,27 +291,41 @@ def dumps_event(event: EdrEvent) -> str:
                        _pair_text(event.attribute, event.value))
 
 
-def write_events(path: str | Path, events: Iterable[EdrEvent]) -> int:
-    """Write events as JSON Lines, each line as :func:`dumps_event`
-    formats it; returns the number written. Each distinct identity and
-    (attribute, value) pair is formatted once per call."""
+# Lines write_events joins into one write: enough to amortise the call,
+# few enough that a large log is never held as one string.
+WRITE_BLOCK_LINES = 512
+
+
+def _event_lines(events: Iterable[EdrEvent]) -> Iterator[str]:
+    """Each event as :func:`dumps_event` formats it, formatting each
+    distinct identity and (attribute, value) pair once."""
 
     identities: dict[Triplet, str] = {}
     pairs: dict[tuple[AttributeKind, int | str], str] = {}
+    for event in events:
+        identity = identities.get(event.triplet)
+        if identity is None:
+            identity = identities[event.triplet] = _identity_text(
+                event.triplet)
+        key = (event.attribute, event.value)
+        pair = pairs.get(key)
+        if pair is None:
+            pair = pairs[key] = _pair_text(*key)
+        yield _event_line(event, identity, pair)
+
+
+def write_events(path: str | Path, events: Iterable[EdrEvent]) -> int:
+    """Write events as JSON Lines, each line as :func:`dumps_event`
+    formats it, in blocks of ``WRITE_BLOCK_LINES`` lines; returns the
+    number written."""
+
+    lines = _event_lines(events)
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
-        write = fh.write
-        for event in events:
-            identity = identities.get(event.triplet)
-            if identity is None:
-                identity = identities[event.triplet] = _identity_text(
-                    event.triplet)
-            key = (event.attribute, event.value)
-            pair = pairs.get(key)
-            if pair is None:
-                pair = pairs[key] = _pair_text(*key)
-            write(_event_line(event, identity, pair) + "\n")
-            count += 1
+        while block := list(islice(lines, WRITE_BLOCK_LINES)):
+            block.append("")  # the last line's newline
+            fh.write("\n".join(block))
+            count += len(block) - 1
     return count
 
 

@@ -27,9 +27,9 @@ import math
 import random
 import sys
 from bisect import bisect
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, count
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -98,6 +98,9 @@ _PRIORITY_REQUEST = 2
 _FLOAT_MAX = sys.float_info.max
 # A scenario names each approver, so its quorum size is bounded.
 MAX_APPROVERS = 1000
+# The schedule is drawn in full before the run, so a scenario's action
+# count is bounded: about 8x the 13 million of 100k reference devices.
+MAX_SCHEDULED_ACTIONS = 10**8
 
 
 class ScenarioError(ValueError):
@@ -255,6 +258,16 @@ class ScenarioConfig:
             for kind, attribute in profile.attributes.items():
                 _check_draws(attribute.rate, self.duration,
                              f"{where}.attributes.{kind.value}.rate")
+        actions = (
+            -(-self.duration // self.refresh_interval)  # sweeps
+            + len(self.devices) * _draw_count(self.benign, self.duration)
+            + sum(_draw_count(p.profile, self.duration - p.start_time)
+                  for p in self.compromises)
+        )
+        if actions > MAX_SCHEDULED_ACTIONS:
+            raise ScenarioError(
+                f"scenario schedules {actions} actions, more than "
+                f"{MAX_SCHEDULED_ACTIONS}")
 
     def approver_ids(self) -> tuple[str, ...]:
         return tuple(f"approver-{i}" for i in range(1, self.policy.quorum.n + 1))
@@ -329,6 +342,15 @@ def _check_draws(rate: float, duration: int, where: str) -> None:
     if not finite:
         raise ScenarioError(
             f"{where} times duration must be finite, got {rate!r} x {duration}")
+
+
+def _draw_count(profile: BehaviorProfile, window: int) -> int:
+    """The actions ``_draw_activity`` draws for one device over
+    ``window`` seconds of ``profile``."""
+
+    return round(profile.request_rate * window) + sum(
+        round(attribute.rate * window)
+        for attribute in profile.attributes.values())
 
 
 def _profile_from_obj(obj: object, where: str) -> BehaviorProfile:
@@ -697,7 +719,12 @@ class SimReport:
     reputation_convergence: Mapping[str, object]
 
     def to_obj(self) -> dict:
-        return {**asdict(self), "flags": list(self.flags)}
+        """The report as a JSON object. Its values are the report's own,
+        not copies, except ``flags``, which becomes a list."""
+
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["flags"] = list(self.flags)
+        return obj
 
     @classmethod
     def from_obj(cls, obj: dict) -> "SimReport":
@@ -1038,6 +1065,9 @@ class _Loop:
             if rule.severity is Severity.CRITICAL:
                 self.critical_rules.setdefault(rule.attribute, []).append(rule)
         self.hot = HotStore(None)
+        # emit is the only writer of ``hot``, so the next event id is
+        # its length.
+        self.event_ids = count()
         self.cache = TrustScoreCache(
             CacheConfig(capacity=config.cache_capacity,
                         max_refresh=config.refresh_interval),
@@ -1082,24 +1112,25 @@ class _Loop:
         self.cache.refresh_sweep(now, self.recompute)
 
     def _triplet(self, device_id: str, resource_id: str) -> Triplet:
-        """The one Triplet of a (device, resource)."""
+        """Intern the one Triplet of a (device, resource). ``emit`` and
+        ``request`` look it up in ``triplets`` first and call this only
+        on a miss."""
 
-        key = (device_id, resource_id)
-        triplet = self.triplets.get(key)
-        if triplet is None:
-            triplet = self.triplets[key] = Triplet(
-                user_id=self.users[device_id],
-                device_id=device_id,
-                resource_id=resource_id or "none",
-            )
+        triplet = self.triplets[(device_id, resource_id)] = Triplet(
+            user_id=self.users[device_id],
+            device_id=device_id,
+            resource_id=resource_id or "none",
+        )
         return triplet
 
     def emit(self, t: int, device_id: str, attribute: AttributeKind,
              value: int | str, resource_id: str) -> None:
+        triplet = self.triplets.get((device_id, resource_id))
+        if triplet is None:
+            triplet = self._triplet(device_id, resource_id)
         parent = self.last_event.get(device_id)
         event = EdrEvent(
-            len(self.hot), self._triplet(device_id, resource_id), attribute,
-            value, t,
+            next(self.event_ids), triplet, attribute, value, t,
             (parent.event_id,)
             if parent is not None and parent.timestamp < t else (),
         )
@@ -1118,7 +1149,9 @@ class _Loop:
                 return
 
     def request(self, t: int, device_id: str, resource_id: str) -> None:
-        triplet = self._triplet(device_id, resource_id)
+        triplet = self.triplets.get((device_id, resource_id))
+        if triplet is None:
+            triplet = self._triplet(device_id, resource_id)
         alert = self.critical.get(device_id)
         decision = decide(
             triplet, self.config.policy, self.score,

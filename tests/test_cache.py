@@ -287,14 +287,13 @@ class TestRecomputeContract:
         for i in range(20):
             cache.get_score(triplet(i), i, record_for)
         stale = triplet(0)
-        records = {t: cache.store.get(t) for t in cache.store.triplets()}
+        records = {r.triplet: r for r in cache.store.records()}
         entries = dict(cache._entries)
         metrics = cache.metrics.to_obj()
         for t, now in ((triplet(999), 50), (stale, 500)):
             with pytest.raises(RuntimeError, match="score source down"):
                 cache.get_score(t, now, failing)
-        assert {t: cache.store.get(t)
-                for t in cache.store.triplets()} == records
+        assert {r.triplet: r for r in cache.store.records()} == records
         assert cache._entries == entries
         assert cache.metrics.to_obj() == metrics
         assert cache.metrics.recomputes == 20
@@ -360,9 +359,53 @@ class TestRefreshSweep:
         result = cache.refresh_sweep(0, record_for)
         assert result.refreshed == 0
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sweep_matches_full_sort_oracle(self, seed):
+        # The sweep as it was specified first: every stored triplet in
+        # sorted order, each checked with the freshness predicate. The
+        # store mixes fresh records, records exactly max_refresh old,
+        # stale ones and future-dated ones, and some recomputes fail.
+        rng = random.Random(seed)
+        max_refresh, now = 10, 100
+        ids = [Triplet(f"user-{rng.randrange(12)}", f"dev-{rng.randrange(12)}",
+                       f"res-{rng.randrange(12)}") for _ in range(60)]
+        ids = list(dict.fromkeys(ids))
+        ages = (0, 3, max_refresh, max_refresh + 1, 50, -1, -7)
+        cache = TrustScoreCache(CacheConfig(capacity=4,
+                                            max_refresh=max_refresh))
+        oracle = OracleCache(capacity=4, max_refresh=max_refresh)
+        for t in ids:
+            record = record_for(t, now - rng.choice(ages))
+            cache.store.put(record)
+            oracle.store[t] = record
+        failing = set(rng.sample(ids, 8))
+        calls = []
 
-class TestScoreStore:
-    def test_triplets_in_triplet_order(self):
+        def recompute(t: Triplet, at: int) -> TrustRecord:
+            calls.append(t)
+            if t in failing:
+                raise RuntimeError(f"no score for {t}")
+            return record_for(t, at)
+
+        expected = [t for t in sorted(oracle.store)
+                    if not oracle.fresh(oracle.store[t], now)]
+        result = cache.refresh_sweep(now, recompute)
+        assert calls == expected
+        assert result.failures == tuple(
+            (t, f"no score for {t}") for t in expected if t in failing)
+        assert result.refreshed == len(expected) - len(result.failures)
+        for t in ids:
+            if t in expected and t not in failing:
+                assert cache.store.get(t) == record_for(t, now)
+            else:
+                assert cache.store.get(t) is oracle.store[t]
+        assert any(oracle.store[t].computed_at == now - max_refresh
+                   for t in ids if t not in expected)
+        assert any(oracle.store[t].computed_at > now
+                   for t in expected)
+
+    def test_sweep_failures_in_triplet_order(self):
+        # Triplets order field by field as strings: "user-10" < "user-2".
         ids = [
             Triplet("user-10", "dev-1", "res-a"),
             Triplet("user-2", "dev-1", "res-a"),
@@ -374,11 +417,16 @@ class TestScoreStore:
             Triplet("user-1", "dev-1", "res-10"),
         ]
         random.Random(5).shuffle(ids)
-        store = ScoreStore()
+        cache = TrustScoreCache(CacheConfig(capacity=8, max_refresh=10))
         for t in ids:
-            store.put(record_for(t, 0))
-        assert store.triplets() == sorted(ids)
-        assert store.triplets()[0] == Triplet("user-1", "dev-1", "res-10")
+            cache.store.put(record_for(t, 0))
+
+        def failing(t: Triplet, now: int) -> TrustRecord:
+            raise RuntimeError("down")
+
+        result = cache.refresh_sweep(50, failing)
+        assert [t for t, _ in result.failures] == sorted(ids)
+        assert result.failures[0][0] == Triplet("user-1", "dev-1", "res-10")
 
 
 class TestConfig:

@@ -12,6 +12,7 @@ import pytest
 
 from trustgate.engine import (
     DEFAULT_QUORUM,
+    QUORUM_MEMO_SIZE,
     ActiveAlert,
     Decision,
     EngineError,
@@ -38,6 +39,7 @@ from trustgate.secretshare import (
     FieldParams,
     Share,
     ThresholdPolicy,
+    reconstruct,
     split,
 )
 
@@ -453,6 +455,109 @@ class TestQuorum:
         assert not result
         assert result.token is None
         assert result.failure == "15 is not prime"
+
+
+class ScriptedApprover:
+    """An approver whose answer a test sets before each call: its share,
+    a tampered share (``y`` shifted by ``offset``), or nothing. It counts
+    its polls."""
+
+    def __init__(self, share: Share):
+        self.share = share
+        self.mode = "honest"
+        self.offset = 1
+        self.polls = 0
+
+    def respond(self, resource_id: str, now: int):
+        self.polls += 1
+        if self.mode == "down":
+            return None
+        if self.mode == "tamper":
+            return Share(x=self.share.x,
+                         y=(self.share.y + self.offset) % self.share.prime,
+                         scheme_id=self.share.scheme_id,
+                         prime=self.share.prime, n=self.share.n,
+                         z=self.share.z)
+        return self.share
+
+
+def scripted_quorum(n: int, z: int, seed: int):
+    """Scripted approvers over one dealt token, the client's registry
+    maps, and the token."""
+
+    field = FieldParams()
+    rng = random.Random(seed)
+    token = rng.randrange(field.prime)
+    shares = split(token, ThresholdPolicy(n=n, z=z), field, rng)
+    scheme_id = shares[0].scheme_id
+    approvers = {f"approver-{i}": ScriptedApprover(share)
+                 for i, share in enumerate(shares, start=1)}
+    return (approvers, {"res-high": token_digest(scheme_id, token)},
+            {"res-high": scheme_id}, token)
+
+
+class TestQuorumMemo:
+    @pytest.mark.parametrize("n, z, seed", [(5, 3, 1), (4, 2, 2), (7, 4, 3),
+                                            (3, 3, 4)])
+    def test_memo_matches_a_fresh_client(self, n, z, seed):
+        # One client answers every call; a client built afresh, with an
+        # empty memo, answers the same polls. approver-1 alternates
+        # between its share and a tampered one; the others are drawn up,
+        # down or tampered at random.
+        approvers, digests, scheme_ids, token = scripted_quorum(n, z, seed)
+        client = QuorumClient(approvers, digests, scheme_ids)
+        policy = ThresholdPolicy(n, z)
+        rng = random.Random(seed)
+        outcomes = set()
+        for call in range(400):
+            for aid, approver in approvers.items():
+                approver.mode = rng.choices(
+                    ("honest", "down", "tamper"), (6, 2, 1))[0]
+                approver.offset = rng.randrange(1, 3)
+            approvers["approver-1"].mode = ("honest", "tamper")[call % 2]
+            memo = quorum_approve("res-high", client, policy, call)
+            fresh = quorum_approve(
+                "res-high", QuorumClient(approvers, digests, scheme_ids),
+                policy, call)
+            assert memo == fresh
+            assert memo.token in (None, token)
+            outcomes.add(memo.failure if memo.failure is None
+                         else memo.failure.split(":")[0])
+        assert outcomes == {None, "corrupt share quorum", "quorum short"}
+
+    def test_every_approver_polled_and_each_share_set_verified_once(
+            self, monkeypatch):
+        approvers, digests, scheme_ids, token = scripted_quorum(5, 3, 7)
+        client = QuorumClient(approvers, digests, scheme_ids)
+        interpolations = []
+
+        def counting(shares):
+            interpolations.append(tuple(shares))
+            return reconstruct(shares)
+
+        monkeypatch.setattr("trustgate.engine.reconstruct", counting)
+        for call in range(1, 31):
+            # Calls 11-20 interpolate approvers 1, 3 and 4.
+            down = 10 < call <= 20
+            approvers["approver-2"].mode = "down" if down else "honest"
+            result = quorum_approve("res-high", client, ThresholdPolicy(5, 3))
+            assert result.token == token
+            assert [a.polls for a in approvers.values()] == [call] * 5
+        assert len(interpolations) == 2
+        assert len(client.verified) == 2
+
+    def test_memo_stays_bounded(self):
+        approvers, digests, scheme_ids, _ = scripted_quorum(5, 3, 9)
+        client = QuorumClient(approvers, digests, scheme_ids)
+        approvers["approver-1"].mode = "tamper"
+        sizes = []
+        for offset in range(1, 2 * QUORUM_MEMO_SIZE + 10):
+            approvers["approver-1"].offset = offset
+            result = quorum_approve("res-high", client, ThresholdPolicy(5, 3))
+            assert result.failure == "corrupt share quorum"
+            sizes.append(len(client.verified))
+        assert max(sizes) == QUORUM_MEMO_SIZE
+        assert sizes[-1] < QUORUM_MEMO_SIZE
 
 
 def passing_source(triplet: Triplet, now: int):

@@ -7,7 +7,7 @@ import json
 import math
 import random
 from bisect import bisect
-from dataclasses import replace
+from dataclasses import asdict, replace
 from operator import itemgetter
 
 import pytest
@@ -24,6 +24,7 @@ from trustgate.provenance import AlertRule, build_graph
 from trustgate.secretshare import ThresholdPolicy
 from trustgate.simnet import (
     MAX_APPROVERS,
+    MAX_SCHEDULED_ACTIONS,
     AttributeProfile,
     BehaviorProfile,
     CompromisePlan,
@@ -52,10 +53,13 @@ from trustgate.simnet import (
     _compromise_starts,
     _decision_summary,
     _draw_activity,
+    _draw_count,
     _schedule,
     _simulate,
     _value_tables,
 )
+
+from test_golden import fleet_200
 
 RESOURCES = (
     ResourceSpec("res-open", 0.5, "standard"),
@@ -268,6 +272,46 @@ class TestScenarioValidation:
         assert str(info.value) == "approvers.n must be at most 1000, got 1000000"
         obj["approvers"]["n"] = MAX_APPROVERS
         assert len(config_from_obj(obj).approver_ids()) == MAX_APPROVERS
+
+    def test_scheduled_action_bound_refuses_before_any_draw(
+            self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a refused scenario drew its schedule")
+
+        monkeypatch.setattr("trustgate.simnet._draw_activity", no_draws)
+        obj = config_to_obj(reference_scenario(42))
+        obj["benign_profile"]["attributes"]["io_operation_count"]["rate"] = 1e9
+        with pytest.raises(ScenarioError) as info:
+            config_from_obj(obj)
+        # 20 devices x 3.6e12 io draws, plus the rest of the schedule.
+        count = int(str(info.value).split()[2])
+        assert count > 20 * 36 * 10**11
+        assert str(info.value) == (f"scenario schedules {count} actions, "
+                                   f"more than {MAX_SCHEDULED_ACTIONS}")
+
+    @pytest.mark.parametrize("scenario", [
+        lambda: reference_scenario(42), small_scenario, failure_scenario,
+    ], ids=["reference", "small", "failure"])
+    def test_bound_counts_the_schedule(self, scenario):
+        # Sweeps, every device's benign draws and each compromise's.
+        config = scenario()
+        counted = (
+            -(-config.duration // config.refresh_interval)
+            + len(config.devices) * _draw_count(config.benign, config.duration)
+            + sum(_draw_count(p.profile, config.duration - p.start_time)
+                  for p in config.compromises))
+        assert counted == len(_schedule(config, random.Random(config.seed)))
+
+    def test_sweeps_count_against_the_bound(self):
+        obj = config_to_obj(small_scenario())
+        obj.update(duration=MAX_SCHEDULED_ACTIONS * 10, refresh_interval=1)
+        for profile in (obj["benign_profile"],
+                        *(p["profile"] for p in obj["compromises"])):
+            profile["request_rate"] = 0
+            profile["attributes"] = {}
+        with pytest.raises(ScenarioError, match="^scenario schedules "
+                           f"{MAX_SCHEDULED_ACTIONS * 10} actions"):
+            config_from_obj(obj)
 
     def test_whole_number_rates_accepted(self):
         obj = config_to_obj(failure_scenario())
@@ -580,6 +624,17 @@ class TestDeterminism:
         text = format_json(report.to_obj())
         restored = SimReport.from_obj(json.loads(text))
         assert format_json(restored.to_obj()) == text
+
+    @pytest.mark.parametrize("scenario", [
+        lambda: reference_scenario(42), lambda: fleet_200(42),
+    ], ids=["reference-42", "fleet-200-42"])
+    def test_report_object_is_the_asdict_form(self, scenario):
+        # The deep-copying dataclasses.asdict form is the oracle.
+        report = run(scenario())
+        oracle = {**asdict(report), "flags": list(report.flags)}
+        obj = report.to_obj()
+        assert list(obj) == list(oracle)
+        assert format_json(obj) == format_json(oracle)
 
 
 class TestArtifacts:
