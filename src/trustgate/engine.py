@@ -340,15 +340,6 @@ def token_digest(scheme_id: str, token: int) -> str:
     return hashlib.sha256(f"{scheme_id}:{token}".encode("ascii")).hexdigest()
 
 
-@dataclass(frozen=True)
-class QuorumResult:
-    token: int | None
-    failure: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.token is not None
-
-
 # Verified share sets a QuorumClient remembers; the memo is emptied
 # when it holds this many.
 QUORUM_MEMO_SIZE = 256
@@ -377,6 +368,15 @@ class QuorumClient:
         verified again. At most ``QUORUM_MEMO_SIZE`` entries."""
 
         return {}
+
+
+@dataclass(frozen=True)
+class QuorumResult:
+    token: int | None
+    failure: str | None = None
+
+    def __bool__(self) -> bool:
+        return self.token is not None
 
 
 def quorum_approve(

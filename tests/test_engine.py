@@ -510,7 +510,7 @@ class TestQuorumMemo:
         rng = random.Random(seed)
         outcomes = set()
         for call in range(400):
-            for aid, approver in approvers.items():
+            for approver in approvers.values():
                 approver.mode = rng.choices(
                     ("honest", "down", "tamper"), (6, 2, 1))[0]
                 approver.offset = rng.randrange(1, 3)

@@ -53,7 +53,6 @@ from trustgate.simnet import (
     _compromise_starts,
     _decision_summary,
     _draw_activity,
-    _draw_count,
     _schedule,
     _simulate,
     _value_tables,
@@ -292,15 +291,19 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("scenario", [
         lambda: reference_scenario(42), small_scenario, failure_scenario,
     ], ids=["reference", "small", "failure"])
-    def test_bound_counts_the_schedule(self, scenario):
-        # Sweeps, every device's benign draws and each compromise's.
+    def test_bound_counts_the_schedule(self, scenario, monkeypatch):
+        # The count checked is the schedule's length: its sweeps, every
+        # device's benign draws and each compromise's.
         config = scenario()
-        counted = (
-            -(-config.duration // config.refresh_interval)
-            + len(config.devices) * _draw_count(config.benign, config.duration)
-            + sum(_draw_count(p.profile, config.duration - p.start_time)
-                  for p in config.compromises))
-        assert counted == len(_schedule(config, random.Random(config.seed)))
+        actions = len(_schedule(config, random.Random(config.seed)))
+        monkeypatch.setattr("trustgate.simnet.MAX_SCHEDULED_ACTIONS", actions)
+        assert replace(config) == config
+        monkeypatch.setattr("trustgate.simnet.MAX_SCHEDULED_ACTIONS",
+                            actions - 1)
+        with pytest.raises(ScenarioError) as info:
+            replace(config)
+        assert str(info.value) == (f"scenario schedules {actions} actions, "
+                                   f"more than {actions - 1}")
 
     def test_sweeps_count_against_the_bound(self):
         obj = config_to_obj(small_scenario())
