@@ -27,6 +27,7 @@ import math
 import random
 import sys
 from bisect import bisect
+from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import accumulate, count
@@ -100,6 +101,8 @@ _FLOAT_MAX = sys.float_info.max
 MAX_APPROVERS = 1000
 # The schedule is drawn in full before the run, so a scenario's action
 # count is bounded: about 8x the 13 million of 100k reference devices.
+# It holds one int per action in its time slot's list, about 48 bytes an
+# action at 1000 reference devices (74 at 200, whose lists are shorter).
 MAX_SCHEDULED_ACTIONS = 10**8
 
 
@@ -827,20 +830,6 @@ def _decision_summary(
 
 # --- simulation -------------------------------------------------------------
 
-# One scheduled action: (time, priority, device_id, attribute, value,
-# resource_id). The priority is also the action's kind; a sweep carries
-# no device, an emission no resource when the registry is empty, and a
-# request no attribute or value.
-_Action = tuple[int, int, str, AttributeKind | None, int | str | None, str]
-
-
-def _action_order(action: _Action) -> int:
-    """The sort key of an action: its time, then its priority, as one
-    int (every priority is below 3)."""
-
-    return action[0] * 3 + action[1]
-
-
 class _SimApprover:
     def __init__(self, windows: Sequence[FailureWindow]):
         self.shares: dict[str, Share] = {}
@@ -852,73 +841,93 @@ class _SimApprover:
         return self.shares.get(resource_id)
 
 
-# (kind, rate, values, cumulative weights, float total, last index)
-_ValueTable = tuple[AttributeKind, float, list, list, float, int]
+def _pair_table(
+    config: ScenarioConfig
+) -> list[tuple[AttributeKind, int | str]]:
+    """Every (kind, value) a profile of the scenario lists, once each, in
+    the order the benign profile and then each compromise profile list
+    them. An emission's code names its pair by index into this list."""
+
+    pairs: dict[tuple[AttributeKind, int | str], None] = {}
+    for profile in (config.benign, *(p.profile for p in config.compromises)):
+        for kind, spec in profile.attributes.items():
+            for value, _ in spec.values:
+                pairs[(kind, value)] = None
+    return list(pairs)
 
 
-def _value_tables(profile: BehaviorProfile) -> list[_ValueTable]:
-    """Per attribute kind, by name: its rate, its values, their
-    cumulative weights, the weights' total as a float and the last
-    index. ``values[bisect(cum, rng.random() * total, 0, hi)]`` is line
-    for line what ``rng.choices(values, cum_weights=cum)[0]`` computes,
-    so the RNG stream and every draw are those of ``rng.choices`` with
-    the weights themselves."""
+# (rate, pair indices, cumulative weights, float total, last index)
+_ValueTable = tuple[float, list[int], list[int], float, int]
+
+
+def _value_tables(
+    profile: BehaviorProfile, pair_ids: Mapping[tuple, int]
+) -> list[_ValueTable]:
+    """Per attribute kind, by name: its rate, the ``pair_ids`` index of
+    each of its (kind, value) pairs, their cumulative weights, the
+    weights' total as a float and the last index.
+    ``pairs[bisect(cum, rng.random() * total, 0, hi)]`` is line for line
+    what ``rng.choices(pairs, cum_weights=cum)[0]`` computes, so the RNG
+    stream and every draw are those of ``rng.choices`` with the weights
+    themselves."""
 
     tables = []
     for kind, prof in sorted(profile.attributes.items(),
                              key=lambda kv: kv[0].value):
         cum = list(accumulate(w for _, w in prof.values))
-        tables.append((kind, prof.rate, [v for v, _ in prof.values], cum,
-                       cum[-1] + 0.0, len(cum) - 1))
+        ids = [pair_ids[(kind, v)] for v, _ in prof.values]
+        tables.append((prof.rate, ids, cum, cum[-1] + 0.0, len(cum) - 1))
     return tables
 
 
 def _draw_activity(
     rng: random.Random,
-    device_id: str,
+    buckets: defaultdict[int, list[int]],
+    device: int,
+    targets: int,
+    pairs: int,
     tables: Sequence[_ValueTable],
     request_rate: float,
     start: int,
     window: int,
-    resource_ids: Sequence[str],
-) -> list[_Action]:
-    """A device's emissions and requests over [start, start + window),
-    for a profile's ``_value_tables`` and request rate.
+) -> None:
+    """Append the emissions and requests of the ``device``-th device over
+    [start, start + window), for a profile's ``_value_tables`` and
+    request rate, to ``buckets``: each action's code goes to the list at
+    ``3 * time + priority``. With ``row = device * max(targets, 1)``, a
+    request's code is ``row + target`` (its triplet index) and an
+    emission's is ``(row + target) * pairs + pair``.
 
     The draw order (per attribute kind by name: time, value, target;
     then requests: time, target) is what lets a seed fix the schedule.
     A time is ``rng.randrange(window)`` and a target
-    ``rng.choice(resource_ids)``, drawn inline as CPython (3.10 and
+    ``rng.choice(range(targets))``, drawn inline as CPython (3.10 and
     later) draws both: ``getrandbits(n.bit_length())`` until the result
     is below ``n``, then that offset or index. The RNG stream is theirs.
     """
 
-    actions = []
-    append = actions.append
     getrandbits, random_ = rng.getrandbits, rng.random
     time_bits = window.bit_length()
-    targets = len(resource_ids)
     target_bits = targets.bit_length()
-    # Emissions per kind, then requests, which draw no value.
-    streams = [(_PRIORITY_EMIT, *table) for table in tables]
-    streams.append((_PRIORITY_REQUEST, None, request_rate, None, None, None,
-                    None))
-    for priority, kind, rate, values, cum, total, hi in streams:
-        value = None
+    row = device * max(targets, 1)
+    # Emissions per kind, then requests, which draw no pair.
+    streams = [(3 * start + _PRIORITY_EMIT, pairs, *table) for table in tables]
+    streams.append((3 * start + _PRIORITY_REQUEST, 1, request_rate, None,
+                    None, None, None))
+    for base, scale, rate, pair_ids, cum, total, hi in streams:
+        pair = 0
         for _ in range(round(rate * window)):
             t = getrandbits(time_bits)
             while t >= window:
                 t = getrandbits(time_bits)
-            if values is not None:
-                value = values[bisect(cum, random_() * total, 0, hi)]
-            target = ""
+            if pair_ids is not None:
+                pair = pair_ids[bisect(cum, random_() * total, 0, hi)]
+            target = 0
             if targets:
-                i = getrandbits(target_bits)
-                while i >= targets:
-                    i = getrandbits(target_bits)
-                target = resource_ids[i]
-            append((start + t, priority, device_id, kind, value, target))
-    return actions
+                target = getrandbits(target_bits)
+                while target >= targets:
+                    target = getrandbits(target_bits)
+            buckets[base + 3 * t].append((row + target) * scale + pair)
 
 
 def _audit_row(
@@ -1014,28 +1023,35 @@ def _deal_tokens(
     return client, access
 
 
-def _schedule(config: ScenarioConfig, rng: random.Random) -> list[_Action]:
-    """Pre-draw the whole run so replaying a config is exact. The sort
-    is stable, so equal (time, priority) keep their draw order."""
+def _schedule(
+    config: ScenarioConfig, rng: random.Random
+) -> dict[int, Sequence[int]]:
+    """Pre-draw the whole run so replaying a config is exact.
 
-    resource_ids = sorted(config.policy.resources)
-    actions = [
-        (t, _PRIORITY_SWEEP, "", None, None, "")
-        for t in range(0, config.duration, config.refresh_interval)
-    ]
-    benign = _value_tables(config.benign)
-    for device in config.devices:
-        actions += _draw_activity(rng, device.device_id, benign,
-                                  config.benign.request_rate, 0,
-                                  config.duration, resource_ids)
+    The schedule maps each key ``3 * time + priority`` to its actions'
+    codes (see ``_draw_activity``) in draw order; a sweep's key maps to
+    an empty tuple. Stepping through the keys in ascending order and
+    each list in order visits the actions as a stable sort of the draws
+    on (time, priority) would: sweeps, then each device's draws in
+    config order, then each compromise plan's."""
+
+    targets = len(config.policy.resources)
+    pair_ids = {pair: i for i, pair in enumerate(_pair_table(config))}
+    pairs = len(pair_ids)
+    buckets: defaultdict[int, list[int]] = defaultdict(list)
+    for t in range(0, config.duration, config.refresh_interval):
+        buckets[3 * t + _PRIORITY_SWEEP] = ()
+    benign = _value_tables(config.benign, pair_ids)
+    for device in range(len(config.devices)):
+        _draw_activity(rng, buckets, device, targets, pairs, benign,
+                       config.benign.request_rate, 0, config.duration)
+    index = {d.device_id: i for i, d in enumerate(config.devices)}
     for plan in config.compromises:
-        actions += _draw_activity(rng, plan.device_id,
-                                  _value_tables(plan.profile),
-                                  plan.profile.request_rate, plan.start_time,
-                                  config.duration - plan.start_time,
-                                  resource_ids)
-    actions.sort(key=_action_order)
-    return actions
+        _draw_activity(rng, buckets, index[plan.device_id], targets, pairs,
+                       _value_tables(plan.profile, pair_ids),
+                       plan.profile.request_rate, plan.start_time,
+                       config.duration - plan.start_time)
+    return buckets
 
 
 class _Loop:
@@ -1048,16 +1064,24 @@ class _Loop:
 
     def __init__(self, config: ScenarioConfig, quorum_client: QuorumClient):
         device_ids = [d.device_id for d in config.devices]
+        resource_ids = sorted(config.policy.resources)
         self.config = config
         self.quorum_client = quorum_client
-        self.users = {d.device_id: d.user_id for d in config.devices}
-        self.triplets: dict[tuple[str, str], Triplet] = {}
-        self.down: dict[str, list[FailureWindow]] = {}
+        # A schedule code names its (device, resource) by triplet index:
+        # device index * slots + resource index (0 with no resources).
+        self.resource_ids = resource_ids or [""]
+        self.slots = len(self.resource_ids)
+        self.triplets: dict[int, Triplet] = {}
+        self.pairs = _pair_table(config)
+        # Device failure windows by device index.
+        index = {device_id: i for i, device_id in enumerate(device_ids)}
+        self.down: dict[int, list[FailureWindow]] = {}
         for window in config.failures:
-            self.down.setdefault(window.node, []).append(window)
+            if window.node in index:
+                self.down.setdefault(index[window.node], []).append(window)
         self.host_of = {
             rid: device_ids[i % len(device_ids)] if device_ids else ""
-            for i, rid in enumerate(sorted(config.policy.resources))
+            for i, rid in enumerate(resource_ids)
         }
         # Critical rules by the kind they read, in config.alert_rules order.
         self.critical_rules: dict[AttributeKind, list[AlertRule]] = {}
@@ -1065,8 +1089,8 @@ class _Loop:
             if rule.severity is Severity.CRITICAL:
                 self.critical_rules.setdefault(rule.attribute, []).append(rule)
         self.hot = HotStore(None)
-        # emit is the only writer of ``hot``, so the next event id is
-        # its length.
+        # Event ids count emissions; emit is the only writer of ``hot``,
+        # so an event's id is its index in ``hot.events``.
         self.event_ids = count()
         self.cache = TrustScoreCache(
             CacheConfig(capacity=config.cache_capacity,
@@ -1111,23 +1135,30 @@ class _Loop:
                 self.reputation_rel[peer] = score / best if best > 0 else 1.0
         self.cache.refresh_sweep(now, self.recompute)
 
-    def _triplet(self, device_id: str, resource_id: str) -> Triplet:
-        """Intern the one Triplet of a (device, resource). ``emit`` and
-        ``request`` look it up in ``triplets`` first and call this only
-        on a miss."""
+    def triplet(self, index: int) -> Triplet:
+        """Intern the one Triplet of triplet index ``index``.
+        ``_simulate`` looks it up in ``triplets`` first and calls this
+        only on a miss."""
 
-        triplet = self.triplets[(device_id, resource_id)] = Triplet(
-            user_id=self.users[device_id],
-            device_id=device_id,
-            resource_id=resource_id or "none",
+        device, resource = divmod(index, self.slots)
+        spec = self.config.devices[device]
+        triplet = self.triplets[index] = Triplet(
+            user_id=spec.user_id,
+            device_id=spec.device_id,
+            resource_id=self.resource_ids[resource] or "none",
         )
         return triplet
 
-    def emit(self, t: int, device_id: str, attribute: AttributeKind,
-             value: int | str, resource_id: str) -> None:
-        triplet = self.triplets.get((device_id, resource_id))
-        if triplet is None:
-            triplet = self._triplet(device_id, resource_id)
+    def is_down(self, index: int, t: int) -> bool:
+        """Whether the device of triplet index ``index`` is down at
+        ``t``; a down device neither emits nor requests."""
+
+        windows = self.down.get(index // self.slots)
+        return windows is not None and any(w.covers(t) for w in windows)
+
+    def emit(self, t: int, triplet: Triplet, attribute: AttributeKind,
+             value: int | str) -> None:
+        device_id = triplet.device_id
         parent = self.last_event.get(device_id)
         event = EdrEvent(
             next(self.event_ids), triplet, attribute, value, t,
@@ -1148,10 +1179,8 @@ class _Loop:
                     alert=alert, device_id=device_id)
                 return
 
-    def request(self, t: int, device_id: str, resource_id: str) -> None:
-        triplet = self.triplets.get((device_id, resource_id))
-        if triplet is None:
-            triplet = self._triplet(device_id, resource_id)
+    def request(self, t: int, triplet: Triplet) -> None:
+        device_id = triplet.device_id
         alert = self.critical.get(device_id)
         decision = decide(
             triplet, self.config.policy, self.score,
@@ -1161,7 +1190,7 @@ class _Loop:
         self.audit_lines.append(audit_line(t, triplet, decision))
         granted = decision.granted
         self.rows.append(_AuditRow(t, device_id, granted))
-        host = self.host_of.get(resource_id, "")
+        host = self.host_of.get(triplet.resource_id, "")
         if not granted or self.ledger is None or not host or host == device_id:
             return
         if t >= self.compromise_starts.get(device_id, math.inf):
@@ -1195,23 +1224,39 @@ def _reduction(
 
 def _simulate(config: ScenarioConfig) -> tuple[_Loop, dict]:
     """Step a fresh loop through the scenario's whole schedule; return
-    it with the ``access.json`` object."""
+    it with the ``access.json`` object.
+
+    The schedule's keys ``3 * time + priority`` are stepped in ascending
+    order. Each key's bucket is popped when its turn comes, and its
+    codes are decoded and dispatched in draw order: a sweep, or each
+    action to ``emit`` or ``request`` with its interned triplet, unless
+    its device is down at that time."""
 
     rng = random.Random(config.seed)
     quorum_client, access = _deal_tokens(config, rng)
     loop = _Loop(config, quorum_client)
-    sweep, emit, request, down = loop.sweep, loop.emit, loop.request, loop.down
-    for t, priority, device_id, attribute, value, resource_id in _schedule(
-            config, rng):
+    buckets = _schedule(config, rng)
+    sweep, emit, request = loop.sweep, loop.emit, loop.request
+    triplets, intern, is_down = loop.triplets, loop.triplet, loop.is_down
+    pairs, down = loop.pairs, loop.down
+    width = len(pairs)
+    for key in sorted(buckets):
+        t, priority = divmod(key, 3)
+        codes = buckets.pop(key)
         if priority == _PRIORITY_SWEEP:
             sweep(t)
-        elif (windows := down.get(device_id)) and any(
-                w.covers(t) for w in windows):
-            continue  # the device is down: it neither emits nor requests
         elif priority == _PRIORITY_EMIT:
-            emit(t, device_id, attribute, value, resource_id)
+            for code in codes:
+                index, pair = divmod(code, width)
+                if down and is_down(index, t):
+                    continue
+                kind, value = pairs[pair]
+                emit(t, triplets.get(index) or intern(index), kind, value)
         else:
-            request(t, device_id, resource_id)
+            for index in codes:
+                if down and is_down(index, t):
+                    continue
+                request(t, triplets.get(index) or intern(index))
     return loop, access
 
 

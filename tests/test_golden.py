@@ -22,18 +22,23 @@ ARTIFACTS = ("config.json", "events.jsonl", "audit.jsonl", "access.json",
              "report.json")
 
 
-def fleet_200(seed: int) -> simnet.ScenarioConfig:
-    """The reference scenario at 200 devices, with the compromised
-    devices renamed to the three-digit id format and no explicit
-    pre-trusted list (every device is pre-trusted by default)."""
+def reference_fleet(count: int, seed: int) -> simnet.ScenarioConfig:
+    """The reference scenario at ``count`` devices, with the compromised
+    devices renamed to the fleet's id format and no explicit pre-trusted
+    list (every device is pre-trusted by default)."""
 
     obj = simnet.config_to_obj(simnet.reference_scenario(seed))
-    obj["devices"] = {"count": 200}
+    obj["devices"] = {"count": count}
     del obj["pretrusted"]
+    width = max(2, len(str(count)))
     for plan in obj["compromises"]:
         number = int(plan["device_id"].split("-")[1])
-        plan["device_id"] = f"dev-{number:03d}"
+        plan["device_id"] = f"dev-{number:0{width}d}"
     return simnet.config_from_obj(obj)
+
+
+def fleet_200(seed: int) -> simnet.ScenarioConfig:
+    return reference_fleet(200, seed)
 
 
 def quorum_4_with_outages(seed: int) -> simnet.ScenarioConfig:

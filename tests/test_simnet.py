@@ -6,8 +6,10 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 from bisect import bisect
 from dataclasses import asdict, replace
+from itertools import accumulate
 from operator import itemgetter
 
 import pytest
@@ -48,17 +50,16 @@ from trustgate.simnet import (
     run,
     _PRIORITY_EMIT,
     _PRIORITY_REQUEST,
-    _action_order,
+    _PRIORITY_SWEEP,
     _audit_row,
     _compromise_starts,
     _decision_summary,
-    _draw_activity,
+    _pair_table,
     _schedule,
     _simulate,
-    _value_tables,
 )
 
-from test_golden import fleet_200
+from test_golden import fleet_200, reference_fleet
 
 RESOURCES = (
     ResourceSpec("res-open", 0.5, "standard"),
@@ -295,7 +296,8 @@ class TestScenarioValidation:
         # The count checked is the schedule's length: its sweeps, every
         # device's benign draws and each compromise's.
         config = scenario()
-        actions = len(_schedule(config, random.Random(config.seed)))
+        actions = len(expand(config, _schedule(config,
+                                               random.Random(config.seed))))
         monkeypatch.setattr("trustgate.simnet.MAX_SCHEDULED_ACTIONS", actions)
         assert replace(config) == config
         monkeypatch.setattr("trustgate.simnet.MAX_SCHEDULED_ACTIONS",
@@ -951,6 +953,36 @@ ONE_VALUE_PROFILE = BehaviorProfile(
     request_rate=0.002,
 )
 
+QUIET_PROFILE = BehaviorProfile(attributes={})
+
+
+def expand(config, schedule):
+    """A schedule as ``(time, priority, device_id, kind, value,
+    resource_id)`` tuples, in the order ``_simulate`` steps it. A sweep
+    is ``(time, 0, "", None, None, "")``, a request has no kind or
+    value, and an action has resource ``""`` when there are no
+    resources."""
+
+    devices = [d.device_id for d in config.devices]
+    resource_ids = sorted(config.policy.resources) or [""]
+    pairs = _pair_table(config)
+    actions = []
+    for key in sorted(schedule):
+        t, priority = divmod(key, 3)
+        if priority == _PRIORITY_SWEEP:
+            assert schedule[key] == ()
+            actions.append((t, priority, "", None, None, ""))
+            continue
+        for code in schedule[key]:
+            kind = value = None
+            if priority == _PRIORITY_EMIT:
+                code, pair = divmod(code, len(pairs))
+                kind, value = pairs[pair]
+            device, target = divmod(code, len(resource_ids))
+            actions.append((t, priority, devices[device], kind, value,
+                            resource_ids[target]))
+    return actions
+
 
 def choices_activity(rng, device_id, profile, start, window, resource_ids):
     """``_draw_activity`` written with ``rng.choices``: the draw order
@@ -974,6 +1006,94 @@ def choices_activity(rng, device_id, profile, start, window, resource_ids):
     return actions
 
 
+def randrange_activity(rng, device_id, profile, start, window, resource_ids):
+    """``_draw_activity`` as it draws through ``rng.randrange``,
+    ``rng.random`` and ``rng.choice``, with values bisected over the
+    cumulative weights."""
+
+    actions = []
+    for kind, spec in sorted(profile.attributes.items(),
+                             key=lambda kv: kv[0].value):
+        values = [v for v, _ in spec.values]
+        cum = list(accumulate(w for _, w in spec.values))
+        for _ in range(round(spec.rate * window)):
+            t = start + rng.randrange(window)
+            value = values[bisect(cum, rng.random() * cum[-1], 0,
+                                  len(cum) - 1)]
+            target = rng.choice(resource_ids) if resource_ids else ""
+            actions.append((t, _PRIORITY_EMIT, device_id, kind, value, target))
+    for _ in range(round(profile.request_rate * window)):
+        t = start + rng.randrange(window)
+        target = rng.choice(resource_ids) if resource_ids else ""
+        actions.append((t, _PRIORITY_REQUEST, device_id, None, None, target))
+    return actions
+
+
+def oracle_schedule(config, rng, activity=choices_activity):
+    """The schedule as a list of action tuples: the sweeps, every
+    device's benign draws, then each compromise plan's, stably sorted
+    on (time, priority)."""
+
+    resource_ids = sorted(config.policy.resources)
+    actions = [(t, _PRIORITY_SWEEP, "", None, None, "")
+               for t in range(0, config.duration, config.refresh_interval)]
+    for device in config.devices:
+        actions += activity(rng, device.device_id, config.benign, 0,
+                            config.duration, resource_ids)
+    for plan in config.compromises:
+        actions += activity(rng, plan.device_id, plan.profile,
+                            plan.start_time, config.duration - plan.start_time,
+                            resource_ids)
+    return sorted(actions, key=itemgetter(0, 1))
+
+
+def one_device(profile, start, window, resource_ids, refresh_interval=300):
+    """One quiet device that runs ``profile`` as a compromise plan over
+    [start, start + window)."""
+
+    return ScenarioConfig(
+        seed=0, duration=start + window,
+        devices=(DeviceSpec("dev-01", "user-01"),), benign=QUIET_PROFILE,
+        policy=default_policy(resources=tuple(
+            ResourceSpec(rid, 0.5, "standard") for rid in resource_ids)),
+        alert_rules=(),
+        compromises=(CompromisePlan("dev-01", start, profile),),
+        refresh_interval=refresh_interval,
+    )
+
+
+def schedule_cases():
+    small = small_scenario()
+    return {
+        "reference-42": reference_scenario(42),
+        "failures": failure_scenario(),
+        # A device's index is its place in the config, not in id order.
+        "devices-out-of-order": replace(
+            small, devices=small.devices[::-1], compromises=(
+                CompromisePlan("dev-01", 200, malicious_profile()),)),
+        # dev-03 runs two plans; their draws tie with its benign ones.
+        "two-plans-one-device": replace(small, compromises=(
+            CompromisePlan("dev-03", 300, malicious_profile()),
+            CompromisePlan("dev-03", 100, ONE_VALUE_PROFILE),
+        )),
+        # One kind against the benign profile's five; its value is not
+        # one the benign profile lists.
+        "fewer-kinds": replace(small, compromises=(
+            CompromisePlan("dev-02", 0, ONE_VALUE_PROFILE),)),
+        "no-resources": replace(small, policy=default_policy()),
+        "duration-0": replace(small, duration=0, compromises=(
+            CompromisePlan("dev-03", 0, malicious_profile()),)),
+        "refresh-7-of-1000": replace(
+            small, duration=1000, refresh_interval=7, failures=(
+                FailureWindow("dev-01", 10, 700),
+                FailureWindow("approver-3", 0, 1000),
+            )),
+    }
+
+
+SCHEDULE_CASES = schedule_cases()
+
+
 class TestSchedule:
     @pytest.mark.parametrize("seed", [0, 7, 42, 2**40 + 3])
     @pytest.mark.parametrize(
@@ -981,13 +1101,23 @@ class TestSchedule:
         ids=["benign", "malicious", "one_value"])
     def test_bisection_draws_equal_rng_choices(self, seed, profile):
         ours, reference = random.Random(seed), random.Random(seed)
-        window, resource_ids = 20_000, ["res-a", "res-b", "res-c"]
-        drawn = _draw_activity(ours, "dev-01", _value_tables(profile),
-                               profile.request_rate, 5, window, resource_ids)
-        assert drawn == choices_activity(reference, "dev-01", profile, 5,
-                                         window, resource_ids)
+        config = one_device(profile, 5, 20_000, ["res-a", "res-b", "res-c"])
+        drawn = expand(config, _schedule(config, ours))
+        assert drawn == oracle_schedule(config, reference)
         assert sum(a[1] == _PRIORITY_EMIT for a in drawn) >= 20
         assert ours.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("name", SCHEDULE_CASES)
+    def test_schedule_equals_stable_sort_of_the_draws(self, name):
+        config = SCHEDULE_CASES[name]
+        ours = random.Random(config.seed)
+        reference = random.Random(config.seed)
+        schedule = _schedule(config, ours)
+        expected = oracle_schedule(config, reference)
+        assert expand(config, schedule) == expected
+        assert ours.getstate() == reference.getstate()
+        sweeps = -(-config.duration // config.refresh_interval)
+        assert sum(a[1] == _PRIORITY_SWEEP for a in expected) == sweeps
 
     def test_equal_time_and_priority_keep_draw_order(self):
         # Many draws over a few seconds, devices listed out of id order:
@@ -1005,32 +1135,50 @@ class TestSchedule:
             policy=default_policy(resources=RESOURCES), alert_rules=(),
             pretrusted=("dev-01", "dev-02"),
         )
-        rng = random.Random(3)
         drawn = [(0, 0, "", None, None, "")]
+        rng = random.Random(3)
         for device in devices:
             drawn += choices_activity(rng, device.device_id, profile, 0, 4,
                                       sorted(config.policy.resources))
-        schedule = _schedule(config, random.Random(3))
-        assert schedule == sorted(drawn, key=lambda a: (a[0], a[1]))
+        schedule = expand(config, _schedule(config, random.Random(3)))
+        assert schedule == sorted(drawn, key=itemgetter(0, 1))
         assert schedule != sorted(drawn)
 
+    def test_far_apart_times_keep_distinct_keys(self):
+        # Times near 2**70: a key 3 * t + priority must not fold one
+        # (time, priority) into another, and must sort as the pair does.
+        times = (2**70 - 1, 2**70)
+        pairs = [(t, p) for t in times for p in (0, 1, 2)]
+        keys = [3 * t + p for t, p in pairs]
+        assert [divmod(k, 3) for k in keys] == pairs
+        assert sorted(keys) == keys and len(set(keys)) == len(keys)
+        busy = BehaviorProfile(
+            attributes={AttributeKind.IO_OPERATION_COUNT: AttributeProfile(
+                rate=3.0, values=((3, 1), (5, 1)))},
+            request_rate=3.0,
+        )
+        config = one_device(busy, 2**70 - 1, 2, ["res-a", "res-b"],
+                            refresh_interval=2**71)
+        drawn = expand(config, _schedule(config, random.Random(5)))
+        assert drawn == oracle_schedule(config, random.Random(5))
+        assert {a[:2] for a in drawn[1:]} == {
+            (t, p) for t, p in pairs if p != _PRIORITY_SWEEP}
 
-def randrange_activity(rng, device_id, profile, start, window, resource_ids):
-    """``_draw_activity`` as it draws through ``rng.randrange``,
-    ``rng.random`` and ``rng.choice``."""
-
-    actions = []
-    for kind, rate, values, cum, total, hi in _value_tables(profile):
-        for _ in range(round(rate * window)):
-            t = start + rng.randrange(window)
-            value = values[bisect(cum, rng.random() * total, 0, hi)]
-            target = rng.choice(resource_ids) if resource_ids else ""
-            actions.append((t, _PRIORITY_EMIT, device_id, kind, value, target))
-    for _ in range(round(profile.request_rate * window)):
-        t = start + rng.randrange(window)
-        target = rng.choice(resource_ids) if resource_ids else ""
-        actions.append((t, _PRIORITY_REQUEST, device_id, None, None, target))
-    return actions
+    def test_schedule_memory_per_action(self):
+        # Each action is one int in its slot's list: at 1000 reference
+        # devices, well under the 126 bytes of a sorted list of tuples.
+        config = reference_fleet(1000, 42)
+        rng = random.Random(config.seed)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            schedule = _schedule(config, rng)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        actions = sum(len(codes) for codes in schedule.values())
+        assert actions > 100_000
+        assert held <= 64 * actions, held / actions
 
 
 class TestScheduleDraws:
@@ -1053,30 +1201,14 @@ class TestScheduleDraws:
             request_rate=30 / window,
         )
         resource_ids = [f"res-{i}" for i in range(targets)]
+        config = one_device(profile, 11, window, resource_ids,
+                            refresh_interval=window + 11)
         ours, reference = random.Random(seed), random.Random(seed)
-        drawn = _draw_activity(ours, "dev-01", _value_tables(profile),
-                               profile.request_rate, 11, window,
-                               resource_ids)
-        assert drawn == randrange_activity(reference, "dev-01", profile, 11,
-                                           window, resource_ids)
-        assert len(drawn) == 95
+        drawn = expand(config, _schedule(config, ours))
+        assert drawn == oracle_schedule(config, reference,
+                                        randrange_activity)
+        assert len(drawn) == 1 + 95  # one sweep, at 0
         assert ours.getstate() == reference.getstate()
-
-    @pytest.mark.parametrize("seed", [0, 3, 42])
-    def test_int_key_sort_equals_stable_time_priority_sort(self, seed):
-        rng = random.Random(seed)
-        actions = [(t, 0, "", None, None, "") for t in range(0, 50, 7)]
-        for device in ("dev-02", "dev-01", "dev-03"):
-            actions += _draw_activity(rng, device,
-                                      _value_tables(benign_profile()), 0.3,
-                                      0, 50, ["res-a", "res-b"])
-        # Far-apart times: the key must not fold one time into another.
-        actions += [(2**70, 2, "dev-01", None, None, "res-a"),
-                    (2**70 - 1, 1, "dev-01", AttributeKind.IO_OPERATION_COUNT,
-                     3, "res-a")]
-        by_key = sorted(actions, key=_action_order)
-        assert by_key == sorted(actions, key=itemgetter(0, 1))
-        assert by_key != sorted(actions)  # ties are common
 
 
 class TestReportFromDecisions:
