@@ -866,8 +866,8 @@ def _value_tables(
     """Per attribute kind, by name: its rate, the ``pair_ids`` index of
     each of its (kind, value) pairs, their cumulative weights, the
     weights' total as a float and the last index.
-    ``pairs[bisect(cum, rng.random() * total, 0, hi)]`` is line for line
-    what ``rng.choices(pairs, cum_weights=cum)[0]`` computes, so the RNG
+    ``ids[bisect(cum, rng.random() * total, 0, hi)]`` is line for line
+    what ``rng.choices(ids, cum_weights=cum)[0]`` computes, so the RNG
     stream and every draw are those of ``rng.choices`` with the weights
     themselves."""
 
