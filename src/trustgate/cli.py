@@ -145,10 +145,9 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 
 def _cmd_decompress(args: argparse.Namespace) -> int:
     _, records = read_archive(args.infile)
-    lines = [
-        json.dumps(dict(r.items), sort_keys=True, separators=(",", ":"))
-        for r in records
-    ]
+    # ASCII-escaped, unlike the archive's own pattern keys.
+    lines = [json.dumps({kind.value: value}, separators=(",", ":"))
+             for kind, value in records]
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             for line in lines:

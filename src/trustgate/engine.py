@@ -16,12 +16,12 @@ import json
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol
+from typing import Callable, Iterable, Mapping, NamedTuple, Protocol
 
 from .model import Alert, AttributeKind, Severity, Triplet, load_json
 from .secretshare import Share, ShareError, ThresholdPolicy, reconstruct
@@ -280,34 +280,14 @@ def combined_score(behavioral: float, reputation: float, alpha: float) -> float:
     return alpha * behavioral + (1.0 - alpha) * reputation
 
 
-@dataclass(frozen=True, slots=True)
-class TrustRecord:
-    """A scored triplet at a point in simulated time.
-
-    The constructor is written by hand: it stores each field through its
-    slot's descriptor, past the frozen ``__setattr__``. Its parameters
-    must stay the fields, in order.
-    """
+class TrustRecord(NamedTuple):
+    """A scored triplet at a point in simulated time."""
 
     triplet: Triplet
     behavioral: float
     reputation: float
     combined: float
     computed_at: int
-
-    def __init__(self, triplet: Triplet, behavioral: float,
-                 reputation: float, combined: float,
-                 computed_at: int) -> None:
-        _set_triplet(self, triplet)
-        _set_behavioral(self, behavioral)
-        _set_reputation(self, reputation)
-        _set_combined(self, combined)
-        _set_computed_at(self, computed_at)
-
-
-(_set_triplet, _set_behavioral, _set_reputation, _set_combined,
- _set_computed_at) = (TrustRecord.__dict__[f.name].__set__
-                      for f in fields(TrustRecord))
 
 
 def make_record(
@@ -441,32 +421,18 @@ class ActiveAlert:
     device_id: str
 
 
-@dataclass(frozen=True, slots=True)
-class Decision:
+class Decision(NamedTuple):
     """A verdict, its denial reasons, and the score and threshold it
-    compared. The constructor is written by hand, as ``TrustRecord``'s
-    is."""
+    compared."""
 
     verdict: str  # "grant" or "deny"
     reasons: tuple[str, ...]
     combined: float | None = None
     threshold: float | None = None
 
-    def __init__(self, verdict: str, reasons: tuple[str, ...],
-                 combined: float | None = None,
-                 threshold: float | None = None) -> None:
-        _set_verdict(self, verdict)
-        _set_reasons(self, reasons)
-        _set_decision_combined(self, combined)
-        _set_threshold(self, threshold)
-
     @property
     def granted(self) -> bool:
         return self.verdict == "grant"
-
-
-(_set_verdict, _set_reasons, _set_decision_combined, _set_threshold) = (
-    Decision.__dict__[f.name].__set__ for f in fields(Decision))
 
 
 ScoreSource = Callable[[Triplet, int], TrustRecord]

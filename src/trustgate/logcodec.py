@@ -1,16 +1,17 @@
 """Minimum-redundancy archival coding for repetitive attribute records.
 
 Long-term storage keeps attribute records, not raw event rows: each
-record is the attribute-to-value mapping an event carried. Distinct
-records become patterns, patterns get minimum-redundancy prefix-free
-codewords, and an archive is codebook + packed codeword stream. Average
-codeword length is kept as an exact rational so stated compression
-numbers are reproducible bit for bit.
+record is the ``(AttributeKind, value)`` pair an event carried, and its
+pattern key is the JSON object ``{"kind":value}`` that ``record_key``
+writes. Distinct records become patterns, patterns get
+minimum-redundancy prefix-free codewords, and an archive is codebook +
+packed codeword stream. Average codeword length is kept as an exact
+rational so stated compression numbers are reproducible bit for bit.
 
 Logs repeat few distinct records, so JSON work happens once per pattern:
-``records_from_events`` shares one record object per distinct
-(attribute, value), ``collect_patterns`` and ``encode`` key by
-``items``, and ``decode`` parses one record per codeword. Decoding
+``collect_patterns`` and ``encode`` write one key per distinct record,
+and ``decode`` parses one key per codeword with ``record_from_key``,
+which accepts only a key ``record_key`` could have written. Decoding
 matches the payload's bit string against one regular expression shaped
 as the code tree, one match per codeword, for any code length.
 
@@ -35,7 +36,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .model import EdrEvent
+from .model import AttributeKind, EdrEvent
 
 MAGIC = b"\x5a\x54\x4c\x43"
 VERSION = 1
@@ -45,58 +46,49 @@ class CodecError(ValueError):
     """Raised for malformed tables, unknown patterns, corrupt archives."""
 
 
-@dataclass(frozen=True)
-class AttributeRecord:
-    """An immutable attribute-to-value mapping with a canonical key.
+AttributeRecord = tuple[AttributeKind, int | str]
+"""An archive record: one event's attribute kind and value."""
 
-    Items are held sorted by attribute name, so equal mappings always
-    produce the same key string.
-    """
 
-    items: tuple[tuple[str, int | str], ...]
+def record_key(record: AttributeRecord) -> str:
+    """The record's pattern key, the JSON object ``{kind: value}``."""
 
-    def __post_init__(self) -> None:
-        names = [name for name, _ in self.items]
-        if names != sorted(names):
-            object.__setattr__(self, "items", tuple(
-                sorted(self.items, key=lambda item: item[0])))
-            names = sorted(names)
-        if len(set(names)) != len(names):
-            raise CodecError("duplicate attribute names in record")
-        if not self.items:
-            raise CodecError("attribute record must not be empty")
-        for name, value in self.items:  # True == 1.0 == 1, keys differ
-            if isinstance(value, bool) or not isinstance(value, (int, str)):
-                raise CodecError(f"attribute {name} value must be a string "
-                                 f"or an integer, not {value!r}")
+    kind, value = record
+    return json.dumps({kind.value: value}, separators=(",", ":"),
+                      ensure_ascii=False)
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, int | str]) -> AttributeRecord:
-        return cls(tuple(sorted(mapping.items())))
 
-    @property
-    def key(self) -> str:
-        return json.dumps(
-            dict(self.items), sort_keys=True, separators=(",", ":"),
-            ensure_ascii=False,
-        )
+def record_from_key(key: str) -> AttributeRecord:
+    """Parse a pattern key back into its record. Only the key that
+    ``record_key`` writes for a record is accepted."""
 
-    @classmethod
-    def from_key(cls, key: str) -> AttributeRecord:
-        try:
-            obj = json.loads(key)
-        except (ValueError, RecursionError):
-            raise CodecError(f"malformed pattern key: {key!r}") from None
-        if not isinstance(obj, dict):
-            raise CodecError(f"pattern key must encode an object: {key!r}")
-        return cls.from_mapping(obj)
+    try:
+        obj = json.loads(key)
+    except (ValueError, RecursionError):
+        raise CodecError(f"malformed pattern key: {key!r}") from None
+    if not isinstance(obj, dict):
+        raise CodecError(f"pattern key must encode an object: {key!r}")
+    if len(obj) != 1:
+        raise CodecError(f"pattern key must name one attribute: {key!r}")
+    [(name, value)] = obj.items()
+    try:
+        kind = AttributeKind(name)
+    except ValueError:
+        raise CodecError(f"unknown attribute in pattern key: {key!r}") \
+            from None
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        # true and 1.0 write back as themselves, so the canonical check
+        # alone would let them through.
+        raise CodecError(f"attribute {name} value must be a string or an "
+                         f"integer, not {value!r}")
+    record = (kind, value)
+    if record_key(record) != key:
+        raise CodecError("corrupt archive: non-canonical pattern key")
+    return record
 
 
 def records_from_events(events: Iterable[EdrEvent]) -> list[AttributeRecord]:
-    pairs = [(e.attribute, e.value) for e in events]
-    shared = {(kind, value): AttributeRecord(((kind.value, value),))
-              for kind, value in set(pairs)}
-    return [shared[pair] for pair in pairs]
+    return [(e.attribute, e.value) for e in events]
 
 
 @dataclass(frozen=True)
@@ -127,8 +119,8 @@ def collect_patterns(records: Sequence[AttributeRecord]) -> PatternTable:
 
     if not records:
         raise CodecError("cannot collect patterns from an empty record set")
-    tally = Counter(record.items for record in records)
-    counts = {AttributeRecord(items).key: n for items, n in tally.items()}
+    counts = {record_key(record): n
+              for record, n in Counter(records).items()}
     total = len(records)
     patterns = tuple(
         Pattern(key=key, probability=Fraction(count, total), count=count)
@@ -209,13 +201,14 @@ def encode(
 
     if table.codebook is None:
         raise CodecError("pattern table has no codebook")
-    codes: dict[tuple, str] = {}
-    for items, record in {record.items: record for record in records}.items():
-        code = table.codebook.get(record.key)
+    codes: dict[AttributeRecord, str] = {}
+    for record in dict.fromkeys(records):  # first unknown record named
+        key = record_key(record)
+        code = table.codebook.get(key)
         if code is None:
-            raise CodecError(f"pattern not in codebook: {record.key!r}")
-        codes[items] = code
-    bits = "".join([codes[record.items] for record in records])
+            raise CodecError(f"pattern not in codebook: {key!r}")
+        codes[record] = code
+    bits = "".join(map(codes.__getitem__, records))
     return CompressedArchive(
         codebook=dict(table.codebook),
         record_count=len(records),
@@ -251,7 +244,7 @@ def decode(archive: CompressedArchive) -> list[AttributeRecord]:
     if count and not archive.codebook:
         raise CodecError("corrupt archive: records but no codebook")
     _check_prefix_free(archive.codebook)
-    by_code = {code: AttributeRecord.from_key(key)
+    by_code = {code: record_from_key(key)
                for key, code in archive.codebook.items()}
     total_bits = len(archive.payload) * 8
     bits = format(int.from_bytes(archive.payload, "big"), f"0{total_bits}b")
@@ -337,8 +330,6 @@ def _parse_archive(
             raise CodecError("corrupt archive: nonzero codeword padding")
         if key in codebook:
             raise CodecError("corrupt archive: duplicate pattern key")
-        if AttributeRecord.from_key(key).key != key:
-            raise CodecError("corrupt archive: non-canonical pattern key")
         codebook[key] = bits[:code_len]
     record_count = int.from_bytes(take(8), "big")
     payload = bytes(view[pos:])

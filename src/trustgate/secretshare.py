@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
 from .model import format_json, load_json
 
 DEFAULT_PRIME = 2**61 - 1
-# Weight sets kept by reconstruct: one per (share x values, prime) seen.
-LAGRANGE_CACHE_SIZE = 64
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -180,34 +177,26 @@ def reconstruct(
         raise ShareError(
             f"below threshold: {len(shares)} shares, need {first.z}"
         )
+    # The secret is the shares' y values weighted by the Lagrange basis
+    # polynomials at x = 0.
     prime = first.prime
-    weights = _lagrange_weights(tuple(s.x for s in shares), prime)
-    return sum(s.y * w for s, w in zip(shares, weights)) % prime
-
-
-@lru_cache(maxsize=LAGRANGE_CACHE_SIZE)
-def _lagrange_weights(xs: tuple[int, ...], prime: int) -> tuple[int, ...]:
-    """The Lagrange basis polynomials at x = 0 for distinct ``xs``: the
-    secret is the weighted sum of the shares' y values. The weights
-    depend only on the x values and the prime, so they are computed
-    once per set (a raise is not cached)."""
-
-    weights = []
-    for i, xi in enumerate(xs):
+    xs = [s.x for s in shares]
+    secret = 0
+    for i, share in enumerate(shares):
         num = 1
         den = 1
         for j, xj in enumerate(xs):
             if i == j:
                 continue
             num = num * (-xj) % prime
-            den = den * (xi - xj) % prime
+            den = den * (share.x - xj) % prime
         try:
             inv = pow(den, -1, prime)
         except ValueError:
             # Only a composite modulus leaves a denominator uninvertible.
             raise ShareError(f"{prime} is not prime") from None
-        weights.append(num * inv % prime)
-    return tuple(weights)
+        secret += share.y * (num * inv % prime)
+    return secret % prime
 
 
 def secrecy_probe(

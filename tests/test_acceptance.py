@@ -19,7 +19,6 @@ import pytest
 
 from trustgate.engine import quorum_approve
 from trustgate.logcodec import (
-    AttributeRecord,
     archive_from_bytes,
     archive_to_bytes,
     average_length,
@@ -28,6 +27,7 @@ from trustgate.logcodec import (
     decode,
     encode,
 )
+from trustgate.model import AttributeKind
 from trustgate.provenance import ancestors, apply_rules, reduce_to_skeleton
 from trustgate.reputation import (
     InteractionLedger,
@@ -148,9 +148,8 @@ def test_criterion_2_pattern_coding_optimality():
     assert average_length(fixture) == Fraction(56, 25)
 
     records = [
-        AttributeRecord.from_mapping(
-            {"frequent_external_network_id": f"net-{rng.randrange(30):02d}"}
-        )
+        (AttributeKind.FREQUENT_EXTERNAL_NETWORK_ID,
+         f"net-{rng.randrange(30):02d}")
         for _ in range(10_000)
     ]
     table = build_codebook(collect_patterns(records))

@@ -1,5 +1,6 @@
-"""Golden digests: the five artifacts of three pinned scenarios, and the
-reference skeleton as `trustgate skeleton` prints it, byte for byte.
+"""Golden digests: the five artifacts of three pinned scenarios, the
+reference skeleton as `trustgate skeleton` prints it, and the archive
+bytes of the reference log and of its skeleton, byte for byte.
 
 Determinism elsewhere is checked as "a rerun equals the run", which a
 refactor that changes the output on every run would still pass. These
@@ -16,7 +17,16 @@ import pytest
 
 from trustgate import simnet
 from trustgate.cli import main
+from trustgate.logcodec import (
+    archive_to_bytes,
+    build_codebook,
+    collect_patterns,
+    encode,
+    records_from_events,
+)
+from trustgate.model import read_events
 from trustgate.provenance import rule_to_obj
+from trustgate.store import archive_batch
 
 ARTIFACTS = ("config.json", "events.jsonl", "audit.jsonl", "access.json",
              "report.json")
@@ -83,6 +93,12 @@ GOLDEN = {
 
 SKELETON_42 = "65ddcfb41ebdc2943a77f8d97134e57547fcea37cb546a4e254cde7c9298d6fb"
 
+# The wire format: keys, codebook, codewords and payload of both archives.
+ARCHIVES_42 = {
+    "full-log": "0c0e868c3aa558727687e0e8600dbfc43e35189b008e8aefcbf9b30362f4056b",
+    "skeleton": "d937b938e9b40e0e7b283afaeacef0015aeb0ca4b4beca77ca412b84e1df6315",
+}
+
 SCENARIOS = {
     "reference-42": lambda: simnet.reference_scenario(42),
     "fleet-200-42": lambda: fleet_200(42),
@@ -116,3 +132,18 @@ def test_reference_skeleton_digest(tmp_path, capsys):
                                               "summary_edges"))
     assert counts == (183, 73, 90)
     assert hashlib.sha256(out.encode()).hexdigest() == SKELETON_42
+
+
+def test_reference_archive_digests(tmp_path):
+    simnet.run(simnet.reference_scenario(42), tmp_path)
+    events = read_events(tmp_path / "events.jsonl")
+    records = records_from_events(events)
+    table = build_codebook(collect_patterns(records))
+    batch = archive_batch(events, simnet.default_rules())
+    blobs = {
+        "full-log": archive_to_bytes(encode(records, table)),
+        "skeleton": archive_to_bytes(encode(batch.records, batch.table)),
+    }
+    digests = {name: hashlib.sha256(blob).hexdigest()
+               for name, blob in blobs.items()}
+    assert digests == ARCHIVES_42

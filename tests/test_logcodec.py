@@ -10,6 +10,7 @@ from functools import lru_cache
 
 import pytest
 
+from trustgate import logcodec
 from trustgate.logcodec import (
     AttributeRecord,
     CodecError,
@@ -23,6 +24,8 @@ from trustgate.logcodec import (
     decode,
     encode,
     read_archive,
+    record_from_key,
+    record_key,
     records_from_events,
     write_archive,
 )
@@ -30,16 +33,16 @@ from trustgate.model import AttributeKind
 
 from conftest import make_event
 
+IO = AttributeKind.IO_OPERATION_COUNT
+NET = AttributeKind.FREQUENT_EXTERNAL_NETWORK_ID
+
 
 def table_from_counts(counts: dict[str, int]):
     """One synthetic categorical record per key, repeated per count."""
 
     records = []
     for name, count in sorted(counts.items()):
-        record = AttributeRecord.from_mapping(
-            {"frequent_external_network_id": name}
-        )
-        records.extend([record] * count)
+        records.extend([(NET, name)] * count)
     return collect_patterns(records)
 
 
@@ -81,11 +84,7 @@ class TestFrozenFixtures:
     def test_half_quarter_quarter_is_three_halves(self):
         table = build_codebook(table_from_counts({"a": 2, "b": 1, "c": 1}))
         assert average_length(table) == Fraction(3, 2)
-        assert table.codebook[
-            AttributeRecord.from_mapping(
-                {"frequent_external_network_id": "a"}
-            ).key
-        ] == "0"
+        assert table.codebook[record_key((NET, "a"))] == "0"
 
     def test_four_equal_patterns_cost_two_bits(self):
         table = build_codebook(
@@ -98,14 +97,8 @@ class TestFrozenFixtures:
         counts = {"a": 45, "b": 16, "c": 13, "d": 12, "e": 9, "f": 5}
         table = build_codebook(table_from_counts(counts))
         assert average_length(table) == Fraction(56, 25)
-        lengths = {
-            name: len(table.codebook[
-                AttributeRecord.from_mapping(
-                    {"frequent_external_network_id": name}
-                ).key
-            ])
-            for name in counts
-        }
+        lengths = {name: len(table.codebook[record_key((NET, name))])
+                   for name in counts}
         assert lengths == {"a": 1, "b": 3, "c": 3, "d": 3, "e": 4, "f": 4}
 
     def test_single_pattern_gets_one_bit(self):
@@ -167,8 +160,8 @@ class TestOptimality:
                 assert not codes[i + 1].startswith(codes[i])
 
 
-# Values a record rejects: each is unhashable or equal to an int whose
-# key differs.
+# Values a pattern key may not hold: each is unhashable or equal to an
+# int whose key differs.
 INVALID_VALUES = {"list": [1], "null": None, "float": 1.0, "bool": True}
 
 
@@ -178,30 +171,23 @@ class TestRecordsFromEvents:
             make_event(0, 0, value=9),
             make_event(5, 50, value=9),
         ]
-        records = records_from_events(events)
-        assert records[0] is records[1]
-        assert dict(records[0].items) == {"io_operation_count": 9}
+        assert records_from_events(events) == [(IO, 9), (IO, 9)]
 
     def test_key_round_trip(self):
-        record = AttributeRecord.from_mapping(
-            {"io_operation_count": 5, "system_call_count": 80}
-        )
-        assert AttributeRecord.from_key(record.key) == record
+        records = [(IO, 5), (AttributeKind.SYSTEM_CALL_COUNT, 2**64 - 1),
+                   (NET, "net-\u00e9\u2603")]
+        keys = [record_key(record) for record in records]
+        assert keys == ['{"io_operation_count":5}',
+                        '{"system_call_count":18446744073709551615}',
+                        '{"frequent_external_network_id":"net-\u00e9\u2603"}']
+        assert [record_from_key(key) for key in keys] == records
 
     @pytest.mark.parametrize("value", INVALID_VALUES.values(),
                              ids=INVALID_VALUES)
     def test_invalid_value_rejected(self, value):
+        key = json.dumps({"io_operation_count": value}, separators=(",", ":"))
         with pytest.raises(CodecError, match="must be a string or an integer"):
-            AttributeRecord.from_mapping({"io_operation_count": value})
-
-    @pytest.mark.parametrize("items", [
-        (("a", 1), ("a", 2)),
-        (("b", 1), ("a", 1), ("a", "x")),   # unsorted, int and str values
-    ], ids=["sorted", "unsorted_mixed_values"])
-    def test_duplicate_names_rejected(self, items):
-        with pytest.raises(CodecError,
-                           match="^duplicate attribute names in record$"):
-            AttributeRecord(items)
+            record_from_key(key)
 
 
 def fibonacci_records() -> list[AttributeRecord]:
@@ -213,10 +199,7 @@ def fibonacci_records() -> list[AttributeRecord]:
         weights.append(weights[-1] + weights[-2])
     records = []
     for i, weight in enumerate(weights):
-        record = AttributeRecord.from_mapping(
-            {"frequent_external_network_id": f"net-{i:02d}"}
-        )
-        records.extend([record] * weight)
+        records.extend([(NET, f"net-{i:02d}")] * weight)
     random.Random(19).shuffle(records)
     return records
 
@@ -224,16 +207,13 @@ def fibonacci_records() -> list[AttributeRecord]:
 class TestRoundTrip:
     def build_records(self, rng: random.Random, n: int):
         choices = [
-            {"io_operation_count": 3},
-            {"io_operation_count": 12},
-            {"system_call_count": 80},
-            {"privilege_escalation_attempts": 7},
-            {"frequent_external_network_id": "net-x"},
+            (IO, 3),
+            (IO, 12),
+            (AttributeKind.SYSTEM_CALL_COUNT, 80),
+            (AttributeKind.PRIVILEGE_ESCALATION_ATTEMPTS, 7),
+            (NET, "net-x"),
         ]
-        return [
-            AttributeRecord.from_mapping(rng.choice(choices))
-            for _ in range(n)
-        ]
+        return [rng.choice(choices) for _ in range(n)]
 
     def test_encode_decode_in_memory(self):
         rng = random.Random(5)
@@ -265,9 +245,7 @@ class TestRoundTrip:
         assert decoded == decode(recovered) == records
 
     def test_single_pattern_stream(self):
-        records = [
-            AttributeRecord.from_mapping({"io_operation_count": 1})
-        ] * 23
+        records = [(IO, 1)] * 23
         table = build_codebook(collect_patterns(records))
         archive = encode(records, table)
         data = archive_to_bytes(archive)
@@ -283,21 +261,18 @@ class TestRoundTrip:
     def test_255_bit_codes_round_trip(self):
         # A chain-shaped code tree: code i is i ones and a zero, and the
         # last code is 255 ones, the longest the archive format holds.
-        records = [AttributeRecord.from_mapping({"io_operation_count": i})
-                   for i in range(256)]
-        codebook = {r.key: "1" * i + "0" for i, r in enumerate(records)}
-        codebook[records[-1].key] = "1" * 255
+        records = [(IO, i) for i in range(256)]
+        keys = [record_key(r) for r in records]
+        codebook = {key: "1" * i + "0" for i, key in enumerate(keys)}
+        codebook[keys[-1]] = "1" * 255
         archive = CompressedArchive(
             codebook, len(records),
-            _pack_bits("".join(codebook[r.key] for r in records)))
+            _pack_bits("".join(codebook[key] for key in keys)))
         assert decode(archive_from_bytes(archive_to_bytes(archive))) == records
 
     def test_thousand_patterns_round_trip(self):
         rng = random.Random(10)
-        records = [
-            AttributeRecord.from_mapping({"io_operation_count": rng.randrange(1000)})
-            for _ in range(20_000)
-        ]
+        records = [(IO, rng.randrange(1000)) for _ in range(20_000)]
         table = build_codebook(collect_patterns(records))
         assert len(table.codebook) == 1000
         data = archive_to_bytes(encode(records, table))
@@ -313,20 +288,19 @@ class TestRoundTrip:
         records = self.build_records(random.Random(9), 1000)
         archive = encode(records, build_codebook(collect_patterns(records)))
         parsed = []
-        from_key = AttributeRecord.from_key
 
-        def counting(cls, key):
+        def counting(key):
             parsed.append(key)
-            return from_key(key)
+            return record_from_key(key)
 
-        monkeypatch.setattr(AttributeRecord, "from_key", classmethod(counting))
+        monkeypatch.setattr(logcodec, "record_from_key", counting)
         assert decode(archive) == records
-        assert len(parsed) == len(archive.codebook)
+        assert sorted(parsed) == sorted(archive.codebook)
 
     def test_encoding_unknown_pattern_rejected(self):
-        known = [AttributeRecord.from_mapping({"io_operation_count": 1})]
+        known = [(IO, 1)]
         table = build_codebook(collect_patterns(known))
-        stranger = AttributeRecord.from_mapping({"io_operation_count": 2})
+        stranger = (IO, 2)
         with pytest.raises(CodecError, match="not in codebook"):
             encode(known + [stranger], table)
 
@@ -409,15 +383,35 @@ CORRUPT_ARCHIVES = {
         raw_archive([(LONG_INT, 1, b"\x00")], 1, b"\x00"),
         f"malformed pattern key: {LONG_INT!r}",
     ),
+    # Each record is one event's single attribute.
+    "key_with_two_attributes": (
+        raw_archive([('{"io_operation_count":1,"system_call_count":2}', 1,
+                      b"\x00")], 1, b"\x00"),
+        "pattern key must name one attribute: "
+        "'{\"io_operation_count\":1,\"system_call_count\":2}'",
+    ),
+    "key_with_unknown_attribute": (
+        raw_archive([('{"io_count":1}', 1, b"\x00")], 1, b"\x00"),
+        "unknown attribute in pattern key: '{\"io_count\":1}'",
+    ),
+    "key_with_bool_value": (
+        raw_archive([('{"io_operation_count":true}', 1, b"\x00")], 1,
+                    b"\x00"),
+        "attribute io_operation_count value must be a string or an integer, "
+        "not True",
+    ),
+    "key_with_fraction_value": (
+        raw_archive([('{"io_operation_count":1.5}', 1, b"\x00")], 1,
+                    b"\x00"),
+        "attribute io_operation_count value must be a string or an integer, "
+        "not 1.5",
+    ),
 }
 
 
 class TestCorruptArchives:
     def good_bytes(self) -> bytes:
-        records = [
-            AttributeRecord.from_mapping({"io_operation_count": v})
-            for v in (1, 1, 2, 3, 3, 3)
-        ]
+        records = [(IO, v) for v in (1, 1, 2, 3, 3, 3)]
         table = build_codebook(collect_patterns(records))
         return archive_to_bytes(encode(records, table))
 
@@ -443,10 +437,7 @@ class TestCorruptArchives:
             archive_from_bytes(data)
 
     def test_record_count_too_large_for_payload(self):
-        records = [
-            AttributeRecord.from_mapping({"io_operation_count": v})
-            for v in (1, 2)
-        ]
+        records = [(IO, 1), (IO, 2)]
         table = build_codebook(collect_patterns(records))
         archive = encode(records, table)
         inflated = CompressedArchive(
@@ -458,10 +449,7 @@ class TestCorruptArchives:
             decode(inflated)
 
     def test_record_count_too_small_leaves_trailing_payload(self):
-        records = [
-            AttributeRecord.from_mapping({"io_operation_count": v})
-            for v in (1, 2)
-        ] * 10
+        records = [(IO, 1), (IO, 2)] * 10
         table = build_codebook(collect_patterns(records))
         archive = encode(records, table)
         deflated = CompressedArchive(

@@ -309,8 +309,8 @@ class TestArchiveBatch:
     def test_records_decode_after_encode(self):
         # Records follow event-id order whatever order the batch came in.
         batch = archive_batch(alert_batch()[::-1], [BURST_RULE])
-        values = [dict(r.items)["io_operation_count"] for r in batch.records]
-        assert values == [1, 2, 200, 300, 400]
+        assert batch.records == [(AttributeKind.IO_OPERATION_COUNT, v)
+                                 for v in (1, 2, 200, 300, 400)]
         assert batch.avg_code_length == average_length(batch.table)
         assert decode(encode(batch.records, batch.table)) == batch.records
 
