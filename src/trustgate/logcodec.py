@@ -36,7 +36,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .model import AttributeKind, EdrEvent
+from .model import AttributeKind, EdrEvent, ModelError, check_value
 
 MAGIC = b"\x5a\x54\x4c\x43"
 VERSION = 1
@@ -60,7 +60,7 @@ def record_key(record: AttributeRecord) -> str:
 
 def record_from_key(key: str) -> AttributeRecord:
     """Parse a pattern key back into its record. Only the key that
-    ``record_key`` writes for a record is accepted."""
+    ``record_key`` writes for a record an event can carry is accepted."""
 
     try:
         obj = json.loads(key)
@@ -81,6 +81,10 @@ def record_from_key(key: str) -> AttributeRecord:
         # alone would let them through.
         raise CodecError(f"attribute {name} value must be a string or an "
                          f"integer, not {value!r}")
+    try:
+        check_value(kind, value)
+    except ModelError as exc:
+        raise CodecError(f"pattern key {key!r}: {exc}") from None
     record = (kind, value)
     if record_key(record) != key:
         raise CodecError("corrupt archive: non-canonical pattern key")

@@ -26,7 +26,7 @@ from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, TextIO, TypeVar
 
 MAX_NUMERIC_VALUE = 2**64 - 1
 
@@ -59,6 +59,27 @@ class AttributeKind(str, Enum):
 
 
 _CATEGORICAL = AttributeKind.FREQUENT_EXTERNAL_NETWORK_ID
+
+
+def check_value(attribute: AttributeKind, value: object) -> None:
+    """Raise ModelError unless an event of kind ``attribute`` can carry
+    ``value``: an int (not a bool) in the unsigned 64-bit range for a
+    numeric kind, a non-empty str for the categorical one. Every reader
+    of an attribute value applies this one rule."""
+
+    if attribute is not _CATEGORICAL:
+        # The exact type first, which is the common case.
+        if type(value) is not int and (
+                isinstance(value, bool) or not isinstance(value, int)):
+            raise ModelError(
+                f"attribute {attribute.value} expects an integer value")
+        if not 0 <= value <= MAX_NUMERIC_VALUE:
+            raise ModelError(
+                f"attribute {attribute.value} value {value} outside the "
+                f"unsigned 64-bit range")
+    elif not isinstance(value, str) or not value:
+        raise ModelError(
+            f"attribute {attribute.value} expects a non-empty string value")
 
 
 class Severity(str, Enum):
@@ -135,21 +156,7 @@ class EdrEvent:
             raise ModelError("triplet must be a Triplet")
         if not isinstance(attribute, AttributeKind):
             raise ModelError("attribute must be an AttributeKind")
-        if attribute is not _CATEGORICAL:
-            if type(value) is not int and (
-                    isinstance(value, bool) or not isinstance(value, int)):
-                raise ModelError(
-                    f"attribute {attribute.value} expects an integer value"
-                )
-            if not 0 <= value <= MAX_NUMERIC_VALUE:
-                raise ModelError(
-                    f"attribute {attribute.value} value {value} outside the "
-                    f"unsigned 64-bit range"
-                )
-        elif not isinstance(value, str) or not value:
-            raise ModelError(
-                f"attribute {attribute.value} expects a non-empty string value"
-            )
+        check_value(attribute, value)
         if type(timestamp) is not int and (
                 isinstance(timestamp, bool) or not isinstance(timestamp, int)):
             raise ModelError("timestamp must be an integer")
@@ -256,7 +263,7 @@ def event_from_obj(obj: object, triplets: dict[tuple, Triplet]) -> EdrEvent:
 _int_repr = int.__repr__
 
 
-def _identity_text(triplet: Triplet) -> str:
+def identity_text(triplet: Triplet) -> str:
     """The "user", "device" and "resource" fields of an event line."""
 
     user, device, resource = triplet
@@ -265,7 +272,7 @@ def _identity_text(triplet: Triplet) -> str:
             f'"resource": {encode_basestring_ascii(resource)}')
 
 
-def _pair_text(attribute: AttributeKind, value: int | str) -> str:
+def pair_text(attribute: AttributeKind, value: int | str) -> str:
     """The "attribute" and "value" fields of an event line."""
 
     value = (encode_basestring_ascii(value) if isinstance(value, str)
@@ -273,11 +280,15 @@ def _pair_text(attribute: AttributeKind, value: int | str) -> str:
     return f'"attribute": {encode_basestring_ascii(attribute)}, "value": {value}'
 
 
-def _event_line(event: EdrEvent, identity: str, pair: str) -> str:
+def event_line(event_id: int, identity: str, pair: str, timestamp: int,
+               parents: str) -> str:
+    """One event line from its fields: the identity and pair runs as
+    :func:`identity_text` and :func:`pair_text` format them, and
+    ``parents`` the parent ids' reprs joined by ", "."""
+
     return (
-        f'{{"event_id": {_int_repr(event.event_id)}, {identity}, {pair}, '
-        f'"ts": {_int_repr(event.timestamp)}, '
-        f'"parents": [{", ".join(map(_int_repr, event.parent_ids))}]}}'
+        f'{{"event_id": {_int_repr(event_id)}, {identity}, {pair}, '
+        f'"ts": {_int_repr(timestamp)}, "parents": [{parents}]}}'
     )
 
 
@@ -287,11 +298,13 @@ def dumps_event(event: EdrEvent) -> str:
     are what the encoder applies to int and str subclasses too, and an
     AttributeKind is a str whose content is its value."""
 
-    return _event_line(event, _identity_text(event.triplet),
-                       _pair_text(event.attribute, event.value))
+    return event_line(event.event_id, identity_text(event.triplet),
+                      pair_text(event.attribute, event.value),
+                      event.timestamp,
+                      ", ".join(map(_int_repr, event.parent_ids)))
 
 
-# Lines write_events joins into one write: enough to amortise the call,
+# Lines write_lines joins into one write: enough to amortise the call,
 # few enough that a large log is never held as one string.
 WRITE_BLOCK_LINES = 512
 
@@ -305,28 +318,42 @@ def _event_lines(events: Iterable[EdrEvent]) -> Iterator[str]:
     for event in events:
         identity = identities.get(event.triplet)
         if identity is None:
-            identity = identities[event.triplet] = _identity_text(
+            identity = identities[event.triplet] = identity_text(
                 event.triplet)
         key = (event.attribute, event.value)
         pair = pairs.get(key)
         if pair is None:
-            pair = pairs[key] = _pair_text(*key)
-        yield _event_line(event, identity, pair)
+            pair = pairs[key] = pair_text(*key)
+        yield event_line(event.event_id, identity, pair, event.timestamp,
+                         ", ".join(map(_int_repr, event.parent_ids)))
+
+
+def write_block(fh: TextIO, block: list[str]) -> None:
+    """Write a block of lines, each ended by a newline, in one call;
+    ``block`` gains an empty last item."""
+
+    block.append("")  # the last line's newline
+    fh.write("\n".join(block))
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> int:
+    """Write lines, each ended by a newline, in blocks of
+    ``WRITE_BLOCK_LINES``; returns the number written."""
+
+    lines = iter(lines)
+    count = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        while block := list(islice(lines, WRITE_BLOCK_LINES)):
+            count += len(block)
+            write_block(fh, block)
+    return count
 
 
 def write_events(path: str | Path, events: Iterable[EdrEvent]) -> int:
     """Write events as JSON Lines, each line as :func:`dumps_event`
-    formats it, in blocks of ``WRITE_BLOCK_LINES`` lines; returns the
-    number written."""
+    formats it; returns the number written."""
 
-    lines = _event_lines(events)
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        while block := list(islice(lines, WRITE_BLOCK_LINES)):
-            block.append("")  # the last line's newline
-            fh.write("\n".join(block))
-            count += len(block) - 1
-    return count
+    return write_lines(path, _event_lines(events))
 
 
 # The layout dumps_event writes, as a whole line of a file read as bytes:
@@ -365,21 +392,21 @@ def _canonical_events(
 
     events = []
     append = events.append
-    for event_id, identity_text, pair_text, ts, parents in found:
-        triplet = triplet_of.get(identity_text)
+    for event_id, identity_run, pair_run, ts, parents in found:
+        triplet = triplet_of.get(identity_run)
         if triplet is None:
             # The run's strings hold no quote, so its 4th, 8th and 12th
             # quote-separated parts are the user, device and resource.
-            identity = tuple(identity_text.decode().split('"')[3::4])
+            identity = tuple(identity_run.decode().split('"')[3::4])
             triplet = triplets.get(identity)
             if triplet is None:
                 triplet = triplets[identity] = Triplet(*identity)
-            triplet_of[identity_text] = triplet
-        pair = pair_of.get(pair_text)
+            triplet_of[identity_run] = triplet
+        pair = pair_of.get(pair_run)
         if pair is None:
-            kind, value = pair_text.decode().removeprefix(
+            kind, value = pair_run.decode().removeprefix(
                 '"attribute": "').split('", "value": ')
-            pair = pair_of[pair_text] = (
+            pair = pair_of[pair_run] = (
                 _KINDS[kind], value[1:-1] if value[0] == '"' else int(value))
         if not parents:
             parent_ids = ()

@@ -10,6 +10,7 @@ exactly the ancestor structure of every alert that the full graph had.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -24,7 +25,9 @@ from .model import (
     load_json,
 )
 
-COMPARATORS = (">=", ">", "==", "<", "<=")
+# Each rule comparator and the function that applies it.
+COMPARATORS = {">=": operator.ge, ">": operator.gt, "==": operator.eq,
+               "<": operator.lt, "<=": operator.le}
 
 
 class GraphError(ValueError):
@@ -72,18 +75,15 @@ class AlertRule:
                 )
 
     def matches(self, event: EdrEvent) -> bool:
-        if event.attribute is not self.attribute:
-            return False
-        v, t = event.value, self.threshold
-        if self.op == ">=":
-            return v >= t
-        if self.op == ">":
-            return v > t
-        if self.op == "==":
-            return v == t
-        if self.op == "<":
-            return v < t
-        return v <= t
+        return (event.attribute is self.attribute
+                and COMPARATORS[self.op](event.value, self.threshold))
+
+    def admits(self, attribute: AttributeKind, value: int | str) -> bool:
+        """Whether the rule fires on an event carrying ``value`` of kind
+        ``attribute``, as :meth:`matches` decides it."""
+
+        return (attribute is self.attribute
+                and COMPARATORS[self.op](value, self.threshold))
 
 
 @dataclass(frozen=True)

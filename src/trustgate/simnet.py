@@ -26,28 +26,39 @@ import json
 import math
 import random
 import sys
+from array import array
 from bisect import bisect
 from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from itertools import accumulate, count
+from itertools import accumulate
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+
+import numpy as np
 
 from .model import (
+    WRITE_BLOCK_LINES,
     Alert,
     AttributeKind,
     EdrEvent,
+    ModelError,
     Severity,
     Triplet,
+    check_value,
+    event_line,
     format_json,
+    identity_text,
     load_json,
+    pair_text,
     scan_lines,
-    write_events,
+    write_block,
+    write_lines,
 )
 # bench/test_bench.py asserts that simnet binds reduce_to_skeleton.
 from .provenance import (  # noqa: F401
     AlertRule,
+    GraphError,
     reduce_to_skeleton,
     rule_from_obj,
     rule_to_obj,
@@ -141,17 +152,12 @@ class BehaviorProfile:
     def __post_init__(self) -> None:
         _check_rate(self.request_rate, "request rate")
         for kind, profile in self.attributes.items():
-            for value, _ in profile.values:
-                if kind.numeric:
-                    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                        raise ScenarioError(
-                            f"profile value for {kind.value} must be a "
-                            f"non-negative integer"
-                        )
-                elif not isinstance(value, str) or not value:
+            for i, (value, _) in enumerate(profile.values):
+                try:
+                    check_value(kind, value)
+                except ModelError as exc:
                     raise ScenarioError(
-                        f"profile value for {kind.value} must be a non-empty string"
-                    )
+                        f"attributes.{kind.value}.values[{i}]: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -377,11 +383,12 @@ def _profile_from_obj(obj: object, where: str) -> BehaviorProfile:
             attributes[kind] = AttributeProfile(rate=rate, values=values)
         except ScenarioError as exc:
             raise ScenarioError(f"{where}.attributes.{name}: {exc}") from None
-    return BehaviorProfile(
-        attributes=attributes,
-        request_rate=_check_rate(obj.get("request_rate", 0.0),
-                                 f"{where}.request_rate"),
-    )
+    request_rate = _check_rate(obj.get("request_rate", 0.0),
+                               f"{where}.request_rate")
+    try:
+        return BehaviorProfile(attributes=attributes, request_rate=request_rate)
+    except ScenarioError as exc:  # a value, named by its path in the profile
+        raise ScenarioError(f"{where}.{exc}") from None
 
 
 def _window_from_obj(obj: dict, where: str) -> FailureWindow:
@@ -1058,11 +1065,21 @@ class _Loop:
     """The engine wired for one run; ``_simulate`` steps it through its
     schedule.
 
+    The event log is four columns with one row per event: its
+    timestamp, its triplet and pair indices as the schedule numbers
+    them, and its parent row (-1 for none); no event is an object. An
+    event's id is its row, and its parent is its device's previous
+    event when that is strictly earlier. ``hot`` indexes the same
+    events by triplet for the window queries.
+
     Only a device's first critical alert is kept: alerts stay in force
-    until the end of the run, and ``decide`` reads nothing else.
+    until the end of the run, and ``decide`` reads nothing else. With an
+    ``audit`` file, each decision's audit line is written to it in
+    blocks as it is decided; without one, no line is formatted.
     """
 
-    def __init__(self, config: ScenarioConfig, quorum_client: QuorumClient):
+    def __init__(self, config: ScenarioConfig, quorum_client: QuorumClient,
+                 audit: TextIO | None = None):
         device_ids = [d.device_id for d in config.devices]
         resource_ids = sorted(config.policy.resources)
         self.config = config
@@ -1083,15 +1100,23 @@ class _Loop:
             rid: device_ids[i % len(device_ids)] if device_ids else ""
             for i, rid in enumerate(resource_ids)
         }
-        # Critical rules by the kind they read, in config.alert_rules order.
-        self.critical_rules: dict[AttributeKind, list[AlertRule]] = {}
-        for rule in config.alert_rules:
-            if rule.severity is Severity.CRITICAL:
-                self.critical_rules.setdefault(rule.attribute, []).append(rule)
+        # By pair index, the first critical rule in config.alert_rules
+        # order that the pair matches, or None.
+        self.critical_rule = [
+            next((rule for rule in config.alert_rules
+                  if rule.severity is Severity.CRITICAL
+                  and rule.admits(*pair)), None)
+            for pair in self.pairs
+        ]
         self.hot = HotStore(None)
-        # Event ids count emissions; emit is the only writer of ``hot``,
-        # so an event's id is its index in ``hot.events``.
-        self.event_ids = count()
+        # A duration past 64 bits can draw times that no array holds.
+        self.times = array("Q") if config.duration <= 2**64 else []
+        self.triplet_of = array("Q")
+        self.pair_of = array("I")
+        self.parents = array("q")
+        # Each device's last event row and its time, by device index.
+        self.last_row = [-1] * len(device_ids)
+        self.last_time = [-1] * len(device_ids)
         self.cache = TrustScoreCache(
             CacheConfig(capacity=config.cache_capacity,
                         max_refresh=config.refresh_interval),
@@ -1104,9 +1129,9 @@ class _Loop:
         self.reputation_rel: dict[str, float] = {}
         self.vector: GlobalTrustVector | None = None
         self.sweeps = 0
-        self.last_event: dict[str, EdrEvent] = {}
         self.critical: dict[str, ActiveAlert] = {}
-        self.audit_lines: list[str] = []
+        self.audit = audit
+        self.audit_block: list[str] = []
         self.rows: list[_AuditRow] = []
         self.compromise_starts = _compromise_starts(config)
 
@@ -1136,9 +1161,8 @@ class _Loop:
         self.cache.refresh_sweep(now, self.recompute)
 
     def triplet(self, index: int) -> Triplet:
-        """Intern the one Triplet of triplet index ``index``.
-        ``_simulate`` looks it up in ``triplets`` first and calls this
-        only on a miss."""
+        """Intern the one Triplet of triplet index ``index``. Callers
+        look it up in ``triplets`` first and call this only on a miss."""
 
         device, resource = divmod(index, self.slots)
         spec = self.config.devices[device]
@@ -1156,28 +1180,30 @@ class _Loop:
         windows = self.down.get(index // self.slots)
         return windows is not None and any(w.covers(t) for w in windows)
 
-    def emit(self, t: int, triplet: Triplet, attribute: AttributeKind,
-             value: int | str) -> None:
-        device_id = triplet.device_id
-        parent = self.last_event.get(device_id)
-        event = EdrEvent(
-            next(self.event_ids), triplet, attribute, value, t,
-            (parent.event_id,)
-            if parent is not None and parent.timestamp < t else (),
-        )
-        self.hot.append_events((event,))
-        self.last_event[device_id] = event
-        if device_id in self.critical:
+    def emit(self, t: int, index: int, pair: int) -> None:
+        """Append the event of triplet index ``index`` and pair index
+        ``pair`` at ``t``, and raise its device's critical alert if this
+        is the device's first event a critical rule matches."""
+
+        row = len(self.times)
+        device = index // self.slots
+        self.times.append(t)
+        self.triplet_of.append(index)
+        self.pair_of.append(pair)
+        self.parents.append(
+            self.last_row[device] if self.last_time[device] < t else -1)
+        self.last_row[device], self.last_time[device] = row, t
+        self.hot.append(row, self.triplets.get(index) or self.triplet(index),
+                        self.pairs[pair], t)
+        rule = self.critical_rule[pair]
+        if rule is None:
             return
-        for rule in self.critical_rules.get(attribute, ()):
-            if rule.matches(event):
-                alert = Alert(alert_id=len(self.critical),
-                              event_id=event.event_id,
-                              severity=rule.severity,
-                              rule_name=rule.rule_name)
-                self.critical[device_id] = ActiveAlert(
-                    alert=alert, device_id=device_id)
-                return
+        device_id = self.config.devices[device].device_id
+        if device_id not in self.critical:
+            alert = Alert(alert_id=len(self.critical), event_id=row,
+                          severity=rule.severity, rule_name=rule.rule_name)
+            self.critical[device_id] = ActiveAlert(alert=alert,
+                                                   device_id=device_id)
 
     def request(self, t: int, triplet: Triplet) -> None:
         device_id = triplet.device_id
@@ -1187,7 +1213,10 @@ class _Loop:
             () if alert is None else (alert,),
             self.quorum_client, now=t,
         )
-        self.audit_lines.append(audit_line(t, triplet, decision))
+        if self.audit is not None:
+            self.audit_block.append(audit_line(t, triplet, decision))
+            if len(self.audit_block) == WRITE_BLOCK_LINES:
+                self.flush_audit()
         granted = decision.granted
         self.rows.append(_AuditRow(t, device_id, granted))
         host = self.host_of.get(triplet.resource_id, "")
@@ -1197,6 +1226,11 @@ class _Loop:
             self.ledger.record_unsat(host, device_id)
         else:
             self.ledger.record_sat(host, device_id)
+
+    def flush_audit(self) -> None:
+        if self.audit_block:
+            write_block(self.audit, self.audit_block)
+            self.audit_block.clear()
 
     def convergence(self) -> dict[str, object]:
         v = self.vector
@@ -1208,38 +1242,94 @@ class _Loop:
         }
 
 
-def _reduction(
-    events: Sequence[EdrEvent], rules: Sequence[AlertRule]
-) -> dict[str, object]:
-    """End-of-run archival statistics over the full event log."""
+def _log_events(loop: _Loop, rows: Iterable[int]) -> list[EdrEvent]:
+    """The events at ``rows`` of the loop's log, built from its columns."""
 
-    batch = archive_batch(events, rules)
+    triplets, pairs, parents = loop.triplets, loop.pairs, loop.parents
+    return [
+        EdrEvent(row, triplets[loop.triplet_of[row]],
+                 *pairs[loop.pair_of[row]], loop.times[row],
+                 () if parents[row] < 0 else (parents[row],))
+        for row in rows
+    ]
+
+
+def _alert_chains(loop: _Loop, rules: Sequence[AlertRule]) -> list[EdrEvent]:
+    """The events, in id order, of every device on which some rule fires.
+
+    An event's only parent is its device's previous event, so every
+    alert's ancestry lies on its own device's chain, and these events
+    hold all of it. They are the only events built as objects. Every
+    row is first checked as ``build_graph`` checks a log: each parent
+    exists and is strictly earlier.
+    """
+
+    parents = np.frombuffer(loop.parents, dtype=np.int64)
+    times = np.asarray(loop.times)  # object dtype past 64 bits
+    children = np.flatnonzero(parents >= 0)
+    of = parents[children]
+    faults = children[(of >= children)
+                      | (times[np.minimum(of, children)] >= times[children])]
+    if faults.size:
+        row = int(faults[0])
+        parent = int(parents[row])
+        raise GraphError(
+            f"dangling parent: event {row} references {parent}"
+            if parent >= row else
+            f"causality: event {row} is not later than its parent {parent}")
+    fires = np.array([any(rule.admits(*pair) for rule in rules)
+                      for pair in loop.pairs], dtype=bool)
+    devices = np.frombuffer(loop.triplet_of, dtype=np.uint64) // loop.slots
+    alerting = devices[fires[np.frombuffer(loop.pair_of, dtype=np.uint32)]]
+    return _log_events(loop, np.flatnonzero(
+        np.isin(devices, alerting)).tolist())
+
+
+def _reduction(loop: _Loop, rules: Sequence[AlertRule]) -> dict[str, object]:
+    """End-of-run archival statistics over the whole event log, built
+    from the alert devices' chains; ``nodes_before`` counts every event."""
+
+    batch = archive_batch(_alert_chains(loop, rules), rules)
     avg_len = batch.avg_code_length
     return {
-        **batch.summary(),
+        **batch.summary(nodes_before=len(loop.times)),
         "avg_code_length": None if avg_len is None else float(avg_len),
         "avg_code_length_exact": None if avg_len is None else str(avg_len),
     }
 
 
-def _simulate(config: ScenarioConfig) -> tuple[_Loop, dict]:
+def _log_lines(loop: _Loop) -> Iterator[str]:
+    """Each event of the loop's log as ``write_events`` formats it,
+    formatting each triplet's and pair's text once."""
+
+    identities = {index: identity_text(triplet)
+                  for index, triplet in loop.triplets.items()}
+    pairs = [pair_text(*pair) for pair in loop.pairs]
+    for row, (t, triplet, pair, parent) in enumerate(
+            zip(loop.times, loop.triplet_of, loop.pair_of, loop.parents)):
+        yield event_line(row, identities[triplet], pairs[pair], t,
+                         "" if parent < 0 else str(parent))
+
+
+def _simulate(config: ScenarioConfig,
+              audit: TextIO | None = None) -> tuple[_Loop, dict]:
     """Step a fresh loop through the scenario's whole schedule; return
-    it with the ``access.json`` object.
+    it with the ``access.json`` object. Audit lines go to ``audit``,
+    when given.
 
     The schedule's keys ``3 * time + priority`` are stepped in ascending
     order. Each key's bucket is popped when its turn comes, and its
     codes are decoded and dispatched in draw order: a sweep, or each
-    action to ``emit`` or ``request`` with its interned triplet, unless
-    its device is down at that time."""
+    action to ``emit`` or ``request``, unless its device is down at that
+    time."""
 
     rng = random.Random(config.seed)
     quorum_client, access = _deal_tokens(config, rng)
-    loop = _Loop(config, quorum_client)
+    loop = _Loop(config, quorum_client, audit)
     buckets = _schedule(config, rng)
     sweep, emit, request = loop.sweep, loop.emit, loop.request
     triplets, intern, is_down = loop.triplets, loop.triplet, loop.is_down
-    pairs, down = loop.pairs, loop.down
-    width = len(pairs)
+    width, down = len(loop.pairs), loop.down
     for key in sorted(buckets):
         t, priority = divmod(key, 3)
         codes = buckets.pop(key)
@@ -1250,13 +1340,14 @@ def _simulate(config: ScenarioConfig) -> tuple[_Loop, dict]:
                 index, pair = divmod(code, width)
                 if down and is_down(index, t):
                     continue
-                kind, value = pairs[pair]
-                emit(t, triplets.get(index) or intern(index), kind, value)
+                emit(t, index, pair)
         else:
             for index in codes:
                 if down and is_down(index, t):
                     continue
                 request(t, triplets.get(index) or intern(index))
+    if audit is not None:
+        loop.flush_audit()
     return loop, access
 
 
@@ -1265,29 +1356,31 @@ def run(config: ScenarioConfig, out_dir: str | Path | None = None) -> SimReport:
 
     Artifacts: ``config.json`` (canonical form), ``events.jsonl``,
     ``audit.jsonl``, ``access.json``, ``report.json``. Identical
-    configurations produce byte-identical artifacts.
+    configurations produce byte-identical artifacts. ``audit.jsonl`` is
+    written as the run decides.
     """
 
-    loop, access = _simulate(config)
-    events = loop.hot.events
+    if out_dir is None:
+        loop, access = _simulate(config)
+    else:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / "audit.jsonl", "w", encoding="utf-8") as audit:
+            loop, access = _simulate(config, audit)
     report = SimReport(
-        total_events=len(events),
+        total_events=len(loop.times),
         cache_metrics=loop.cache.metrics.to_obj(),
         max_served_age=loop.cache.metrics.max_served_age,
-        reduction=_reduction(events, config.alert_rules),
+        reduction=_reduction(loop, config.alert_rules),
         reputation_convergence=loop.convergence(),
         **_decision_summary(config, loop.rows),
     )
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         for name, obj in (("config.json", config_to_obj(config)),
                           ("report.json", report.to_obj()),
                           ("access.json", access)):
             (out / name).write_text(format_json(obj), encoding="utf-8")
-        write_events(out / "events.jsonl", events)
-        with open(out / "audit.jsonl", "w", encoding="utf-8") as fh:
-            fh.writelines(line + "\n" for line in loop.audit_lines)
+        write_lines(out / "events.jsonl", _log_lines(loop))
     return report
 
 

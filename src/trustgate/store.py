@@ -1,21 +1,21 @@
 """Event storage and the archival pipeline.
 
-Fresh telemetry lives in a hot in-memory pool indexed by triplet.
-Archival runs a batch of events through both reduction stages: alert
-rules and skeleton reduction keep only alert ancestry, then the
+Fresh telemetry lives in a hot in-memory pool of columns, one set per
+triplet. Archival runs a batch of events through both reduction stages:
+alert rules and skeleton reduction keep only alert ancestry, then the
 surviving attribute records are tallied into patterns and given an
 optimal prefix code.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort_left
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .model import AttributeKind, EdrEvent, Triplet
+from .model import MAX_NUMERIC_VALUE, AttributeKind, EdrEvent, Triplet
 from .logcodec import (
     AttributeRecord,
     PatternTable,
@@ -36,8 +36,9 @@ from .provenance import (
 
 DEFAULT_ATTRIBUTE_WINDOW = 900  # seconds of telemetry a trust score reads
 
-_timestamp = attrgetter("timestamp")
-_order = attrgetter("timestamp", "event_id")
+# A triplet's timestamps, event ids and (kind, value) pairs, sorted by
+# (timestamp, event id).
+_Columns = tuple[array, array, list[AttributeRecord]]
 
 
 class StoreError(ValueError):
@@ -45,48 +46,69 @@ class StoreError(ValueError):
 
 
 class HotStore:
-    """Append-only in-memory pool of recent events, indexed by triplet.
+    """Append-only in-memory pool of recent events, kept as columns.
 
-    Each triplet's events are kept sorted by (timestamp, event id), so a
-    window query bisects to its time range and reads only the events in
-    it. An event appended in that order, as the simulator and a time
-    ordered log append them, costs one comparison; any other is inserted
-    in place.
+    Each triplet keeps three columns sorted by (timestamp, event id):
+    its events' timestamps and ids, as ``array``s, and their (kind,
+    value) pairs, as references to one tuple per distinct pair. No
+    object is kept per event. A window query bisects the timestamps to
+    its time range and builds its dict from that slice of the pairs. An
+    event past its triplet's last, as the simulator and a time ordered
+    log append them, costs one comparison; any other is inserted in
+    place. A triplet's ids and timestamps become lists at its first
+    value past the unsigned 64-bit range.
 
-    The store trusts its caller: it keeps no id set and checks no
-    parentage, so every event passed in, at construction or through
-    :meth:`append_events`, must belong to a log that
+    The store trusts its caller: it keeps no id set and no parentage,
+    which no window reads, so the events appended must form a log that
     :func:`trustgate.provenance.build_graph` would accept. ``None``
     starts an empty store.
     """
 
     def __init__(self, events: Iterable[EdrEvent] | None = None):
-        self._events: list[EdrEvent] = []
-        self._by_triplet: dict[Triplet, list[EdrEvent]] = {}
+        self._by_triplet: dict[Triplet, _Columns] = {}
+        self._pairs: dict[AttributeRecord, AttributeRecord] = {}
         if events is not None:
             self.append_events(events)
 
     def append_events(self, events: Iterable[EdrEvent]) -> int:
         """Append events; returns how many were added."""
 
-        start = len(self._events)
-        by_triplet = self._by_triplet
+        pairs, append = self._pairs, self.append
+        count = 0
         for event in events:
-            self._events.append(event)
-            same = by_triplet.get(event.triplet)
-            if same is None:
-                by_triplet[event.triplet] = [event]
-                continue
-            last = same[-1]
-            if event.timestamp > last.timestamp or (
-                    event.timestamp == last.timestamp
-                    and event.event_id > last.event_id):
-                same.append(event)
-            else:
-                # Before any equal key, so that the first appended of
-                # equal keys stays the one a window reads last.
-                insort_left(same, event, key=_order)
-        return len(self._events) - start
+            pair = (event.attribute, event.value)
+            append(event.event_id, event.triplet, pairs.setdefault(pair, pair),
+                   event.timestamp)
+            count += 1
+        return count
+
+    def append(self, event_id: int, triplet: Triplet, pair: AttributeRecord,
+               timestamp: int) -> None:
+        """Append one event by its fields. ``pair`` is kept as given, so
+        a caller shares one tuple per distinct pair."""
+
+        columns = self._by_triplet.get(triplet)
+        if columns is None:
+            columns = self._by_triplet[triplet] = (array("Q"), array("Q"), [])
+        if (timestamp > MAX_NUMERIC_VALUE or event_id > MAX_NUMERIC_VALUE
+                ) and isinstance(columns[0], array):
+            columns = self._by_triplet[triplet] = (
+                list(columns[0]), list(columns[1]), columns[2])
+        times, ids, pairs = columns
+        if times and (timestamp < times[-1] or (
+                timestamp == times[-1] and event_id <= ids[-1])):
+            # Before any equal key, so that the first appended of equal
+            # keys stays the one a window reads last.
+            lo = bisect_left(times, timestamp)
+            at = bisect_left(ids, event_id, lo,
+                             bisect_right(times, timestamp, lo))
+            times.insert(at, timestamp)
+            ids.insert(at, event_id)
+            pairs.insert(at, pair)
+            return
+        times.append(timestamp)
+        ids.append(event_id)
+        pairs.append(pair)
 
     def query_window(
         self, triplet: Triplet, now: int, horizon: int
@@ -97,22 +119,18 @@ class HotStore:
 
         if horizon < 0:
             raise StoreError("horizon must be non-negative")
-        events = self._by_triplet.get(triplet)
-        if events is None:
+        columns = self._by_triplet.get(triplet)
+        if columns is None:
             return {}
-        end = len(events)
-        if events[-1].timestamp > now:  # a query into the past
-            end = bisect_right(events, now, key=_timestamp)
-        start = bisect_right(events, now - horizon, 0, end, key=_timestamp)
-        # In (timestamp, id) order, so the last event of a kind wins.
-        return {e.attribute: e.value for e in events[start:end]}
-
-    @property
-    def events(self) -> tuple[EdrEvent, ...]:
-        return tuple(self._events)
+        times, _, pairs = columns
+        end = len(times)
+        if times[-1] > now:  # a query into the past
+            end = bisect_right(times, now)
+        # In (timestamp, id) order, so the last pair of a kind wins.
+        return dict(pairs[bisect_right(times, now - horizon, 0, end):end])
 
     def __len__(self) -> int:
-        return len(self._events)
+        return sum(len(times) for times, _, _ in self._by_triplet.values())
 
 
 @dataclass(frozen=True)
@@ -129,11 +147,14 @@ class ArchiveBatch:
     table: PatternTable | None
     avg_code_length: Fraction | None
 
-    def summary(self) -> dict[str, object]:
+    def summary(self, nodes_before: int | None = None) -> dict[str, object]:
         """Node counts before and after reduction, their ratio (0.0 for
-        an empty graph) and the number of alerts."""
+        an empty graph) and the number of alerts. ``nodes_before``
+        stands for the graph's node count when the batch holds only the
+        alert ancestry of a larger log."""
 
-        before, after = len(self.graph.nodes), len(self.skeleton.nodes)
+        before = len(self.graph.nodes) if nodes_before is None else nodes_before
+        after = len(self.skeleton.nodes)
         return {
             "nodes_before": before,
             "nodes_after": after,

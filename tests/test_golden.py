@@ -1,4 +1,4 @@
-"""Golden digests: the five artifacts of three pinned scenarios, the
+"""Golden digests: the five artifacts of five pinned scenarios, the
 reference skeleton as `trustgate skeleton` prints it, and the archive
 bytes of the reference log and of its skeleton, byte for byte.
 
@@ -82,6 +82,22 @@ GOLDEN = {
         "access.json": "a713eb87361628dd8590812551207173d2936c19db1f8a7952e5e4f7b70ef86e",
         "report.json": "283262f3e03ee68fee29afe211927836c56f323c41a0922e101f0cfaaa725ebb",
     },
+    # Recorded before the event log became columns, so that the change
+    # is judged on two more seeds of the 200-device fleet.
+    "fleet-200-7": {
+        "config.json": "ad4b43e33b9fca066762bfe365b47f78c2460b879dad7fff1de753ce1b22ac28",
+        "events.jsonl": "db445c5f776b03e5ddc4304516a398bff2dba8ec5cdeab1067f9726bfa1773f2",
+        "audit.jsonl": "2eca016b6e584ee0f47b688b38ae0d1c334ffe0999433c374133c47b4876cb6f",
+        "access.json": "c1b23489e33352d4d3c8478b16f24d7c265bde4e507995a7cd91da3f8e0e06b8",
+        "report.json": "667ac5001fde43e140495c9f81889bb481c8cec34b1f96906cee3d27cffee3e2",
+    },
+    "fleet-200-11": {
+        "config.json": "9cf5d5b82767b959c2a1859adc89bcdcef2ec3bbf01db603a7a8b975eee5b60b",
+        "events.jsonl": "17f673e4a30dec5c67c2b5b7b9de5dc0eb69dcf8517e76cb28dc4cc81459de76",
+        "audit.jsonl": "325d336509c4bcb096fec9b0c4f11c702a85a919b11d5be227384a7a2ada5e1f",
+        "access.json": "66585d593e56a5591a2b37e6ab9e573aa9d1074a060c0a458f42667d79a8eb3d",
+        "report.json": "ee02e9f5d86f5bd097b38f5b140041d56a7c96d84fc0518c912ed7e2ef52a486",
+    },
     "quorum-4-outages-42": {
         "config.json": "70ab23e1d5749ef5594397c59c8498e64369ffef43d1f51405c7ccf228f65ab2",
         "events.jsonl": "6b139eb8ed432fcd8368318a96351799cb6cda0ded0732ab25a08ef0b02590a6",
@@ -102,6 +118,8 @@ ARCHIVES_42 = {
 SCENARIOS = {
     "reference-42": lambda: simnet.reference_scenario(42),
     "fleet-200-42": lambda: fleet_200(42),
+    "fleet-200-7": lambda: fleet_200(7),
+    "fleet-200-11": lambda: fleet_200(11),
     "quorum-4-outages-42": lambda: quorum_4_with_outages(42),
 }
 

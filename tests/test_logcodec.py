@@ -406,6 +406,38 @@ CORRUPT_ARCHIVES = {
         "attribute io_operation_count value must be a string or an integer, "
         "not 1.5",
     ),
+    # A key decodes only to a record an event can carry.
+    "key_with_string_for_numeric_kind": (
+        raw_archive([('{"io_operation_count":"x"}', 1, b"\x00")], 1,
+                    b"\x00"),
+        "pattern key '{\"io_operation_count\":\"x\"}': attribute "
+        "io_operation_count expects an integer value",
+    ),
+    "key_with_negative_value": (
+        raw_archive([('{"io_operation_count":-1}', 1, b"\x00")], 1,
+                    b"\x00"),
+        "pattern key '{\"io_operation_count\":-1}': attribute "
+        "io_operation_count value -1 outside the unsigned 64-bit range",
+    ),
+    "key_with_value_past_64_bits": (
+        raw_archive([('{"io_operation_count":18446744073709551616}', 1,
+                      b"\x00")], 1, b"\x00"),
+        "pattern key '{\"io_operation_count\":18446744073709551616}': "
+        "attribute io_operation_count value 18446744073709551616 outside "
+        "the unsigned 64-bit range",
+    ),
+    "key_with_empty_network_id": (
+        raw_archive([('{"frequent_external_network_id":""}', 1, b"\x00")],
+                    1, b"\x00"),
+        "pattern key '{\"frequent_external_network_id\":\"\"}': attribute "
+        "frequent_external_network_id expects a non-empty string value",
+    ),
+    "key_with_integer_network_id": (
+        raw_archive([('{"frequent_external_network_id":7}', 1, b"\x00")],
+                    1, b"\x00"),
+        "pattern key '{\"frequent_external_network_id\":7}': attribute "
+        "frequent_external_network_id expects a non-empty string value",
+    ),
 }
 
 

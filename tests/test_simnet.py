@@ -3,6 +3,7 @@ audit replay verification, and containment behavior."""
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
@@ -17,13 +18,15 @@ import pytest
 from trustgate.engine import PolicyError, parse_audit_line
 from trustgate.model import (
     AttributeKind,
+    EdrEvent,
     Severity,
     Triplet,
     format_json,
     read_events,
 )
-from trustgate.provenance import AlertRule, build_graph
+from trustgate.provenance import AlertRule, GraphError, build_graph
 from trustgate.secretshare import ThresholdPolicy
+from trustgate.store import archive_batch
 from trustgate.simnet import (
     MAX_APPROVERS,
     MAX_SCHEDULED_ACTIONS,
@@ -54,12 +57,14 @@ from trustgate.simnet import (
     _audit_row,
     _compromise_starts,
     _decision_summary,
+    _log_events,
     _pair_table,
+    _reduction,
     _schedule,
     _simulate,
 )
 
-from test_golden import fleet_200, reference_fleet
+from test_golden import SCENARIOS, fleet_200, reference_fleet
 
 RESOURCES = (
     ResourceSpec("res-open", 0.5, "standard"),
@@ -123,6 +128,31 @@ SCALAR_TYPE_CASES = [
 
 # (id, edit of failure_scenario()'s object, the exact ScenarioError message)
 NESTED_TYPE_CASES = [
+    # A profile value is checked as an event's value is, when the
+    # scenario is read, not when it is first drawn.
+    ("profile_value_past_64_bits",
+     lambda o: o["benign_profile"]["attributes"]["io_operation_count"]
+     .update(values=[[2**64, 1]]),
+     "benign_profile.attributes.io_operation_count.values[0]: attribute "
+     "io_operation_count value 18446744073709551616 outside the unsigned "
+     "64-bit range"),
+    ("profile_value_negative",
+     lambda o: o["compromises"][0]["profile"]["attributes"]
+     ["io_operation_count"].update(values=[[300, 5], [-1, 5]]),
+     "compromises[0].profile.attributes.io_operation_count.values[1]: "
+     "attribute io_operation_count value -1 outside the unsigned 64-bit "
+     "range"),
+    ("profile_value_bool",
+     lambda o: o["benign_profile"]["attributes"]["io_operation_count"]
+     .update(values=[[3, 1], [True, 1]]),
+     "benign_profile.attributes.io_operation_count.values[1]: attribute "
+     "io_operation_count expects an integer value"),
+    ("profile_value_empty_network_id",
+     lambda o: o["benign_profile"]["attributes"].update(
+         frequent_external_network_id={"rate": 0.01, "values": [["", 1]]}),
+     "benign_profile.attributes.frequent_external_network_id.values[0]: "
+     "attribute frequent_external_network_id expects a non-empty string "
+     "value"),
     ("start_time_float",
      lambda o: o["compromises"][0].update(start_time=300.5),
      "compromises[0].start_time must be an integer, got 300.5"),
@@ -1219,11 +1249,12 @@ class TestReportFromDecisions:
                                         failure_scenario()],
                              ids=["reference-42", "failures"])
     def test_rows_equal_parsed_audit_lines(self, config):
-        loop, _ = _simulate(config)
-        assert len(loop.rows) == len(loop.audit_lines) > 0
+        audit = io.StringIO()
+        loop, _ = _simulate(config, audit)
+        lines = audit.getvalue().splitlines()
+        assert len(loop.rows) == len(lines) > 0
         devices = frozenset(d.device_id for d in config.devices)
-        parsed = [_audit_row(config, devices, line)
-                  for line in loop.audit_lines]
+        parsed = [_audit_row(config, devices, line) for line in lines]
         assert loop.rows == parsed
         assert (_decision_summary(config, loop.rows)
                 == _decision_summary(config, parsed))
@@ -1253,7 +1284,7 @@ class TestCriticalRules:
         config = replace(reference_scenario(42), alert_rules=rules)
         loop, _ = _simulate(config)
         want: dict[str, tuple[int, int, str]] = {}
-        for event in loop.hot.events:
+        for event in _log_events(loop, range(len(loop.times))):
             device_id = event.triplet.device_id
             if device_id in want:
                 continue
@@ -1284,5 +1315,126 @@ class TestTripletKeys:
 
     def test_one_triplet_per_device_and_resource(self):
         loop, _ = _simulate(reference_scenario(42))
-        triplets = [event.triplet for event in loop.hot.events]
+        triplets = [loop.triplets[i] for i in loop.triplet_of]
+        assert ({id(t) for t in loop.hot._by_triplet}
+                <= {id(t) for t in loop.triplets.values()})
         assert len({id(t) for t in triplets}) == len(set(triplets))
+
+
+def noisy_benign(seed: int) -> ScenarioConfig:
+    """The reference scenario with benign devices that raise HIGH alerts:
+    escalation value 3 at weight 1 of 20 and malicious-file value 1 at
+    weight 1 of 10."""
+
+    config = reference_scenario(seed)
+    attributes = {
+        **config.benign.attributes,
+        AttributeKind.PRIVILEGE_ESCALATION_ATTEMPTS: AttributeProfile(
+            rate=0.002, values=((0, 19), (3, 1))),
+        AttributeKind.MALICIOUS_FILE_ACCESS_COUNT: AttributeProfile(
+            rate=0.001, values=((0, 9), (1, 1))),
+    }
+    return replace(config, benign=replace(config.benign,
+                                          attributes=attributes))
+
+
+def alerting_devices(config: ScenarioConfig, events) -> set[str]:
+    return {e.triplet.device_id for e in events
+            if any(rule.matches(e) for rule in config.alert_rules)}
+
+
+REDUCTION_CASES = {
+    **SCENARIOS,
+    "noisy-benign-7": lambda: noisy_benign(7),
+    "failures": failure_scenario,
+}
+
+
+class TestColumnLog:
+    """The simulator keeps its events as the hot store's columns and
+    builds event objects only for the devices an alert names."""
+
+    @pytest.mark.parametrize("name", sorted(REDUCTION_CASES))
+    def test_reduction_equals_archive_batch_of_every_event(self, name,
+                                                           tmp_path):
+        config = REDUCTION_CASES[name]()
+        report = run(config, tmp_path)
+        events = read_events(tmp_path / "events.jsonl")
+        batch = archive_batch(events, config.alert_rules)
+        avg = batch.avg_code_length
+        assert report.reduction == {
+            **batch.summary(),
+            "avg_code_length": None if avg is None else float(avg),
+            "avg_code_length_exact": None if avg is None else str(avg),
+        }
+        compromised = {plan.device_id for plan in config.compromises}
+        if name == "noisy-benign-7":
+            assert alerting_devices(config, events) - compromised
+
+    def test_builds_events_only_for_alerting_devices(self, tmp_path,
+                                                     monkeypatch):
+        config = reference_scenario(42)
+        run(config, tmp_path)
+        events = read_events(tmp_path / "events.jsonl")
+        alerting = alerting_devices(config, events)
+        expected = sum(e.triplet.device_id in alerting for e in events)
+        assert 0 < expected < len(events) / 4
+        built = 0
+        init = EdrEvent.__init__
+
+        def counting(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(EdrEvent, "__init__", counting)
+        run(config, None)
+        assert built == expected
+
+    def test_run_without_out_dir_formats_no_audit_line(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("audit line formatted")
+
+        monkeypatch.setattr("trustgate.simnet.audit_line", refuse)
+        assert run(reference_scenario(42), None).total_requests > 0
+
+    def test_reduction_checks_parents(self):
+        loop, _ = _simulate(reference_scenario(42))
+        row = next(r for r, parent in enumerate(loop.parents) if parent >= 0)
+        loop.times[row] = loop.times[loop.parents[row]]
+        with pytest.raises(GraphError, match=f"causality: event {row} "):
+            _reduction(loop, default_rules())
+        loop.parents[row] = row
+        with pytest.raises(GraphError, match=f"dangling parent: event {row} "):
+            _reduction(loop, default_rules())
+
+    def test_times_past_64_bits(self, tmp_path):
+        # The store's time column turns into a list; the log and the
+        # replay read the same as at smaller times.
+        profile = BehaviorProfile(
+            attributes={AttributeKind.IO_OPERATION_COUNT: AttributeProfile(
+                rate=3 / 2**70, values=((3, 1), (5, 1)))},
+            request_rate=2 / 2**70,
+        )
+        config = one_device(profile, 0, 2**70, ["res-a"],
+                            refresh_interval=2**69)
+        report = run(config, tmp_path)
+        events = read_events(tmp_path / "events.jsonl")
+        assert [e.event_id for e in events] == [0, 1, 2]
+        assert max(e.timestamp for e in events) > 2**64
+        assert replay(tmp_path) == report
+
+    def test_simulate_memory(self):
+        # At 1000 reference devices the log's columns, the store's
+        # indexes and the decision rows stay under 14 MB; one object
+        # per event held 27.9 MB.
+        config = reference_fleet(1000, 42)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loop, _ = _simulate(config)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(loop.times) == len(loop.hot) > 100_000
+        assert held <= 14_000_000, held

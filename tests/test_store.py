@@ -12,7 +12,13 @@ import pytest
 from trustgate.cli import main
 from trustgate.engine import DEFAULT_QUORUM, ResourceSpec
 from trustgate.logcodec import average_length, decode, encode
-from trustgate.model import AttributeKind, Severity, Triplet
+from trustgate.model import (
+    AttributeKind,
+    Severity,
+    Triplet,
+    read_events,
+    write_events,
+)
 from trustgate.provenance import AlertRule, SummaryEdge
 from trustgate.secretshare import ThresholdPolicy
 from trustgate.simnet import (
@@ -146,6 +152,38 @@ def random_log(rng: random.Random, count: int) -> list:
     return events
 
 
+def event_row(event) -> tuple:
+    return (event.event_id, event.timestamp, event.triplet,
+            (event.attribute, event.value))
+
+
+def check_held(store: HotStore, events) -> None:
+    """The store holds each event once, in its triplet's columns, which
+    are sorted by (timestamp, event id)."""
+
+    held = []
+    for triplet, (times, ids, pairs) in store._by_triplet.items():
+        keys = list(zip(times, ids))
+        assert keys == sorted(keys)
+        held += [(i, t, triplet, pair) for t, i, pair in zip(times, ids, pairs)]
+    assert sorted(held) == sorted(map(event_row, events))
+    assert len(store) == len(events)
+
+
+def check_windows(rng, store, events, queries, lowest=-3, highest=46):
+    """Random windows of ``store`` against a scan of ``events``, ``now``
+    in [lowest, highest): for the default, past the newest timestamp of
+    a random log, inside it and before it."""
+
+    absent = Triplet("user-x", "dev-x", "res-a")
+    for _ in range(queries):
+        triplet = rng.choice(WINDOW_TRIPLETS + (absent,))
+        now = rng.randrange(lowest, highest)
+        horizon = rng.randrange(0, 30)
+        assert store.query_window(triplet, now, horizon) == (
+            brute_force_window(events, triplet, now, horizon))
+
+
 class TestWindowOracle:
     """``query_window`` reads a sorted tail of each triplet's events; on
     any append order it must equal a scan of the whole log."""
@@ -168,15 +206,67 @@ class TestWindowOracle:
             assert store.append_events(events[start:start + size]) == len(
                 events[start:start + size])
             start += size
-        assert store.events == tuple(events)
-        absent = Triplet("user-x", "dev-x", "res-a")
-        for _ in range(300):
-            triplet = rng.choice(WINDOW_TRIPLETS + (absent,))
-            # Past the newest timestamp, inside the log and before it.
-            now = rng.randrange(-3, 46)
-            horizon = rng.randrange(0, 30)
-            assert store.query_window(triplet, now, horizon) == (
-                brute_force_window(events, triplet, now, horizon))
+        check_held(store, events)
+        check_windows(rng, store, events, 300)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_appends_interleaved_with_queries(self, seed):
+        # Each batch lands between queries, some of them into the past
+        # of rows already stored.
+        rng = random.Random(100 + seed)
+        events = random_log(rng, 300)
+        rng.shuffle(events)
+        store = HotStore(None)
+        start = 0
+        while start < len(events):
+            size = rng.randrange(1, 25)
+            store.append_events(events[start:start + size])
+            start += size
+            check_windows(rng, store, events[:start], 20)
+        assert len(store) == len(events)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_keys_in_any_order(self, seed):
+        # Ids drawn from a small range repeat, so equal (timestamp, id)
+        # keys are common; the first appended of them must win.
+        rng = random.Random(200 + seed)
+        events = [make_event(rng.randrange(8), rng.randrange(6),
+                             rng.choice(WINDOW_KINDS[:2]), rng.randrange(50),
+                             triplet=rng.choice(WINDOW_TRIPLETS))
+                  for _ in range(300)]
+        store = HotStore(events)
+        check_held(store, events)
+        check_windows(rng, store, events, 300, -2, 9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_out_of_order_log_read_as_cli_score_reads_it(self, seed,
+                                                          tmp_path):
+        # `trustgate score` builds the store from read_events of a log
+        # file, in the file's order.
+        rng = random.Random(300 + seed)
+        events = random_log(rng, 400)
+        rng.shuffle(events)
+        path = tmp_path / "events.jsonl"
+        write_events(path, events)
+        read = read_events(path)
+        assert read == events
+        check_windows(rng, HotStore(read), events, 300)
+
+    def test_ids_and_times_past_64_bits(self):
+        # A triplet's columns turn into lists at its first value past
+        # the unsigned 64-bit range; windows read them as before.
+        rng = random.Random(5)
+        base = 2**64 - 20
+        events = [make_event(base + i, base + rng.randrange(40),
+                             rng.choice(WINDOW_KINDS[:2]), rng.randrange(50),
+                             triplet=rng.choice(WINDOW_TRIPLETS))
+                  for i in range(200)]
+        rng.shuffle(events)
+        store = HotStore(events)
+        assert {type(column) for times, ids, _ in store._by_triplet.values()
+                for column in (times, ids)} == {list}
+        check_held(store, events)
+        check_windows(rng, store, events, 300, base - 3, base + 46)
 
     def test_equal_keys_keep_the_first_appended(self):
         # Duplicate (timestamp, id) pairs: the store trusts its caller,
