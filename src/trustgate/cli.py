@@ -34,7 +34,8 @@ from .logcodec import (
     records_from_events,
     write_archive,
 )
-from .model import ModelError, Triplet, format_json, parse_lines, read_events
+from .model import (
+    ModelError, Triplet, check_u64, format_json, parse_lines, read_events)
 from .provenance import (
     build_graph,
     load_rules,
@@ -105,6 +106,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     now = args.now if args.now is not None else max(
         (e.timestamp for e in events), default=0
     )
+    check_u64(now, "now")
     window = hot.query_window(triplet, now, args.window)
     behavioral = behavioral_score(window, policy)
     record = make_record(triplet, behavioral, args.reputation,
@@ -237,8 +239,7 @@ def _trace_row(line: str) -> tuple[Triplet, int]:
     ids, now = obj["triplet"], obj["now"]
     if not isinstance(ids, list) or len(ids) != 3:
         raise ModelError("triplet must be a list of three strings")
-    if isinstance(now, bool) or not isinstance(now, int):
-        raise ModelError(f"now must be an integer, got {now!r}")
+    check_u64(now, "now")
     return Triplet(*ids), now
 
 

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Protocol
 
-from .model import Alert, AttributeKind, Severity, Triplet, load_json
+from .model import Alert, AttributeKind, Severity, Triplet, is_int, load_json
 from .secretshare import Share, ShareError, ThresholdPolicy, reconstruct
 
 SENSITIVITY_STANDARD = "standard"
@@ -55,9 +55,7 @@ def parse_rational(value: object) -> Fraction:
     """Exact rational from an int, a "p/q" or decimal string, or a float
     interpreted through its shortest decimal form."""
 
-    if isinstance(value, bool):
-        raise PolicyError(f"not a rational: {value!r}")
-    if isinstance(value, int):
+    if is_int(value):
         return Fraction(value)
     if isinstance(value, float):
         return Fraction(str(value))
@@ -261,7 +259,7 @@ def behavioral_score(
         if value is _MISSING:
             total += default
             continue
-        if isinstance(value, bool) or not isinstance(value, int):
+        if type(value) is not int and not is_int(value):
             raise EngineError(
                 f"window value for {kind.value} must be an integer"
             )
@@ -521,7 +519,7 @@ def audit_line(ts: int, triplet: Triplet, decision: Decision) -> str:
 
 
 def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return is_int(value) or isinstance(value, float)
 
 
 _AUDIT_FIELDS = frozenset(("ts", "triplet", "verdict", "reasons", "T", "theta"))
@@ -558,7 +556,7 @@ def parse_audit_line(line: str) -> dict:
     obj = json.loads(line)
     if not isinstance(obj, dict) or obj.keys() != _AUDIT_FIELDS:
         raise EngineError("malformed audit record")
-    if isinstance(obj["ts"], bool) or not isinstance(obj["ts"], int):
+    if not is_int(obj["ts"]):
         raise EngineError(f"malformed audit ts {obj['ts']!r}")
     if obj["verdict"] not in ("grant", "deny"):
         raise EngineError(f"malformed audit verdict {obj['verdict']!r}")

@@ -76,11 +76,6 @@ def record_from_key(key: str) -> AttributeRecord:
     except ValueError:
         raise CodecError(f"unknown attribute in pattern key: {key!r}") \
             from None
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        # true and 1.0 write back as themselves, so the canonical check
-        # alone would let them through.
-        raise CodecError(f"attribute {name} value must be a string or an "
-                         f"integer, not {value!r}")
     try:
         check_value(kind, value)
     except ModelError as exc:

@@ -61,22 +61,36 @@ class AttributeKind(str, Enum):
 _CATEGORICAL = AttributeKind.FREQUENT_EXTERNAL_NETWORK_ID
 
 
+def is_int(value: object) -> bool:
+    """Whether ``value`` is an int but not a bool: bool is an int
+    subclass, but no id, time, count or value."""
+
+    return type(value) is int or (
+        isinstance(value, int) and not isinstance(value, bool))
+
+
+def check_u64(value: object, what: str,
+              error: type[ValueError] = ModelError) -> None:
+    """Raise ``error`` naming ``what`` unless ``value`` is an int (not a
+    bool) in the unsigned 64-bit range. Every id, time and numeric value
+    an event carries is held to this one rule."""
+
+    if not is_int(value):
+        raise error(f"{what} must be an integer")
+    if not 0 <= value <= MAX_NUMERIC_VALUE:
+        raise error(f"{what} {value} outside the unsigned 64-bit range")
+
+
 def check_value(attribute: AttributeKind, value: object) -> None:
     """Raise ModelError unless an event of kind ``attribute`` can carry
-    ``value``: an int (not a bool) in the unsigned 64-bit range for a
-    numeric kind, a non-empty str for the categorical one. Every reader
-    of an attribute value applies this one rule."""
+    ``value``: an unsigned 64-bit int for a numeric kind, a non-empty str
+    for the categorical one. Every reader of an attribute value applies
+    this one rule."""
 
     if attribute is not _CATEGORICAL:
-        # The exact type first, which is the common case.
-        if type(value) is not int and (
-                isinstance(value, bool) or not isinstance(value, int)):
-            raise ModelError(
-                f"attribute {attribute.value} expects an integer value")
-        if not 0 <= value <= MAX_NUMERIC_VALUE:
-            raise ModelError(
-                f"attribute {attribute.value} value {value} outside the "
-                f"unsigned 64-bit range")
+        # The exact type and the range inline first: the common case.
+        if type(value) is not int or not 0 <= value <= MAX_NUMERIC_VALUE:
+            check_u64(value, f"attribute {attribute.value} value")
     elif not isinstance(value, str) or not value:
         raise ModelError(
             f"attribute {attribute.value} expects a non-empty string value")
@@ -145,29 +159,22 @@ class EdrEvent:
     def __init__(self, event_id: int, triplet: Triplet,
                  attribute: AttributeKind, value: int | str, timestamp: int,
                  parent_ids: tuple[int, ...] = ()) -> None:
-        # bool is an int subclass; it is not an id, a time or a value.
-        # Each check tests the exact type first, which is the common case.
-        if type(event_id) is not int and (
-                isinstance(event_id, bool) or not isinstance(event_id, int)):
-            raise ModelError("event_id must be an integer")
-        if event_id < 0:
-            raise ModelError("event_id must be non-negative")
+        # Each int is held to check_u64; the exact type and the range are
+        # tested inline first, which is the common case.
+        if type(event_id) is not int or not 0 <= event_id <= MAX_NUMERIC_VALUE:
+            check_u64(event_id, "event_id")
         if not isinstance(triplet, Triplet):
             raise ModelError("triplet must be a Triplet")
         if not isinstance(attribute, AttributeKind):
             raise ModelError("attribute must be an AttributeKind")
         check_value(attribute, value)
-        if type(timestamp) is not int and (
-                isinstance(timestamp, bool) or not isinstance(timestamp, int)):
-            raise ModelError("timestamp must be an integer")
-        if timestamp < 0:
-            raise ModelError("timestamp must be non-negative")
+        if type(timestamp) is not int or not 0 <= timestamp <= MAX_NUMERIC_VALUE:
+            check_u64(timestamp, "timestamp")
         if type(parent_ids) is not tuple:
             parent_ids = tuple(parent_ids)
         for pid in parent_ids:
-            if type(pid) is not int and (
-                    isinstance(pid, bool) or not isinstance(pid, int)) or pid < 0:
-                raise ModelError("parent ids must be non-negative integers")
+            if type(pid) is not int or not 0 <= pid <= MAX_NUMERIC_VALUE:
+                check_u64(pid, "parent id")
         _set_event_id(self, event_id)
         _set_triplet(self, triplet)
         _set_attribute(self, attribute)

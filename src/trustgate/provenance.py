@@ -22,6 +22,7 @@ from .model import (
     Severity,
     event_to_obj,
     format_json,
+    is_int,
     load_json,
 )
 
@@ -55,7 +56,7 @@ class AlertRule:
         if self.op not in COMPARATORS:
             raise GraphError(f"unknown comparator {self.op!r}")
         if self.attribute.numeric:
-            if isinstance(self.threshold, bool) or not isinstance(self.threshold, int):
+            if not is_int(self.threshold):
                 raise GraphError(
                     f"rule {self.rule_name}: numeric attribute needs an "
                     f"integer threshold"

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .model import load_json
+from .model import is_int, load_json
 
 LEDGER_SEPARATOR = "→"  # "p→q" keys in the wire format
 
@@ -247,7 +247,7 @@ def ledger_from_obj(obj: object) -> InteractionLedger:
         sat = value["sat"]
         unsat = value["unsat"]
         for count in (sat, unsat):
-            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            if not is_int(count) or count < 0:
                 raise ReputationError(f"counts for {key!r} must be non-negative")
         entries.append((parts[0], parts[1], sat, unsat))
     ledger = InteractionLedger(peers=tuple(sorted(peers)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .model import format_json, load_json
+from .model import format_json, is_int, load_json
 
 DEFAULT_PRIME = 2**61 - 1
 
@@ -331,7 +331,7 @@ def share_from_obj(obj: object) -> Share:
     if not isinstance(obj["scheme_id"], str):
         raise ShareError("share scheme_id must be a string")
     for name in ("prime", "n", "z", "x", "y"):
-        if isinstance(obj[name], bool) or not isinstance(obj[name], int):
+        if not is_int(obj[name]):
             raise ShareError(f"share {name} must be an integer")
     FieldParams(obj["prime"])
     return Share(

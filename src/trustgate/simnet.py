@@ -45,10 +45,12 @@ from .model import (
     ModelError,
     Severity,
     Triplet,
+    check_u64,
     check_value,
     event_line,
     format_json,
     identity_text,
+    is_int,
     load_json,
     pair_text,
     scan_lines,
@@ -137,7 +139,7 @@ class AttributeProfile:
         if not self.values:
             raise ScenarioError("attribute profile needs at least one value")
         for _, weight in self.values:
-            if isinstance(weight, bool) or not isinstance(weight, int) or weight <= 0:
+            if not is_int(weight) or weight <= 0:
                 raise ScenarioError("value weights must be positive integers")
         # A draw scales a float in [0, 1) by the total, as rng.choices does.
         if sum(w for _, w in self.values) > _FLOAT_MAX:
@@ -213,8 +215,9 @@ class ScenarioConfig:
             _check_integer(getattr(self, name), name)
         for name in ("damping", "epsilon"):
             _check_number(getattr(self, name), name)
-        if self.duration < 0:
-            raise ScenarioError("duration must be non-negative")
+        # Every time a run draws is below its duration, so a duration
+        # held to the event rule gives every event a time it can carry.
+        check_u64(self.duration, "duration", ScenarioError)
         device_ids = [d.device_id for d in self.devices]
         if len(set(device_ids)) != len(device_ids):
             raise ScenarioError("duplicate device ids")
@@ -234,7 +237,7 @@ class ScenarioConfig:
                     window.node not in known and window.node not in approver_ids):
                 raise ScenarioError(f"unknown failure node {window.node}")
             down = [window.start, window.end]
-            if any(isinstance(t, bool) or not isinstance(t, int) for t in down):
+            if not all(map(is_int, down)):
                 raise ScenarioError(
                     f"failures[{i}].down must be two integers, got {down!r}")
             if not 0 <= window.start <= window.end <= self.duration:
@@ -314,7 +317,7 @@ def _check_integer(value: object, where: str) -> int:
     """Return ``value`` if it is an int but not a bool; otherwise raise
     ScenarioError naming ``where``."""
 
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_int(value):
         raise ScenarioError(f"{where} must be an integer, got {value!r}")
     return value
 
@@ -323,7 +326,7 @@ def _check_number(value: object, where: str) -> int | float:
     """Return ``value`` if it is an int or float but not a bool;
     otherwise raise ScenarioError naming ``where``."""
 
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not (is_int(value) or isinstance(value, float)):
         raise ScenarioError(f"{where} must be a number, got {value!r}")
     return value
 
@@ -344,11 +347,7 @@ def _check_draws(rate: float, duration: int, where: str) -> None:
     """Raise ScenarioError naming ``where`` unless ``rate * duration``, the
     most draws a profile can ask of one device, is a finite float."""
 
-    try:
-        finite = math.isfinite(rate * duration)
-    except OverflowError:  # a duration past the float range
-        finite = False
-    if not finite:
+    if not math.isfinite(rate * duration):
         raise ScenarioError(
             f"{where} times duration must be finite, got {rate!r} x {duration}")
 
@@ -1109,8 +1108,7 @@ class _Loop:
             for pair in self.pairs
         ]
         self.hot = HotStore(None)
-        # A duration past 64 bits can draw times that no array holds.
-        self.times = array("Q") if config.duration <= 2**64 else []
+        self.times = array("Q")
         self.triplet_of = array("Q")
         self.pair_of = array("I")
         self.parents = array("q")
@@ -1265,7 +1263,7 @@ def _alert_chains(loop: _Loop, rules: Sequence[AlertRule]) -> list[EdrEvent]:
     """
 
     parents = np.frombuffer(loop.parents, dtype=np.int64)
-    times = np.asarray(loop.times)  # object dtype past 64 bits
+    times = np.frombuffer(loop.times, dtype=np.uint64)
     children = np.flatnonzero(parents >= 0)
     of = parents[children]
     faults = children[(of >= children)

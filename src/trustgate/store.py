@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .model import MAX_NUMERIC_VALUE, AttributeKind, EdrEvent, Triplet
+from .model import AttributeKind, EdrEvent, Triplet
 from .logcodec import (
     AttributeRecord,
     PatternTable,
@@ -55,8 +55,7 @@ class HotStore:
     its time range and builds its dict from that slice of the pairs. An
     event past its triplet's last, as the simulator and a time ordered
     log append them, costs one comparison; any other is inserted in
-    place. A triplet's ids and timestamps become lists at its first
-    value past the unsigned 64-bit range.
+    place.
 
     The store trusts its caller: it keeps no id set and no parentage,
     which no window reads, so the events appended must form a log that
@@ -90,10 +89,6 @@ class HotStore:
         columns = self._by_triplet.get(triplet)
         if columns is None:
             columns = self._by_triplet[triplet] = (array("Q"), array("Q"), [])
-        if (timestamp > MAX_NUMERIC_VALUE or event_id > MAX_NUMERIC_VALUE
-                ) and isinstance(columns[0], array):
-            columns = self._by_triplet[triplet] = (
-                list(columns[0]), list(columns[1]), columns[2])
         times, ids, pairs = columns
         if times and (timestamp < times[-1] or (
                 timestamp == times[-1] and event_id <= ids[-1])):

@@ -11,7 +11,7 @@ import pytest
 from trustgate import cli, logcodec
 from trustgate.cli import main
 from trustgate.engine import policy_to_obj
-from trustgate.model import write_events
+from trustgate.model import dumps_event, write_events
 from trustgate.reputation import InteractionLedger
 from trustgate.engine import ResourceSpec
 from trustgate.simnet import (
@@ -410,6 +410,32 @@ class TestScore:
         )
         # (105, 120] contains events at 110 and 120; the later one wins.
         assert result["window_attributes"] == {"io_operation_count": 1}
+
+    @pytest.mark.parametrize("now", ["-3", str(2**64)])
+    def test_now_outside_64_bits_exits_1(self, capsys, events_path,
+                                         policy_path, now):
+        code, out, err = run_cli(
+            capsys, "score",
+            "--events", str(events_path), "--policy", str(policy_path),
+            "--triplet", "user-a,dev-a,res-a", "--now", now,
+        )
+        assert (code, out, err) == (
+            1, "", f"error: now {now} outside the unsigned 64-bit range\n")
+
+    def test_time_past_64_bits_in_log_exits_1(self, capsys, tmp_path,
+                                              policy_path):
+        path = tmp_path / "events.jsonl"
+        write_events(path, [make_event(0, 100)])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(dumps_event(make_event(1, 110)).replace(
+                '"ts": 110', '"ts": 18446744073709551616') + "\n")
+        code, out, err = run_cli(
+            capsys, "score", "--events", str(path),
+            "--policy", str(policy_path), "--triplet", "user-a,dev-a,res-a",
+        )
+        assert (code, out, err) == (
+            1, "", "error: line 2: timestamp 18446744073709551616 outside "
+                   "the unsigned 64-bit range\n")
 
     def test_malformed_triplet_is_domain_error(self, capsys, events_path,
                                                policy_path):
@@ -907,6 +933,9 @@ MALFORMED_TRACE_LINES = {
     "now_null": '{"triplet": ["u", "d", "r"], "now": null}',
     "now_bool": '{"triplet": ["u", "d", "r"], "now": true}',
     "now_float": '{"triplet": ["u", "d", "r"], "now": 1.5}',
+    "now_negative": '{"triplet": ["u", "d", "r"], "now": -1}',
+    "now_past_64_bits":
+        '{"triplet": ["u", "d", "r"], "now": 18446744073709551616}',
     "triplet_string": '{"triplet": "udr", "now": 0}',
     "triplet_two_ids": '{"triplet": ["u", "d"], "now": 0}',
     "triplet_four_ids": '{"triplet": ["u", "d", "r", "x"], "now": 0}',
@@ -957,6 +986,16 @@ class TestCacheBench:
             "cache_hit": 2, "store_hit": 0, "recomputed": 2,
         }
         assert result["max_served_age"] == 20
+
+    def test_negative_now_names_its_line(self, capsys, tmp_path):
+        # A query time is a time: it is held to the event integer rule.
+        trace = tmp_path / "trace.jsonl"
+        trace.write_bytes(TRACE_ROW + b"\n" + TRACE_ROW + b"\n"
+                          + b'{"triplet": ["u", "d", "r"], "now": -5}\n')
+        code, out, err = run_cli(capsys, "cache-bench", "--trace", str(trace))
+        assert (code, out, err) == (
+            1, "", "error: trace line 3: now -5 outside the unsigned 64-bit "
+                   "range\n")
 
     def test_bad_trace_line(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"

@@ -186,7 +186,7 @@ class TestRecordsFromEvents:
                              ids=INVALID_VALUES)
     def test_invalid_value_rejected(self, value):
         key = json.dumps({"io_operation_count": value}, separators=(",", ":"))
-        with pytest.raises(CodecError, match="must be a string or an integer"):
+        with pytest.raises(CodecError, match="value must be an integer"):
             record_from_key(key)
 
 
@@ -397,21 +397,21 @@ CORRUPT_ARCHIVES = {
     "key_with_bool_value": (
         raw_archive([('{"io_operation_count":true}', 1, b"\x00")], 1,
                     b"\x00"),
-        "attribute io_operation_count value must be a string or an integer, "
-        "not True",
+        "pattern key '{\"io_operation_count\":true}': attribute "
+        "io_operation_count value must be an integer",
     ),
     "key_with_fraction_value": (
         raw_archive([('{"io_operation_count":1.5}', 1, b"\x00")], 1,
                     b"\x00"),
-        "attribute io_operation_count value must be a string or an integer, "
-        "not 1.5",
+        "pattern key '{\"io_operation_count\":1.5}': attribute "
+        "io_operation_count value must be an integer",
     ),
     # A key decodes only to a record an event can carry.
     "key_with_string_for_numeric_kind": (
         raw_archive([('{"io_operation_count":"x"}', 1, b"\x00")], 1,
                     b"\x00"),
         "pattern key '{\"io_operation_count\":\"x\"}': attribute "
-        "io_operation_count expects an integer value",
+        "io_operation_count value must be an integer",
     ),
     "key_with_negative_value": (
         raw_archive([('{"io_operation_count":-1}', 1, b"\x00")], 1,
@@ -523,7 +523,7 @@ class TestCorruptArchives:
     def test_invalid_value_in_pattern_key(self, value):
         key = json.dumps({"io_operation_count": value}, separators=(",", ":"))
         data = raw_archive([(key, 1, b"\x00")], 1, b"\x00")
-        with pytest.raises(CodecError, match="must be a string or an integer"):
+        with pytest.raises(CodecError, match="value must be an integer"):
             archive_from_bytes(data)
 
     def test_non_canonical_pattern_key(self):

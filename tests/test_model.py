@@ -77,12 +77,13 @@ MALFORMED_EVENT_LINES = [
      "line 2: event_id must be an integer"),
     ("float_ts", _line(ts=1.5), "line 2: timestamp must be an integer"),
     ("bool_ts", _line(ts=True), "line 2: timestamp must be an integer"),
-    ("negative_ts", _line(ts=-1), "line 2: timestamp must be non-negative"),
+    ("negative_ts", _line(ts=-1),
+     "line 2: timestamp -1 outside the unsigned 64-bit range"),
     ("value_above_u64", _line(value=MAX_NUMERIC_VALUE + 1),
      "line 2: attribute io_operation_count value 18446744073709551616 "
      "outside the unsigned 64-bit range"),
     ("string_for_numeric", _line(value="5"),
-     "line 2: attribute io_operation_count expects an integer value"),
+     "line 2: attribute io_operation_count value must be an integer"),
     ("empty_categorical",
      _line(attribute="frequent_external_network_id", value=""),
      "line 2: attribute frequent_external_network_id expects a non-empty "
@@ -90,9 +91,9 @@ MALFORMED_EVENT_LINES = [
     ("parents_not_list", _line(parents=3),
      "line 2: parents must be a list of event ids"),
     ("bool_parent", _line(parents=[True]),
-     "line 2: parent ids must be non-negative integers"),
+     "line 2: parent id must be an integer"),
     ("negative_parent", _line(parents=[0, -1]),
-     "line 2: parent ids must be non-negative integers"),
+     "line 2: parent id -1 outside the unsigned 64-bit range"),
     ("blank_line_counts", "\n" + _line(user=""),
      "line 3: user_id must be a non-empty string"),
     ("nested_too_deep", "[" * 200_000,
@@ -261,44 +262,38 @@ class TestConstructionEdgeCases:
             assert not hasattr(obj, "__dict__")
 
 
+def reference_u64(value, what):
+    """The event integer rule, written out: an int that is not a bool,
+    in [0, 2**64 - 1]."""
+
+    if type(value) is bool or not isinstance(value, int):
+        raise ModelError(f"{what} must be an integer")
+    if not 0 <= value <= 2**64 - 1:
+        raise ModelError(f"{what} {value} outside the unsigned 64-bit range")
+
+
 def reference_checks(event_id, triplet, attribute, value, timestamp,
                      parent_ids=()):
-    """The checks of EdrEvent's former ``__post_init__``, in their order
-    with their messages, as a function of the field values. Returns the
-    parent ids as the event stores them."""
+    """EdrEvent's checks, in their order with their messages, as a
+    function of the field values: every id, time and numeric value is an
+    unsigned 64-bit int. Returns the parent ids as the event stores
+    them."""
 
-    if type(event_id) is not int and (
-            isinstance(event_id, bool) or not isinstance(event_id, int)):
-        raise ModelError("event_id must be an integer")
-    if event_id < 0:
-        raise ModelError("event_id must be non-negative")
+    reference_u64(event_id, "event_id")
     if not isinstance(triplet, Triplet):
         raise ModelError("triplet must be a Triplet")
     if not isinstance(attribute, AttributeKind):
         raise ModelError("attribute must be an AttributeKind")
     if attribute.numeric:
-        if type(value) is not int and (
-                isinstance(value, bool) or not isinstance(value, int)):
-            raise ModelError(
-                f"attribute {attribute.value} expects an integer value")
-        if not 0 <= value <= MAX_NUMERIC_VALUE:
-            raise ModelError(
-                f"attribute {attribute.value} value {value} outside the "
-                f"unsigned 64-bit range")
+        reference_u64(value, f"attribute {attribute.value} value")
     elif not isinstance(value, str) or not value:
         raise ModelError(
             f"attribute {attribute.value} expects a non-empty string value")
-    if type(timestamp) is not int and (
-            isinstance(timestamp, bool) or not isinstance(timestamp, int)):
-        raise ModelError("timestamp must be an integer")
-    if timestamp < 0:
-        raise ModelError("timestamp must be non-negative")
+    reference_u64(timestamp, "timestamp")
     if type(parent_ids) is not tuple:
         parent_ids = tuple(parent_ids)
     for pid in parent_ids:
-        if type(pid) is not int and (
-                isinstance(pid, bool) or not isinstance(pid, int)) or pid < 0:
-            raise ModelError("parent ids must be non-negative integers")
+        reference_u64(pid, "parent id")
     return parent_ids
 
 
@@ -339,8 +334,7 @@ def _outcome(build, values):
 
 class TestConstructor:
     """The hand-written constructor accepts and refuses exactly where the
-    former ``__post_init__`` did, and the type keeps its dataclass
-    behaviour."""
+    reference checks do, and the type keeps its dataclass behaviour."""
 
     def test_matches_the_reference_checks(self):
         rng = random.Random(11)
@@ -379,7 +373,8 @@ class TestConstructor:
             3, 9, value=7, parents=(1,))
         with pytest.raises(ModelError) as info:
             dataclasses.replace(event, timestamp=-1)
-        assert str(info.value) == "timestamp must be non-negative"
+        assert str(info.value) == (
+            "timestamp -1 outside the unsigned 64-bit range")
 
     @pytest.mark.parametrize(
         "name", [field.name for field in dataclasses.fields(EdrEvent)])

@@ -1,8 +1,9 @@
 """The package's export list: every name in ``__all__`` resolves; no
 module binds an import it never uses; every public top-level function
 and class has a reader outside the tests; JSON documents are read in
-one place and written in one format; ``EdrEvent``'s hand-written
-constructor takes exactly its fields."""
+one place and written in one format; only ``model`` tells a bool from
+an int; ``EdrEvent``'s hand-written constructor takes exactly its
+fields."""
 
 from __future__ import annotations
 
@@ -137,6 +138,37 @@ def test_only_model_formats_json_documents():
     package = Path(trustgate.__file__).parent
     found = {
         path.name: json_format_lines(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+        if path.name != "model.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def bool_guard_lines(source: str) -> list[int]:
+    """Lines of the ``isinstance`` calls that name ``bool``."""
+
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and any(isinstance(n, ast.Name) and n.id == "bool"
+                for arg in node.args[1:] for n in ast.walk(arg)))
+
+
+def test_bool_guard_scan_finds_calls():
+    source = (
+        "isinstance(x, bool)\nisinstance(x, int)\n"
+        "isinstance(x, (int, bool))\ntype(x) is bool\nbool(x)\n"
+    )
+    assert bool_guard_lines(source) == [1, 3]
+
+
+def test_only_model_tells_bools_from_ints():
+    # bool is an int subclass; model.is_int is the one test that tells
+    # them apart.
+    package = Path(trustgate.__file__).parent
+    found = {
+        path.name: bool_guard_lines(path.read_text(encoding="utf-8"))
         for path in sorted(package.glob("*.py"))
         if path.name != "model.py"
     }

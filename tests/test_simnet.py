@@ -17,6 +17,7 @@ import pytest
 
 from trustgate.engine import PolicyError, parse_audit_line
 from trustgate.model import (
+    MAX_NUMERIC_VALUE,
     AttributeKind,
     EdrEvent,
     Severity,
@@ -146,7 +147,7 @@ NESTED_TYPE_CASES = [
      lambda o: o["benign_profile"]["attributes"]["io_operation_count"]
      .update(values=[[3, 1], [True, 1]]),
      "benign_profile.attributes.io_operation_count.values[1]: attribute "
-     "io_operation_count expects an integer value"),
+     "io_operation_count value must be an integer"),
     ("profile_value_empty_network_id",
      lambda o: o["benign_profile"]["attributes"].update(
          frequent_external_network_id={"rate": 0.01, "values": [["", 1]]}),
@@ -235,8 +236,13 @@ NESTED_TYPE_CASES = [
      "got 1e+306 x 900"),
     ("duration_past_float_range",
      lambda o: o.update(duration=10**400),
-     "benign_profile.request_rate times duration must be finite, "
-     f"got 0.008 x {10**400}"),
+     f"duration {10**400} outside the unsigned 64-bit range"),
+    ("duration_past_64_bits",
+     lambda o: o.update(duration=2**64 + 1),
+     "duration 18446744073709551617 outside the unsigned 64-bit range"),
+    ("duration_negative",
+     lambda o: o.update(duration=-1),
+     "duration -1 outside the unsigned 64-bit range"),
     ("resource_threshold_past_float_range",
      lambda o: o["resources"][0].update(threshold=10**400),
      "malformed scenario: int too large to convert to float"),
@@ -1175,9 +1181,10 @@ class TestSchedule:
         assert schedule != sorted(drawn)
 
     def test_far_apart_times_keep_distinct_keys(self):
-        # Times near 2**70: a key 3 * t + priority must not fold one
+        # The last times a run can draw, below a duration of 2**64 - 1:
+        # a key 3 * t + priority, past 64 bits, must not fold one
         # (time, priority) into another, and must sort as the pair does.
-        times = (2**70 - 1, 2**70)
+        times = (2**64 - 3, 2**64 - 2)
         pairs = [(t, p) for t in times for p in (0, 1, 2)]
         keys = [3 * t + p for t, p in pairs]
         assert [divmod(k, 3) for k in keys] == pairs
@@ -1187,12 +1194,15 @@ class TestSchedule:
                 rate=3.0, values=((3, 1), (5, 1)))},
             request_rate=3.0,
         )
-        config = one_device(busy, 2**70 - 1, 2, ["res-a", "res-b"],
+        config = one_device(busy, 2**64 - 3, 2, ["res-a", "res-b"],
                             refresh_interval=2**71)
+        assert config.duration == MAX_NUMERIC_VALUE
         drawn = expand(config, _schedule(config, random.Random(5)))
         assert drawn == oracle_schedule(config, random.Random(5))
         assert {a[:2] for a in drawn[1:]} == {
             (t, p) for t, p in pairs if p != _PRIORITY_SWEEP}
+        with pytest.raises(ScenarioError, match="^duration 18446744073709551616 "):
+            one_device(busy, 2**64 - 2, 2, ["res-a"])
 
     def test_schedule_memory_per_action(self):
         # Each action is one int in its slot's list: at 1000 reference
@@ -1409,20 +1419,26 @@ class TestColumnLog:
             _reduction(loop, default_rules())
 
     def test_times_past_64_bits(self, tmp_path):
-        # The store's time column turns into a list; the log and the
-        # replay read the same as at smaller times.
+        # A run's times lie below its duration, which is an unsigned
+        # 64-bit int: a run that ends at the maximum logs and replays as
+        # at smaller times, and a duration past it is refused.
         profile = BehaviorProfile(
             attributes={AttributeKind.IO_OPERATION_COUNT: AttributeProfile(
-                rate=3 / 2**70, values=((3, 1), (5, 1)))},
-            request_rate=2 / 2**70,
+                rate=3 / 2**10, values=((3, 1), (5, 1)))},
+            request_rate=2 / 2**10,
         )
-        config = one_device(profile, 0, 2**70, ["res-a"],
+        start = MAX_NUMERIC_VALUE - 2**10
+        config = one_device(profile, start, 2**10, ["res-a"],
                             refresh_interval=2**69)
         report = run(config, tmp_path)
         events = read_events(tmp_path / "events.jsonl")
         assert [e.event_id for e in events] == [0, 1, 2]
-        assert max(e.timestamp for e in events) > 2**64
+        assert all(start <= e.timestamp < MAX_NUMERIC_VALUE for e in events)
         assert replay(tmp_path) == report
+        with pytest.raises(ScenarioError) as info:
+            one_device(profile, start, 2**10 + 1, ["res-a"])
+        assert str(info.value) == (
+            "duration 18446744073709551616 outside the unsigned 64-bit range")
 
     def test_simulate_memory(self):
         # At 1000 reference devices the log's columns, the store's

@@ -13,7 +13,9 @@ from trustgate.cli import main
 from trustgate.engine import DEFAULT_QUORUM, ResourceSpec
 from trustgate.logcodec import average_length, decode, encode
 from trustgate.model import (
+    MAX_NUMERIC_VALUE,
     AttributeKind,
+    ModelError,
     Severity,
     Triplet,
     read_events,
@@ -253,20 +255,25 @@ class TestWindowOracle:
         check_windows(rng, HotStore(read), events, 300)
 
     def test_ids_and_times_past_64_bits(self):
-        # A triplet's columns turn into lists at its first value past
-        # the unsigned 64-bit range; windows read them as before.
+        # Ids and times up to the unsigned 64-bit maximum fill the array
+        # columns, and windows read them as at small values; an event
+        # past the maximum is refused before it reaches a store.
         rng = random.Random(5)
-        base = 2**64 - 20
-        events = [make_event(base + i, base + rng.randrange(40),
+        top = MAX_NUMERIC_VALUE
+        events = [make_event(top - i, top - rng.randrange(40),
                              rng.choice(WINDOW_KINDS[:2]), rng.randrange(50),
                              triplet=rng.choice(WINDOW_TRIPLETS))
                   for i in range(200)]
+        events.append(make_event(top - 200, top))
         rng.shuffle(events)
         store = HotStore(events)
-        assert {type(column) for times, ids, _ in store._by_triplet.values()
-                for column in (times, ids)} == {list}
+        assert {column.typecode for times, ids, _ in store._by_triplet.values()
+                for column in (times, ids)} == {"Q"}
         check_held(store, events)
-        check_windows(rng, store, events, 300, base - 3, base + 46)
+        check_windows(rng, store, events, 300, top - 45, top + 1)
+        for args in ((top + 1, 0), (0, top + 1)):
+            with pytest.raises(ModelError, match="outside the unsigned"):
+                make_event(*args)
 
     def test_equal_keys_keep_the_first_appended(self):
         # Duplicate (timestamp, id) pairs: the store trusts its caller,
