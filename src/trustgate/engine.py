@@ -23,7 +23,17 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Protocol
 
-from .model import Alert, AttributeKind, Severity, Triplet, is_int, load_json
+from .model import (
+    MAX_NUMERIC_VALUE,
+    Alert,
+    AttributeKind,
+    Severity,
+    Triplet,
+    check_id,
+    check_u64,
+    is_int,
+    load_json,
+)
 from .secretshare import Share, ShareError, ThresholdPolicy, reconstruct
 
 SENSITIVITY_STANDARD = "standard"
@@ -137,9 +147,7 @@ class ResourceSpec:
     sensitivity: str = SENSITIVITY_STANDARD
 
     def __post_init__(self) -> None:
-        if not isinstance(self.resource_id, str) or not self.resource_id:
-            raise PolicyError(
-                f"resource_id must be a non-empty string, got {self.resource_id!r}")
+        check_id(self.resource_id, "resource_id", PolicyError)
         if not 0.0 <= self.threshold <= 1.0:
             raise PolicyError(
                 f"threshold for {self.resource_id} must lie in [0, 1]"
@@ -556,8 +564,7 @@ def parse_audit_line(line: str) -> dict:
     obj = json.loads(line)
     if not isinstance(obj, dict) or obj.keys() != _AUDIT_FIELDS:
         raise EngineError("malformed audit record")
-    if not is_int(obj["ts"]):
-        raise EngineError(f"malformed audit ts {obj['ts']!r}")
+    check_u64(obj["ts"], "ts", EngineError)
     if obj["verdict"] not in ("grant", "deny"):
         raise EngineError(f"malformed audit verdict {obj['verdict']!r}")
     if not isinstance(obj["triplet"], list) or len(obj["triplet"]) != 3:
@@ -629,10 +636,11 @@ def scan_audit_lines(lines: list[bytes]) -> list[AuditRecord] | None:
         verdict, reasons = decision
         score = None if score == "null" else float(score)
         theta = float(theta)
-        if _audit_fault(verdict, reasons, score, theta) is not None:
+        ts = int(ts)
+        if (ts > MAX_NUMERIC_VALUE
+                or _audit_fault(verdict, reasons, score, theta) is not None):
             return None
-        append((int(ts), (user, device, resource), verdict, reasons, score,
-                theta))
+        append((ts, (user, device, resource), verdict, reasons, score, theta))
     return records
 
 

@@ -81,6 +81,16 @@ def check_u64(value: object, what: str,
         raise error(f"{what} {value} outside the unsigned 64-bit range")
 
 
+def check_id(value: object, what: str,
+             error: type[ValueError] = ModelError) -> None:
+    """Raise ``error`` naming ``what`` unless ``value`` is a non-empty
+    str. Every user, device, resource and rule id is held to this one
+    rule."""
+
+    if not isinstance(value, str) or not value:
+        raise error(f"{what} must be a non-empty string, got {value!r}")
+
+
 def check_value(attribute: AttributeKind, value: object) -> None:
     """Raise ModelError unless an event of kind ``attribute`` can carry
     ``value``: an unsigned 64-bit int for a numeric kind, a non-empty str
@@ -115,12 +125,14 @@ class Triplet(tuple):
     __slots__ = ()
 
     def __new__(cls, user_id: str, device_id: str, resource_id: str) -> Triplet:
-        if not isinstance(user_id, str) or not user_id:
-            raise ModelError("user_id must be a non-empty string")
-        if not isinstance(device_id, str) or not device_id:
-            raise ModelError("device_id must be a non-empty string")
-        if not isinstance(resource_id, str) or not resource_id:
-            raise ModelError("resource_id must be a non-empty string")
+        # Each id is held to check_id; the exact type is tested inline
+        # first, which is the common case.
+        if type(user_id) is not str or not user_id:
+            check_id(user_id, "user_id")
+        if type(device_id) is not str or not device_id:
+            check_id(device_id, "device_id")
+        if type(resource_id) is not str or not resource_id:
+            check_id(resource_id, "resource_id")
         return tuple.__new__(cls, (user_id, device_id, resource_id))
 
     user_id = property(itemgetter(0))
@@ -200,12 +212,11 @@ class Alert:
     rule_name: str
 
     def __post_init__(self) -> None:
-        if self.alert_id < 0 or self.event_id < 0:
-            raise ModelError("alert_id and event_id must be non-negative")
+        check_u64(self.alert_id, "alert_id")
+        check_u64(self.event_id, "event_id")
         if not isinstance(self.severity, Severity):
             raise ModelError("severity must be a Severity")
-        if not self.rule_name:
-            raise ModelError("rule_name must be non-empty")
+        check_id(self.rule_name, "rule_name")
 
 
 # --- JSON Lines wire format -------------------------------------------------

@@ -20,6 +20,7 @@ from .model import (
     AttributeKind,
     EdrEvent,
     Severity,
+    check_id,
     event_to_obj,
     format_json,
     is_int,
@@ -50,9 +51,7 @@ class AlertRule:
     severity: Severity
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rule_name, str) or not self.rule_name:
-            raise GraphError(
-                f"rule_name must be a non-empty string, got {self.rule_name!r}")
+        check_id(self.rule_name, "rule_name", GraphError)
         if self.op not in COMPARATORS:
             raise GraphError(f"unknown comparator {self.op!r}")
         if self.attribute.numeric:

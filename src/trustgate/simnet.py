@@ -45,6 +45,7 @@ from .model import (
     ModelError,
     Severity,
     Triplet,
+    check_id,
     check_u64,
     check_value,
     event_line,
@@ -168,11 +169,8 @@ class DeviceSpec:
     user_id: str
 
     def __post_init__(self) -> None:
-        for name in ("device_id", "user_id"):
-            value = getattr(self, name)
-            if not isinstance(value, str) or not value:
-                raise ScenarioError(
-                    f"{name} must be a non-empty string, got {value!r}")
+        check_id(self.device_id, "device_id", ScenarioError)
+        check_id(self.user_id, "user_id", ScenarioError)
 
 
 @dataclass(frozen=True)
@@ -229,8 +227,9 @@ class ScenarioConfig:
             if not 0 <= plan.start_time < max(self.duration, 1):
                 raise ScenarioError("compromise start must fall inside the run")
         if self.policy.quorum.n > MAX_APPROVERS:
-            raise ScenarioError(f"approvers.n must be at most {MAX_APPROVERS}, "
-                                f"got {self.policy.quorum.n}")
+            raise ScenarioError(
+                f"policy.quorum.n must be at most {MAX_APPROVERS}, "
+                f"got {self.policy.quorum.n}")
         approver_ids = set(self.approver_ids())
         for i, window in enumerate(self.failures):
             if not isinstance(window.node, str) or (
@@ -405,14 +404,6 @@ def config_to_obj(config: ScenarioConfig) -> dict:
             {"device_id": d.device_id, "user_id": d.user_id}
             for d in config.devices
         ],
-        "resources": [
-            {
-                "resource_id": r.resource_id,
-                "threshold": r.threshold,
-                "sensitivity": r.sensitivity,
-            }
-            for r in config.policy.resources.values()
-        ],
         "benign_profile": _profile_to_obj(config.benign),
         "compromises": [
             {
@@ -426,7 +417,6 @@ def config_to_obj(config: ScenarioConfig) -> dict:
             {"node": w.node, "down": [w.start, w.end]}
             for w in config.failures
         ],
-        "approvers": {"n": config.policy.quorum.n, "z": config.policy.quorum.z},
         "pretrusted": list(config.pretrusted),
         "policy": policy_to_obj(config.policy),
         "alert_rules": [rule_to_obj(r) for r in config.alert_rules],
@@ -447,9 +437,11 @@ _TUNABLES = (
 def config_from_obj(obj: object) -> ScenarioConfig:
     """Parse a scenario document; any malformed part raises ScenarioError.
 
-    The ``"resources"`` list is the resource registry. A ``"policy"``
-    block, when given, must list the same thresholds and sensitivity
-    levels.
+    The ``"policy"`` block is a whole policy document, the format
+    ``load_policy`` reads: it holds the resource registry (each
+    resource's threshold and sensitivity) and the approver quorum. A
+    scenario without one gets ``default_policy()``, which registers no
+    resource.
     """
 
     try:
@@ -467,9 +459,8 @@ def _config_from_obj(obj: object) -> ScenarioConfig:
     if not isinstance(obj, dict):
         raise ScenarioError("scenario must be a JSON object")
     allowed = {
-        "seed", "duration", "devices", "resources", "benign_profile",
-        "compromises", "failures", "approvers", "pretrusted", "policy",
-        "alert_rules", *_TUNABLES,
+        "seed", "duration", "devices", "benign_profile", "compromises",
+        "failures", "pretrusted", "policy", "alert_rules", *_TUNABLES,
     }
     unknown = set(obj) - allowed
     if unknown:
@@ -491,33 +482,9 @@ def _config_from_obj(obj: object) -> ScenarioConfig:
             DeviceSpec(device_id=d["device_id"], user_id=d["user_id"])
             for d in devices_spec
         )
-    resources_obj = obj.get("resources", [])
-    if not isinstance(resources_obj, list):
-        raise ScenarioError("resources must be a list")
-    resources = tuple(
-        ResourceSpec(
-            resource_id=r["resource_id"],
-            threshold=float(r["threshold"]),
-            sensitivity=r.get("sensitivity", SENSITIVITY_STANDARD),
-        )
-        for r in resources_obj
-    )
-    quorum = DEFAULT_QUORUM
-    if "approvers" in obj:
-        quorum = ThresholdPolicy(n=obj["approvers"]["n"], z=obj["approvers"]["z"])
     policy_obj = obj.get("policy")
-    if policy_obj is None:
-        policy = default_policy(quorum=quorum, resources=resources)
-    else:
-        policy = policy_from_obj(policy_obj)
-        if policy.resources != {r.resource_id: r for r in resources}:
-            raise ScenarioError(
-                "policy thresholds and sensitivity must agree with the "
-                "resources list"
-            )
-        if policy.quorum != quorum:
-            raise ScenarioError("approvers must match the policy quorum")
-        policy = replace(policy, resources=resources)
+    policy = (policy_from_obj(policy_obj) if policy_obj is not None
+              else default_policy())
     rules_obj = obj.get("alert_rules")
     rules = (
         tuple(rule_from_obj(r) for r in rules_obj)
@@ -940,12 +907,16 @@ def _audit_row(
     config: ScenarioConfig, devices: frozenset[str], line: str
 ) -> _AuditRow:
     """One audit line as a row, for a scenario with device ids
-    ``devices``. A malformed line, one naming a device or resource
-    outside the scenario, or one whose theta is not the policy's
-    threshold for its resource raises a ValueError that replay prefixes
-    with the line number."""
+    ``devices``. A malformed line, one timed outside the run or naming a
+    device or resource outside the scenario, or one whose theta is not
+    the policy's threshold for its resource raises a ValueError that
+    replay prefixes with the line number."""
 
     obj = parse_audit_line(line)
+    # Every request is drawn in [0, duration).
+    if obj["ts"] >= config.duration:
+        raise ReplayError(
+            f"ts {obj['ts']} outside the run [0, {config.duration})")
     device_id = obj["triplet"][1]
     if not isinstance(device_id, str) or device_id not in devices:
         raise ReplayError(f"unknown device {device_id!r}")
@@ -972,10 +943,11 @@ def _scan_audit_rows(
     if records is None:
         return None
     resources = config.policy.resources
+    duration = config.duration
     rows = []
     for ts, (_, device_id, resource_id), verdict, _, _, theta in records:
         spec = resources.get(resource_id)
-        if (device_id not in devices or spec is None
+        if (ts >= duration or device_id not in devices or spec is None
                 or theta != spec.threshold):
             return None
         rows.append(_AuditRow(ts, device_id, verdict == "grant"))

@@ -146,16 +146,18 @@ class TestSimulateReplay:
                     == (tmp_path / "b" / name).read_bytes()), name
 
 
-def _empty_policy_registry(obj: dict) -> None:
-    obj["policy"]["thresholds"] = {}
-    obj["policy"]["sensitivity"] = {}
-
-
 MALFORMED_SCENARIOS = {
-    "resource_without_id": lambda o: o["resources"][0].pop("resource_id"),
+    # A scenario's registry and quorum live only in its policy block.
+    "resources": lambda o: o.update(resources=[
+        {"resource_id": "res-open", "threshold": 0.5,
+         "sensitivity": "standard"}]),
+    "approvers": lambda o: o.update(approvers={"n": 5, "z": 3}),
+    "resource_without_id":
+        lambda o: o["policy"]["thresholds"].update({"": 0.5}),
     "resource_without_threshold":
-        lambda o: o["resources"][0].pop("threshold"),
-    "resources_not_a_list": lambda o: o.update(resources={"res-open": 0.5}),
+        lambda o: o["policy"]["thresholds"].update({"res-open": None}),
+    "thresholds_not_an_object":
+        lambda o: o["policy"].update(thresholds=[["res-open", 0.5]]),
     "device_without_user": lambda o: o["devices"][0].pop("user_id"),
     "duration_not_a_number": lambda o: o.update(duration="x"),
     "duration_float": lambda o: o.update(duration=3600.5),
@@ -166,12 +168,9 @@ MALFORMED_SCENARIOS = {
     "seed_float": lambda o: o.update(seed=1.5),
     "cache_capacity_bool": lambda o: o.update(cache_capacity=True),
     "attribute_window_float": lambda o: o.update(attribute_window=1.5),
-    "approvers_without_z": lambda o: o["approvers"].pop("z"),
-    "approvers_disagree_with_policy_quorum":
-        lambda o: o.update(approvers={"n": 4, "z": 2}),
+    "approvers_without_z": lambda o: o["policy"]["quorum"].pop("z"),
     "profile_attributes_not_an_object":
         lambda o: o["benign_profile"].update(attributes=[]),
-    "policy_disagrees_with_resources": _empty_policy_registry,
 }
 
 
@@ -189,6 +188,18 @@ class TestMalformedScenario:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("field", ["resources", "approvers"])
+    def test_copies_of_the_policy_are_unknown_fields(self, capsys, tmp_path,
+                                                     field):
+        obj = config_to_obj(small_scenario())
+        MALFORMED_SCENARIOS[field](obj)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path),
+                                 "--out", str(tmp_path / "run"))
+        assert (code, out, err) == (
+            1, "", f"error: unknown scenario fields: [{field!r}]\n")
+
     @pytest.mark.parametrize(
         "edit, message", [case[1:] for case in NESTED_TYPE_CASES],
         ids=[case[0] for case in NESTED_TYPE_CASES])
@@ -203,43 +214,39 @@ class TestMalformedScenario:
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not (tmp_path / "run").exists()
 
-    def test_reference_policy_drift_is_rejected(self, capsys, tmp_path):
-        obj = config_to_obj(reference_scenario(42))
-        _empty_policy_registry(obj)
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(obj))
-        code, _, err = run_cli(capsys, "simulate", "--config", str(path),
-                               "--out", str(tmp_path / "run"))
-        assert code == 1
-        assert "agree with the resources" in err
 
-
+# Each edit takes the first line's record and the run's duration.
 MALFORMED_AUDIT_LINES = {
-    "ts_not_an_integer": lambda o: o.update(ts="x"),
-    "ts_bool": lambda o: o.update(ts=True),
-    "unknown_device": lambda o: o["triplet"].__setitem__(1, "dev-99"),
-    "device_not_a_string": lambda o: o["triplet"].__setitem__(1, [1]),
+    "ts_not_an_integer": lambda o, _: o.update(ts="x"),
+    "ts_bool": lambda o, _: o.update(ts=True),
+    "ts_negative": lambda o, _: o.update(ts=-5),
+    "ts_past_64_bits": lambda o, _: o.update(ts=2**64),
+    # Every request is drawn in [0, duration).
+    "ts_at_duration": lambda o, duration: o.update(ts=duration),
+    "unknown_device": lambda o, _: o["triplet"].__setitem__(1, "dev-99"),
+    "device_not_a_string": lambda o, _: o["triplet"].__setitem__(1, [1]),
     # The first line is a grant with T 0.98 against theta 0.5.
-    "grant_with_reasons": lambda o: o.update(reasons=["quorum_failed"]),
-    "deny_without_reasons": lambda o: o.update(verdict="deny"),
-    "unknown_reason": lambda o: o.update(verdict="deny", reasons=["odd"]),
-    "reasons_not_a_list": lambda o: o.update(verdict="deny",
-                                             reasons="low_trust"),
-    "low_trust_above_theta": lambda o: o.update(verdict="deny",
-                                                reasons=["low_trust"]),
-    "no_low_trust_below_theta": lambda o: o.update(T=0.1),
-    "T_null_granted": lambda o: o.update(T=None),
-    "T_null_other_reason": lambda o: o.update(verdict="deny",
-                                              reasons=["critical_alert"],
-                                              T=None),
-    "T_not_a_number": lambda o: o.update(T="0.98"),
-    "theta_not_a_number": lambda o: o.update(theta=None),
-    "score_unavailable_with_T": lambda o: o.update(
+    "grant_with_reasons": lambda o, _: o.update(reasons=["quorum_failed"]),
+    "deny_without_reasons": lambda o, _: o.update(verdict="deny"),
+    "unknown_reason": lambda o, _: o.update(verdict="deny", reasons=["odd"]),
+    "reasons_not_a_list": lambda o, _: o.update(verdict="deny",
+                                                reasons="low_trust"),
+    "low_trust_above_theta": lambda o, _: o.update(verdict="deny",
+                                                   reasons=["low_trust"]),
+    "no_low_trust_below_theta": lambda o, _: o.update(T=0.1),
+    "T_null_granted": lambda o, _: o.update(T=None),
+    "T_null_other_reason": lambda o, _: o.update(verdict="deny",
+                                                 reasons=["critical_alert"],
+                                                 T=None),
+    "T_not_a_number": lambda o, _: o.update(T="0.98"),
+    "theta_not_a_number": lambda o, _: o.update(theta=None),
+    "score_unavailable_with_T": lambda o, _: o.update(
         verdict="deny", reasons=["score_unavailable"]),
-    "theta_not_policy_threshold": lambda o: o.update(theta=0.25),
-    "resource_not_a_string": lambda o: o["triplet"].__setitem__(2, [1]),
+    "theta_not_policy_threshold": lambda o, _: o.update(theta=0.25),
+    "resource_not_a_string": lambda o, _: o["triplet"].__setitem__(2, [1]),
     # theta 0.5 is what the policy gives a resource it does not list.
-    "unknown_resource": lambda o: o["triplet"].__setitem__(2, "res-nope"),
+    "unknown_resource":
+        lambda o, _: o["triplet"].__setitem__(2, "res-nope"),
 }
 
 
@@ -251,7 +258,7 @@ class TestMalformedAuditLine:
         audit = out_dir / "audit.jsonl"
         first, *rest = audit.read_text().splitlines()
         obj = json.loads(first)
-        MALFORMED_AUDIT_LINES[case](obj)
+        MALFORMED_AUDIT_LINES[case](obj, small_scenario().duration)
         audit.write_text("\n".join([json.dumps(obj), *rest]) + "\n")
         code, out, err = run_cli(capsys, "replay", "--out", str(out_dir))
         assert code == 1
@@ -323,12 +330,12 @@ class TestReplayParity:
         audit = copy_replay_inputs(fleet_run, tmp_path / "run")
         lines = audit.read_bytes().splitlines(keepends=True)
         index = late_grant(lines)
+        config = fleet_scenario()
         obj = json.loads(lines[index])
-        MALFORMED_AUDIT_LINES[case](obj)
+        MALFORMED_AUDIT_LINES[case](obj, config.duration)
         bad = json.dumps(obj)
         lines[index] = bad.encode() + b"\n"
         audit.write_bytes(b"".join(lines))
-        config = fleet_scenario()
         devices = frozenset(d.device_id for d in config.devices)
         with pytest.raises(ValueError) as refused:
             _audit_row(config, devices, bad)
@@ -399,6 +406,24 @@ class TestScore:
         assert result["combined"] == pytest.approx(
             0.5 * result["behavioral"] + 0.5
         )
+
+    def test_a_runs_policy_block_scores_its_events(self, capsys, tmp_path):
+        # A scenario's policy block is a policy document: written to a
+        # file, it gives score the run's own threshold and sensitivity.
+        out_dir = tmp_path / "run"
+        run(reference_scenario(42), out_dir)
+        config = json.loads((out_dir / "config.json").read_text())
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text(json.dumps(config["policy"]))
+        result = run_json(
+            capsys, "score",
+            "--events", str(out_dir / "events.jsonl"),
+            "--policy", str(policy_path),
+            "--triplet", "user-17,dev-17,res-vault",
+        )
+        spec = reference_scenario(42).policy.resources["res-vault"]
+        assert (result["threshold"], result["sensitivity"]) == (
+            spec.threshold, spec.sensitivity) == (0.75, "high")
 
     def test_score_respects_window_bound(self, capsys, events_path,
                                          policy_path):
@@ -621,7 +646,8 @@ class TestSkeleton:
                                  "--rules", str(rules_path))
         assert code == 1
         assert out == ""
-        assert err == "error: line 2: user_id must be a non-empty string\n"
+        assert err == ("error: line 2: user_id must be a non-empty string, "
+                       "got ['user-a']\n")
 
     def test_non_string_rule_name_exits_1_with_one_line(
             self, capsys, tmp_path, events_path, rules_path):

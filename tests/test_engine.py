@@ -30,10 +30,17 @@ from trustgate.engine import (
     parse_rational,
     policy_from_obj,
     policy_to_obj,
+    scan_audit_lines,
     quorum_approve,
     token_digest,
 )
-from trustgate.model import Alert, AttributeKind, Severity, Triplet
+from trustgate.model import (
+    MAX_NUMERIC_VALUE,
+    Alert,
+    AttributeKind,
+    Severity,
+    Triplet,
+)
 from trustgate.simnet import default_policy, reference_scenario
 from trustgate.secretshare import (
     FieldParams,
@@ -775,6 +782,23 @@ class TestAuditLog:
         obj["verdict"] = "maybe"
         with pytest.raises(EngineError):
             parse_audit_line(json.dumps(obj))
+
+    @pytest.mark.parametrize("ts", [
+        MAX_NUMERIC_VALUE, MAX_NUMERIC_VALUE + 1, 10**20 - 1,
+    ], ids=["u64_max", "u64_max_plus_one", "twenty_digits"])
+    def test_ts_is_a_u64_on_both_paths(self, ts):
+        # The scan's layout admits up to 20 digits, more than a u64.
+        line = audit_line(0, TRIPLET, decide(
+            TRIPLET, simple_policy(), passing_source, [], None)).replace(
+            '"ts": 0,', f'"ts": {ts},')
+        scanned = scan_audit_lines([line.encode() + b"\n"])
+        if ts <= MAX_NUMERIC_VALUE:
+            assert parse_audit_line(line)["ts"] == scanned[0][0] == ts
+            return
+        with pytest.raises(EngineError) as info:
+            parse_audit_line(line)
+        assert str(info.value) == f"ts {ts} outside the unsigned 64-bit range"
+        assert scanned is None
 
 
 class TestPolicyDocuments:

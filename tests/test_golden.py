@@ -57,7 +57,6 @@ def quorum_4_with_outages(seed: int) -> simnet.ScenarioConfig:
     so the failure lookup and a non-default quorum shape are pinned."""
 
     obj = simnet.config_to_obj(simnet.reference_scenario(seed))
-    obj["approvers"] = {"n": 4, "z": 2}
     obj["policy"]["quorum"] = {"n": 4, "z": 2}
     obj["failures"] = [
         {"node": "dev-05", "down": [600, 1500]},
@@ -69,41 +68,41 @@ def quorum_4_with_outages(seed: int) -> simnet.ScenarioConfig:
 
 GOLDEN = {
     "reference-42": {
-        "config.json": "a35898ab6e2e1a736187b1d99256b8d3b9044c9cc5a275a2d76ee7f66fd2eb85",
+        "config.json": "1741a659ac3c344776c482830e87e6d181cbf9c7aa6e6674a6c76fff4e106363",
         "events.jsonl": "a43e2317471a86ef60e6ae151efceef7a2699840a99d165eb5f0394d37325f73",
         "audit.jsonl": "dc136267aaaa336ec9234bd44c971e7c18dcc480dd2a5d1cca0ef2e96acd103b",
         "access.json": "02d75cc597cff0e645075f5137e1e47f5b454a7befd5920493e0328e3fe052fa",
-        "report.json": "6ebc0b7bdaf9c866abc05c4b463bfb3b63c9cade0a2ff488d96908d8dbc05a82",
+        "report.json": "6713bf576fcbdb59ef36f25387f9a42ba8a406857a7de216d87505afadb180c7",
     },
     "fleet-200-42": {
-        "config.json": "6b948de298c92485e3990c45411a7d19b1e685f44ce5c36cd7b471233c7814f3",
+        "config.json": "fddd83cf80a5c0b491f5956c018fff9bea904c1ebe3b6349847200dc1420560f",
         "events.jsonl": "8ce1076b71ad6a907c4b34805db5cef62f57ae919c96ef1fe8aa03dfaa82b769",
         "audit.jsonl": "4c423eab70ea9c78481f512ac7c35c93c635658fda8d927355eff82d0f7e4fce",
         "access.json": "a713eb87361628dd8590812551207173d2936c19db1f8a7952e5e4f7b70ef86e",
-        "report.json": "283262f3e03ee68fee29afe211927836c56f323c41a0922e101f0cfaaa725ebb",
+        "report.json": "d0d3794c8ca5ccb0e2ab3b36f4a0ad01cd515a2b58a175d70b8754045d20fef8",
     },
     # Recorded before the event log became columns, so that the change
     # is judged on two more seeds of the 200-device fleet.
     "fleet-200-7": {
-        "config.json": "ad4b43e33b9fca066762bfe365b47f78c2460b879dad7fff1de753ce1b22ac28",
+        "config.json": "8bfa129bef989de1453532c9f50fff23a0658c023e20ab54f2df3bbf30d0df3c",
         "events.jsonl": "db445c5f776b03e5ddc4304516a398bff2dba8ec5cdeab1067f9726bfa1773f2",
         "audit.jsonl": "2eca016b6e584ee0f47b688b38ae0d1c334ffe0999433c374133c47b4876cb6f",
         "access.json": "c1b23489e33352d4d3c8478b16f24d7c265bde4e507995a7cd91da3f8e0e06b8",
-        "report.json": "667ac5001fde43e140495c9f81889bb481c8cec34b1f96906cee3d27cffee3e2",
+        "report.json": "730e5ae7752c3cbdd0a8b6a681445153fa9e14b1dc5ecb95bc66cadc9528e0ff",
     },
     "fleet-200-11": {
-        "config.json": "9cf5d5b82767b959c2a1859adc89bcdcef2ec3bbf01db603a7a8b975eee5b60b",
+        "config.json": "6c547607034324eefb54dea3628a57802fa4ac23a008624177f800fbf3207da3",
         "events.jsonl": "17f673e4a30dec5c67c2b5b7b9de5dc0eb69dcf8517e76cb28dc4cc81459de76",
         "audit.jsonl": "325d336509c4bcb096fec9b0c4f11c702a85a919b11d5be227384a7a2ada5e1f",
         "access.json": "66585d593e56a5591a2b37e6ab9e573aa9d1074a060c0a458f42667d79a8eb3d",
-        "report.json": "ee02e9f5d86f5bd097b38f5b140041d56a7c96d84fc0518c912ed7e2ef52a486",
+        "report.json": "a3c52ba38d784db137a1a011a2111bb27be3b694104784f171cf7d67cf24ab5b",
     },
     "quorum-4-outages-42": {
-        "config.json": "70ab23e1d5749ef5594397c59c8498e64369ffef43d1f51405c7ccf228f65ab2",
+        "config.json": "72ab74d5b9d5fc4c9ebeeae3a1a2a25b8dc7475fab1082f608263a4223b2fe82",
         "events.jsonl": "6b139eb8ed432fcd8368318a96351799cb6cda0ded0732ab25a08ef0b02590a6",
         "audit.jsonl": "e495a59c3d5ce5134c89d3f36746f4fadff3486d8ed4b6b667dfe8840e726d2f",
         "access.json": "73b85f2173e1000298a7b1254a7f318583af7ffd50bddb2f65c8e7327d684f95",
-        "report.json": "63be43f1a9b79054bdc1b7dc5401c0e711735c620bb51a68e8d1c3e31b9fd45b",
+        "report.json": "da42ef5caf5f5fe3efc3c067210df560664c30b58332471307e0b4fc38cfe9f3",
     },
 }
 

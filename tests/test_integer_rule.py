@@ -1,6 +1,7 @@
 """One integer rule: every id, time and numeric value an event carries
 is an int, not a bool, in the unsigned 64-bit range. Every reader of
-such an integer accepts exactly what ``model.check_u64`` accepts."""
+such an integer, and every holder of an event id, accepts exactly what
+``model.check_u64`` accepts."""
 
 from __future__ import annotations
 
@@ -12,8 +13,10 @@ from trustgate.logcodec import CodecError, record_from_key
 from trustgate.model import (
     _CANONICAL_LINE,
     MAX_NUMERIC_VALUE,
+    Alert,
     AttributeKind,
     ModelError,
+    Severity,
     check_u64,
     is_int,
     read_events,
@@ -64,6 +67,15 @@ FIELDS = {
                                                   parents=(v,))),
 }
 
+# The ids an alert holds: its own and its event's.
+HOLDERS = {
+    **FIELDS,
+    "alert_id": ("alert_id",
+                 lambda v: Alert(v, 7, Severity.HIGH, "rule")),
+    "alert_event_id": ("event_id",
+                       lambda v: Alert(1, v, Severity.HIGH, "rule")),
+}
+
 
 def refusal(value: object, what: str) -> str | None:
     """The rule's message for ``value`` named ``what``, or None when the
@@ -94,10 +106,10 @@ def test_rule(value, accepted):
     assert is_int(value) == (type(value) not in (bool, float, str))
 
 
-@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("field", HOLDERS)
 @pytest.mark.parametrize("value", [c[1] for c in CANDIDATES], ids=IDS)
 def test_event_field(field, value):
-    what, build = FIELDS[field]
+    what, build = HOLDERS[field]
     assert outcome(lambda: build(value), ModelError) == refusal(value, what)
 
 

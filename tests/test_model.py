@@ -68,11 +68,11 @@ MALFORMED_EVENT_LINES = [
     ("attribute_list", _line(attribute=["io_operation_count"]),
      "line 2: unknown attribute kind: ['io_operation_count']"),
     ("user_list", _line(user=["user-a"]),
-     "line 2: user_id must be a non-empty string"),
+     "line 2: user_id must be a non-empty string, got ['user-a']"),
     ("user_empty", _line(user=""),
-     "line 2: user_id must be a non-empty string"),
+     "line 2: user_id must be a non-empty string, got ''"),
     ("resource_object", _line(resource={"id": "res-a"}),
-     "line 2: resource_id must be a non-empty string"),
+     "line 2: resource_id must be a non-empty string, got {'id': 'res-a'}"),
     ("bool_event_id", _line(event_id=True),
      "line 2: event_id must be an integer"),
     ("float_ts", _line(ts=1.5), "line 2: timestamp must be an integer"),
@@ -95,7 +95,7 @@ MALFORMED_EVENT_LINES = [
     ("negative_parent", _line(parents=[0, -1]),
      "line 2: parent id -1 outside the unsigned 64-bit range"),
     ("blank_line_counts", "\n" + _line(user=""),
-     "line 3: user_id must be a non-empty string"),
+     "line 3: user_id must be a non-empty string, got ''"),
     ("nested_too_deep", "[" * 200_000,
      "line 2: maximum recursion depth exceeded while decoding a JSON array "
      "from a unicode string"),
@@ -164,9 +164,10 @@ class TestTriplet:
     def test_non_string_component_rejected(self, field, bad):
         ids = {"user_id": "u", "device_id": "d", "resource_id": "r"}
         ids[field] = bad
-        with pytest.raises(ModelError,
-                           match=f"^{field} must be a non-empty string$"):
+        with pytest.raises(ModelError) as info:
             Triplet(**ids)
+        assert str(info.value) == (
+            f"{field} must be a non-empty string, got {bad!r}")
 
     def test_copy_and_pickle_round_trip(self):
         t = Triplet("u", "d", "r")
@@ -630,7 +631,7 @@ class TestCanonicalReader:
         ("value", str(MAX_NUMERIC_VALUE + 1),
          "attribute io_operation_count value 18446744073709551616 outside "
          "the unsigned 64-bit range"),
-        ("user", '""', "user_id must be a non-empty string"),
+        ("user", '""', "user_id must be a non-empty string, got ''"),
     ], ids=["value_above_u64", "user_empty"])
     def test_repeated_refused_run_is_numbered_at_its_first_line(
             self, tmp_events_path, field, text, message):

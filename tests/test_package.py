@@ -2,8 +2,8 @@
 module binds an import it never uses; every public top-level function
 and class has a reader outside the tests; JSON documents are read in
 one place and written in one format; only ``model`` tells a bool from
-an int; ``EdrEvent``'s hand-written constructor takes exactly its
-fields."""
+an int or states the id rule; ``EdrEvent``'s hand-written constructor
+takes exactly its fields."""
 
 from __future__ import annotations
 
@@ -163,16 +163,35 @@ def test_bool_guard_scan_finds_calls():
     assert bool_guard_lines(source) == [1, 3]
 
 
-def test_only_model_tells_bools_from_ints():
-    # bool is an int subclass; model.is_int is the one test that tells
-    # them apart.
+def outside_model(scan) -> dict[str, list[int]]:
+    """The lines ``scan`` finds in each package module but ``model``,
+    for the modules where it finds any."""
+
     package = Path(trustgate.__file__).parent
     found = {
-        path.name: bool_guard_lines(path.read_text(encoding="utf-8"))
+        path.name: scan(path.read_text(encoding="utf-8"))
         for path in sorted(package.glob("*.py"))
         if path.name != "model.py"
     }
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    return {name: lines for name, lines in found.items() if lines}
+
+
+def test_only_model_tells_bools_from_ints():
+    # bool is an int subclass; model.is_int is the one test that tells
+    # them apart.
+    assert outside_model(bool_guard_lines) == {}
+
+
+def id_rule_lines(source: str) -> list[int]:
+    """Lines that spell the id rule's refusal."""
+
+    return [number for number, line in enumerate(source.splitlines(), 1)
+            if "must be a non-empty string" in line]
+
+
+def test_only_model_states_the_id_rule():
+    # model.check_id is the one check that an id is a non-empty string.
+    assert outside_model(id_rule_lines) == {}
 
 
 def public_defs(source: str) -> list[str]:

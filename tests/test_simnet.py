@@ -216,9 +216,9 @@ NESTED_TYPE_CASES = [
     ("user_id_list",
      lambda o: o["devices"][1].update(user_id=["x"]),
      "user_id must be a non-empty string, got ['x']"),
-    ("resource_id_int_without_policy",
-     lambda o: (o.pop("policy"), o["resources"][0].update(resource_id=7)),
-     "malformed scenario: resource_id must be a non-empty string, got 7"),
+    ("resource_id_empty",
+     lambda o: o["policy"]["thresholds"].update({"": 0.5}),
+     "malformed scenario: resource_id must be a non-empty string, got ''"),
     ("device_id_int_without_pretrusted",
      lambda o: (o.pop("pretrusted"), o["devices"][0].update(device_id=5)),
      "device_id must be a non-empty string, got 5"),
@@ -244,8 +244,9 @@ NESTED_TYPE_CASES = [
      lambda o: o.update(duration=-1),
      "duration -1 outside the unsigned 64-bit range"),
     ("resource_threshold_past_float_range",
-     lambda o: o["resources"][0].update(threshold=10**400),
-     "malformed scenario: int too large to convert to float"),
+     lambda o: o["policy"]["thresholds"].update({"res-open": 10**400}),
+     "malformed scenario: malformed policy: int too large to convert to "
+     "float"),
     ("epsilon_past_float_range",
      lambda o: o.update(epsilon=10**400),
      f"epsilon must be a finite positive number, got {10**400}"),
@@ -275,7 +276,7 @@ DIRECT_TYPE_CASES = [
     ("approvers_past_bound",
      lambda c: replace(c, policy=replace(
          c.policy, quorum=ThresholdPolicy(MAX_APPROVERS + 1, 3))),
-     f"approvers.n must be at most {MAX_APPROVERS}, "
+     f"policy.quorum.n must be at most {MAX_APPROVERS}, "
      f"got {MAX_APPROVERS + 1}"),
 ]
 
@@ -301,12 +302,12 @@ class TestScenarioValidation:
 
     def test_approvers_bound_in_document(self):
         obj = config_to_obj(reference_scenario(42))
-        del obj["policy"]
-        obj["approvers"] = {"n": 10**6, "z": 3}
+        obj["policy"]["quorum"] = {"n": 10**6, "z": 3}
         with pytest.raises(ScenarioError) as info:
             config_from_obj(obj)
-        assert str(info.value) == "approvers.n must be at most 1000, got 1000000"
-        obj["approvers"]["n"] = MAX_APPROVERS
+        assert str(info.value) == (
+            "policy.quorum.n must be at most 1000, got 1000000")
+        obj["policy"]["quorum"]["n"] = MAX_APPROVERS
         assert len(config_from_obj(obj).approver_ids()) == MAX_APPROVERS
 
     def test_scheduled_action_bound_refuses_before_any_draw(
@@ -402,16 +403,6 @@ class TestScenarioValidation:
                     CompromisePlan("dev-01", 900, malicious_profile()),
                 )
             )
-
-    def test_quorum_shape_must_match_policy(self):
-        obj = config_to_obj(small_scenario())  # policy quorum 5/3
-        obj["approvers"] = {"n": 4, "z": 2}
-        with pytest.raises(ScenarioError, match="quorum"):
-            config_from_obj(obj)
-        del obj["approvers"]  # absent means the default 5/3
-        obj["policy"]["quorum"] = {"n": 4, "z": 2}
-        with pytest.raises(ScenarioError, match="quorum"):
-            config_from_obj(obj)
 
     def test_unknown_failure_node(self):
         with pytest.raises(ScenarioError, match="unknown failure node"):
@@ -593,46 +584,26 @@ class TestConfigSerialization:
             small_scenario(seed=2)
         )
 
-    def test_policy_without_the_registry_is_rejected(self):
-        obj = config_to_obj(reference_scenario(42))
-        obj["policy"]["thresholds"] = {}
-        obj["policy"]["sensitivity"] = {}
-        with pytest.raises(ScenarioError, match="agree with the resources"):
-            config_from_obj(obj)
-
-    def test_policy_only_sensitivity_is_rejected(self):
-        obj = config_to_obj(reference_scenario(42))
-        obj["policy"]["sensitivity"]["res-files"] = "high"
-        with pytest.raises(ScenarioError, match="agree with the resources"):
-            config_from_obj(obj)
-
-    def test_resources_keep_scenario_order(self):
-        obj = config_to_obj(reference_scenario(42))
-        assert [r["resource_id"] for r in obj["resources"]] == [
-            "res-files", "res-mail", "res-db", "res-vault",
-        ]
-        assert config_to_obj(config_from_obj(obj)) == obj
+    def test_without_a_policy_block_the_default_policy_applies(self):
+        obj = config_to_obj(small_scenario())
+        obj["policy"] = None
+        assert config_from_obj(obj).policy == default_policy()
+        del obj["policy"]
+        assert config_from_obj(obj).policy == default_policy()
 
     def test_policy_errors_surface_as_scenario_errors(self):
         obj = config_to_obj(small_scenario())
-        obj["resources"][0]["threshold"] = 1.5
-        with pytest.raises(ScenarioError, match="threshold"):
+        obj["policy"]["thresholds"]["res-open"] = 1.5
+        with pytest.raises(ScenarioError) as info:
             config_from_obj(obj)
+        assert str(info.value) == (
+            "malformed scenario: threshold for res-open must lie in [0, 1]")
         obj = config_to_obj(small_scenario())
-        obj["resources"].append(dict(obj["resources"][0]))
-        with pytest.raises(ScenarioError, match="duplicate resource"):
+        obj["policy"]["sensitivity"]["res-open"] = "secretive"
+        with pytest.raises(ScenarioError) as info:
             config_from_obj(obj)
-
-    def test_approvers_set_the_quorum_of_the_default_policy(self, tmp_path):
-        obj = config_to_obj(small_scenario())
-        del obj["policy"]
-        obj["approvers"] = {"n": 4, "z": 2}
-        run(config_from_obj(obj), tmp_path)
-        access = json.loads((tmp_path / "access.json").read_text())
-        assert access["quorum_n"] == 4
-        written = json.loads((tmp_path / "config.json").read_text())
-        assert written["approvers"] == {"n": 4, "z": 2}
-        assert written["policy"]["quorum"] == {"n": 4, "z": 2}
+        assert str(info.value) == ("malformed scenario: unknown sensitivity "
+                                   "'secretive' for res-open")
 
     def test_reference_scenario_shape(self):
         config = reference_scenario()

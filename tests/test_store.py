@@ -346,10 +346,12 @@ class TestAccessTable:
 
     def test_resource_entry_validation(self, tmp_path, capsys):
         # A bad registry entry is refused before any artifact is written.
-        for field, value in (("threshold", 1.5), ("sensitivity", "secretive")):
+        for field, value, message in (
+                ("thresholds", 1.5, "threshold for res-a must lie in [0, 1]"),
+                ("sensitivity", "secretive",
+                 "unknown sensitivity 'secretive' for res-a")):
             obj = config_to_obj(access_scenario())
-            del obj["policy"]
-            obj["resources"][0][field] = value
+            obj["policy"][field]["res-a"] = value
             scenario = tmp_path / f"{field}.json"
             scenario.write_text(json.dumps(obj), encoding="utf-8")
             out = tmp_path / f"out-{field}"
@@ -357,7 +359,7 @@ class TestAccessTable:
                          "--out", str(out)])
             err = capsys.readouterr().err
             assert code == 1
-            assert field in err and err.count("\n") == 1
+            assert err == f"error: malformed scenario: {message}\n"
             assert not out.exists()
 
     def test_round_trip(self, tmp_path):
