@@ -93,7 +93,6 @@ from .engine import (
     TrustRecord,
     audit_line,
     behavioral_score,
-    combined_score,
     decide,
     load_policy,
     make_record,
@@ -167,7 +166,7 @@ __all__ = [
     "ActiveAlert", "Decision", "EngineError", "PiecewiseNormalizer",
     "PolicyError", "QuorumClient", "QuorumResult", "ResourceSpec",
     "TrustPolicy", "TrustRecord", "audit_line", "behavioral_score",
-    "combined_score", "decide", "load_policy", "make_record",
+    "decide", "load_policy", "make_record",
     "parse_audit_line", "policy_from_obj", "policy_to_obj",
     "quorum_approve", "token_digest",
     # cache

@@ -32,6 +32,7 @@ from .model import (
     check_id,
     check_u64,
     is_int,
+    is_number,
     load_json,
 )
 from .secretshare import Share, ShareError, ThresholdPolicy, reconstruct
@@ -276,16 +277,6 @@ def behavioral_score(
     return total / denominator
 
 
-def combined_score(behavioral: float, reputation: float, alpha: float) -> float:
-    """Blend: alpha * behavioral + (1 - alpha) * reputation, in doubles."""
-
-    for name, value in (("behavioral", behavioral), ("reputation", reputation),
-                        ("alpha", alpha)):
-        if not 0.0 <= value <= 1.0:
-            raise EngineError(f"{name} must lie in [0, 1], got {value}")
-    return alpha * behavioral + (1.0 - alpha) * reputation
-
-
 class TrustRecord(NamedTuple):
     """A scored triplet at a point in simulated time."""
 
@@ -303,11 +294,15 @@ def make_record(
     alpha: float,
     computed_at: int,
 ) -> TrustRecord:
-    """A record blending the scores as ``combined_score`` does."""
+    """A record blending the scores as
+    ``alpha * behavioral + (1 - alpha) * reputation``, in doubles."""
 
     # One chain: behavioral, reputation and alpha each lie in [0, 1].
     if not 0.0 <= behavioral <= 1.0 >= reputation >= 0.0 <= alpha <= 1.0:
-        combined_score(behavioral, reputation, alpha)  # raises its error
+        for name, value in (("behavioral", behavioral),
+                            ("reputation", reputation), ("alpha", alpha)):
+            if not 0.0 <= value <= 1.0:
+                raise EngineError(f"{name} must lie in [0, 1], got {value}")
     return TrustRecord(triplet, behavioral, reputation,
                        alpha * behavioral + (1.0 - alpha) * reputation,
                        computed_at)
@@ -526,10 +521,6 @@ def audit_line(ts: int, triplet: Triplet, decision: Decision) -> str:
     )
 
 
-def _is_number(value: object) -> bool:
-    return is_int(value) or isinstance(value, float)
-
-
 _AUDIT_FIELDS = frozenset(("ts", "triplet", "verdict", "reasons", "T", "theta"))
 
 
@@ -542,13 +533,13 @@ def _audit_fault(verdict: str, reasons: list[str] | tuple[str, ...],
 
     if (verdict == "grant") == bool(reasons):
         return f"audit verdict {verdict} disagrees with reasons {reasons!r}"
-    if type(theta) is not float and not _is_number(theta):
+    if type(theta) is not float and not is_number(theta):
         return f"malformed audit theta {theta!r}"
     unavailable = len(reasons) == 1 and reasons[0] == REASON_SCORE_UNAVAILABLE
     if (score is None) != unavailable:
         return f"audit T {score!r} disagrees with reasons {reasons!r}"
     if score is not None:
-        if type(score) is not float and not _is_number(score):
+        if type(score) is not float and not is_number(score):
             return f"malformed audit T {score!r}"
         if (REASON_LOW_TRUST in reasons) != (score < theta):
             return (f"audit T {score!r} against theta {theta!r} disagrees "
@@ -655,7 +646,7 @@ def policy_from_obj(obj: object) -> TrustPolicy:
         raise
     except (AttributeError, KeyError, TypeError, ValueError, IndexError,
             OverflowError) as exc:
-        raise PolicyError(f"malformed policy: {exc}") from None
+        raise PolicyError(f"malformed policy: {exc}") from exc
 
 
 def _policy_from_obj(obj: object) -> TrustPolicy:

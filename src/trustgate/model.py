@@ -69,6 +69,13 @@ def is_int(value: object) -> bool:
         isinstance(value, int) and not isinstance(value, bool))
 
 
+def is_number(value: object) -> bool:
+    """Whether ``value`` is a JSON number: an int (not a bool) or a
+    float."""
+
+    return is_int(value) or isinstance(value, float)
+
+
 def check_u64(value: object, what: str,
               error: type[ValueError] = ModelError) -> None:
     """Raise ``error`` naming ``what`` unless ``value`` is an int (not a
@@ -84,8 +91,8 @@ def check_u64(value: object, what: str,
 def check_id(value: object, what: str,
              error: type[ValueError] = ModelError) -> None:
     """Raise ``error`` naming ``what`` unless ``value`` is a non-empty
-    str. Every user, device, resource and rule id is held to this one
-    rule."""
+    str. Every user, device, resource, rule, ledger peer and share
+    scheme id is held to this one rule."""
 
     if not isinstance(value, str) or not value:
         raise error(f"{what} must be a non-empty string, got {value!r}")

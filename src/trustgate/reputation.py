@@ -18,14 +18,14 @@ of the number of peers.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .model import is_int, load_json
+from .model import check_id, is_int, is_number, load_json
 
 LEDGER_SEPARATOR = "→"  # "p→q" keys in the wire format
 
@@ -38,46 +38,67 @@ class ReputationError(ValueError):
     """Raised for unknown peers, self-ratings, and bad parameters."""
 
 
+def check_parameters(damping: object, epsilon: object,
+                     error: type[ValueError] = ReputationError) -> None:
+    """Raise ``error`` unless ``damping`` is a number in [0, 1) and
+    ``epsilon`` a finite positive one. An int is compared exactly, so
+    one past the float range is refused like infinity, and NaN fails
+    every comparison."""
+
+    for name, value in (("damping", damping), ("epsilon", epsilon)):
+        if not is_number(value):
+            raise error(f"{name} must be a number, got {value!r}")
+    if not 0 <= damping < 1:
+        raise error("damping must lie in [0, 1)")
+    if not 0 < epsilon <= sys.float_info.max:
+        raise error(
+            f"epsilon must be a finite positive number, got {epsilon!r}")
+
+
 @dataclass
 class InteractionLedger:
-    """Pairwise sat/unsat tallies over an ordered peer list."""
+    """Pairwise sat/unsat tallies over an ordered peer list. Peer ids are
+    held to ``model.check_id``, and the counts ``record_sat`` and
+    ``record_unsat`` add to ``model.is_int`` and non-negative; a zero
+    count adds no entry."""
 
     peers: tuple[str, ...]
-    sat: dict[tuple[str, str], int] = field(default_factory=dict)
-    unsat: dict[tuple[str, str], int] = field(default_factory=dict)
+    sat: dict[tuple[str, str], int] = field(default_factory=dict, init=False)
+    unsat: dict[tuple[str, str], int] = field(default_factory=dict,
+                                              init=False)
     _known: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.peers = tuple(self.peers)
-        self._known = frozenset(self.peers)
-        if len(self._known) != len(self.peers):
-            raise ReputationError("duplicate peer ids")
         for peer in self.peers:
-            if not peer:
-                raise ReputationError("peer ids must be non-empty")
+            check_id(peer, "peer id", ReputationError)
             if LEDGER_SEPARATOR in peer:
                 raise ReputationError(
                     f"peer id {peer!r} contains the reserved separator"
                 )
+        self._known = frozenset(self.peers)
+        if len(self._known) != len(self.peers):
+            raise ReputationError("duplicate peer ids")
 
-    def _check_pair(self, p: str, q: str) -> None:
+    def _record(self, tally: dict[tuple[str, str], int], p: str, q: str,
+                count: int) -> None:
         if p == q:
             raise ReputationError("self interactions are undefined")
         for peer in (p, q):
             if peer not in self._known:
                 raise ReputationError(f"unknown peer {peer!r}")
+        # The exact type inline first, which is the common case.
+        if type(count) is not int and not is_int(count) or count < 0:
+            raise ReputationError(
+                f"count must be a non-negative integer, got {count!r}")
+        if count:
+            tally[(p, q)] = tally.get((p, q), 0) + count
 
     def record_sat(self, p: str, q: str, count: int = 1) -> None:
-        self._check_pair(p, q)
-        if count < 0:
-            raise ReputationError("counts must be non-negative")
-        self.sat[(p, q)] = self.sat.get((p, q), 0) + count
+        self._record(self.sat, p, q, count)
 
     def record_unsat(self, p: str, q: str, count: int = 1) -> None:
-        self._check_pair(p, q)
-        if count < 0:
-            raise ReputationError("counts must be non-negative")
-        self.unsat[(p, q)] = self.unsat.get((p, q), 0) + count
+        self._record(self.unsat, p, q, count)
 
 
 @dataclass(frozen=True)
@@ -173,12 +194,7 @@ def global_trust(
     unknown = set(pretrusted) - set(peers)
     if unknown:
         raise ReputationError(f"unknown pre-trusted peers: {sorted(unknown)}")
-    if not 0.0 <= a < 1.0:
-        raise ReputationError("damping must lie in [0, 1)")
-    if epsilon <= 0.0:
-        raise ReputationError("epsilon must be positive")
-    if not math.isfinite(epsilon):
-        raise ReputationError(f"epsilon must be finite, got {epsilon}")
+    check_parameters(a, epsilon)
 
     n = len(peers)
     index = {p: i for i, p in enumerate(peers)}
@@ -222,40 +238,25 @@ def ledger_from_obj(obj: object) -> InteractionLedger:
             "'peers' and 'interactions'"
         )
     peers = obj["peers"]
-    if (
-        not isinstance(peers, list)
-        or not all(isinstance(p, str) and p for p in peers)
-    ):
-        raise ReputationError("peers must be a list of non-empty strings")
-    if len(set(peers)) != len(peers):
-        raise ReputationError("duplicate peers in ledger")
+    if not isinstance(peers, list):
+        raise ReputationError("peers must be a list")
     interactions = obj["interactions"]
     if not isinstance(interactions, dict):
         raise ReputationError("interactions must be a JSON object")
-    known = set(peers)
-    entries: list[tuple[str, str, int, int]] = []
+    # Sorting by str orders any list, so the ledger, not sorted(), is
+    # what refuses a peer that is no string.
+    ledger = InteractionLedger(peers=tuple(sorted(peers, key=str)))
     for key, value in interactions.items():
         parts = key.split(LEDGER_SEPARATOR)
-        if len(parts) != 2 or not parts[0] or not parts[1]:
+        if len(parts) != 2:
             raise ReputationError(f"malformed ledger key {key!r}")
-        if parts[0] == parts[1]:
-            raise ReputationError(f"self interaction in ledger key {key!r}")
-        if not known.issuperset(parts):
-            raise ReputationError(f"unknown peer in ledger key {key!r}")
         if not isinstance(value, dict) or set(value) != {"sat", "unsat"}:
             raise ReputationError(f"malformed ledger entry for {key!r}")
-        sat = value["sat"]
-        unsat = value["unsat"]
-        for count in (sat, unsat):
-            if not is_int(count) or count < 0:
-                raise ReputationError(f"counts for {key!r} must be non-negative")
-        entries.append((parts[0], parts[1], sat, unsat))
-    ledger = InteractionLedger(peers=tuple(sorted(peers)))
-    for p, q, sat, unsat in entries:
-        if sat:
-            ledger.record_sat(p, q, sat)
-        if unsat:
-            ledger.record_unsat(p, q, unsat)
+        try:
+            ledger.record_sat(*parts, value["sat"])
+            ledger.record_unsat(*parts, value["unsat"])
+        except ReputationError as exc:
+            raise ReputationError(f"ledger key {key!r}: {exc}") from None
     return ledger
 
 

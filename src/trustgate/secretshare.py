@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .model import format_json, is_int, load_json
+from .model import check_id, format_json, is_int, load_json
 
 DEFAULT_PRIME = 2**61 - 1
 
@@ -58,7 +58,7 @@ class FieldParams:
     prime: int = DEFAULT_PRIME
 
     def __post_init__(self) -> None:
-        if not isinstance(self.prime, int) or self.prime < 2:
+        if not is_int(self.prime) or self.prime < 2:
             raise ShareError("prime must be an integer >= 2")
         if self.prime >= 2**64:
             raise ShareError("prime must be below 2**64")
@@ -77,7 +77,7 @@ class ThresholdPolicy:
     z: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not isinstance(self.z, int):
+        if not is_int(self.n) or not is_int(self.z):
             raise ShareError("n and z must be integers")
         if not 2 <= self.z <= self.n:
             raise ShareError(
@@ -87,7 +87,8 @@ class ThresholdPolicy:
 
 @dataclass(frozen=True)
 class Share:
-    """One participant's point, self-describing for transport."""
+    """One participant's point, self-describing for transport. Its ints
+    are held to ``model.is_int`` and its scheme id to ``model.check_id``."""
 
     x: int
     y: int
@@ -97,14 +98,16 @@ class Share:
     z: int
 
     def __post_init__(self) -> None:
+        for name in ("prime", "n", "z", "x", "y"):
+            if not is_int(getattr(self, name)):
+                raise ShareError(f"share {name} must be an integer")
+        check_id(self.scheme_id, "share scheme_id", ShareError)
         if self.prime < 2:
             raise ShareError("share prime must be at least 2")
         if not 0 < self.x < self.prime:
             raise ShareError("share x must lie strictly inside the field")
         if not 0 <= self.y < self.prime:
             raise ShareError("share y must lie in the field")
-        if not self.scheme_id:
-            raise ShareError("scheme_id must be non-empty")
         if not 2 <= self.z <= self.n:
             raise ShareError("share metadata must satisfy 2 <= z <= n")
 
@@ -130,7 +133,7 @@ def split(
     """
 
     prime = field.prime
-    if not isinstance(secret, int) or not 0 <= secret < prime:
+    if not is_int(secret) or not 0 <= secret < prime:
         raise ShareError("secret outside field")
     if policy.n >= prime:
         raise ShareError("participant count must be below the field prime")
@@ -219,7 +222,7 @@ def secrecy_probe(
         raise ShareError(
             f"probe needs exactly z - 1 = {first.z - 1} shares, got {len(shares)}"
         )
-    if not 0 <= candidate < field.prime:
+    if not is_int(candidate) or not 0 <= candidate < field.prime:
         raise ShareError("candidate outside field")
     prime = field.prime
     points = [(0, candidate)] + [(s.x, s.y) for s in shares]
@@ -261,7 +264,7 @@ def split_integer(
     exactly the shape :func:`reconstruct_integer` expects back.
     """
 
-    if not isinstance(secret, int) or secret < 0:
+    if not is_int(secret) or secret < 0:
         raise ShareError("secret must be a non-negative integer")
     digits = []
     value = secret
@@ -328,16 +331,12 @@ def share_from_obj(obj: object) -> Share:
     required = {"scheme_id", "prime", "n", "z", "x", "y"}
     if set(obj) != required:
         raise ShareError(f"share fields must be exactly {sorted(required)}")
-    if not isinstance(obj["scheme_id"], str):
-        raise ShareError("share scheme_id must be a string")
-    for name in ("prime", "n", "z", "x", "y"):
-        if not is_int(obj[name]):
-            raise ShareError(f"share {name} must be an integer")
-    FieldParams(obj["prime"])
-    return Share(
+    share = Share(
         x=obj["x"], y=obj["y"], scheme_id=obj["scheme_id"],
         prime=obj["prime"], n=obj["n"], z=obj["z"],
     )
+    FieldParams(share.prime)
+    return share
 
 
 def write_share_file(path: str | Path, chunks: Sequence[Share]) -> None:

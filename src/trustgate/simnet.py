@@ -52,6 +52,7 @@ from .model import (
     format_json,
     identity_text,
     is_int,
+    is_number,
     load_json,
     pair_text,
     scan_lines,
@@ -61,7 +62,6 @@ from .model import (
 # bench/test_bench.py asserts that simnet binds reduce_to_skeleton.
 from .provenance import (  # noqa: F401
     AlertRule,
-    GraphError,
     reduce_to_skeleton,
     rule_from_obj,
     rule_to_obj,
@@ -71,6 +71,7 @@ from .reputation import (
     DEFAULT_EPSILON,
     GlobalTrustVector,
     InteractionLedger,
+    check_parameters,
     global_trust,
     normalize,
 )
@@ -80,6 +81,7 @@ from .engine import (
     SENSITIVITY_HIGH,
     SENSITIVITY_STANDARD,
     ActiveAlert,
+    PolicyError,
     QuorumClient,
     ResourceSpec,
     TrustPolicy,
@@ -211,8 +213,7 @@ class ScenarioConfig:
         for name in ("seed", "duration", "attribute_window",
                      "refresh_interval", "cache_capacity"):
             _check_integer(getattr(self, name), name)
-        for name in ("damping", "epsilon"):
-            _check_number(getattr(self, name), name)
+        check_parameters(self.damping, self.epsilon, ScenarioError)
         # Every time a run draws is below its duration, so a duration
         # held to the event rule gives every event a time it can carry.
         check_u64(self.duration, "duration", ScenarioError)
@@ -254,11 +255,6 @@ class ScenarioConfig:
             raise ScenarioError("refresh_interval must be positive")
         if self.cache_capacity < 1:
             raise ScenarioError("cache_capacity must be positive")
-        if not 0.0 <= self.damping < 1.0:
-            raise ScenarioError("damping must lie in [0, 1)")
-        if not 0 < self.epsilon <= _FLOAT_MAX:  # NaN fails both
-            raise ScenarioError(
-                f"epsilon must be a finite positive number, got {self.epsilon!r}")
         profiles = [("benign_profile", self.benign)] + [
             (f"compromises[{i}].profile", p.profile)
             for i, p in enumerate(self.compromises)
@@ -282,13 +278,6 @@ class ScenarioConfig:
 
     def approver_ids(self) -> tuple[str, ...]:
         return tuple(f"approver-{i}" for i in range(1, self.policy.quorum.n + 1))
-
-    def malicious(self, device_id: str, t: int) -> bool:
-        """Ground truth: a request at or after its device's compromise
-        time is malicious."""
-
-        return any(p.device_id == device_id and t >= p.start_time
-                   for p in self.compromises)
 
     def first_compromise_time(self) -> int | None:
         times = [p.start_time for p in self.compromises]
@@ -321,22 +310,15 @@ def _check_integer(value: object, where: str) -> int:
     return value
 
 
-def _check_number(value: object, where: str) -> int | float:
-    """Return ``value`` if it is an int or float but not a bool;
-    otherwise raise ScenarioError naming ``where``."""
-
-    if not (is_int(value) or isinstance(value, float)):
-        raise ScenarioError(f"{where} must be a number, got {value!r}")
-    return value
-
-
 def _check_rate(value: object, where: str) -> float:
     """Return ``value`` as a float if it is a finite non-negative number;
     otherwise raise ScenarioError naming ``where``. A rate times a window
     is a count of draws, so infinity, NaN and ints past the float range
     are refused (NaN fails both comparisons)."""
 
-    if not 0 <= _check_number(value, where) <= _FLOAT_MAX:
+    if not is_number(value):
+        raise ScenarioError(f"{where} must be a number, got {value!r}")
+    if not 0 <= value <= _FLOAT_MAX:
         raise ScenarioError(
             f"{where} must be a finite non-negative number, got {value!r}")
     return float(value)
@@ -483,8 +465,12 @@ def _config_from_obj(obj: object) -> ScenarioConfig:
             for d in devices_spec
         )
     policy_obj = obj.get("policy")
-    policy = (policy_from_obj(policy_obj) if policy_obj is not None
-              else default_policy())
+    try:
+        policy = (policy_from_obj(policy_obj) if policy_obj is not None
+                  else default_policy())
+    except PolicyError as exc:
+        # A fault policy_from_obj wraps is its cause, named unprefixed.
+        raise ScenarioError(f"policy: {exc.__cause__ or exc}") from None
     rules_obj = obj.get("alert_rules")
     rules = (
         tuple(rule_from_obj(r) for r in rules_obj)
@@ -714,9 +700,10 @@ class _AuditRow(NamedTuple):
 
 
 def _compromise_starts(config: ScenarioConfig) -> dict[str, int]:
-    """Each compromised device's earliest compromise start. A request
-    by ``d`` at ``t`` is malicious iff ``t >= starts.get(d, inf)``: the
-    predicate of ``ScenarioConfig.malicious``, at one lookup a call."""
+    """Each compromised device's earliest compromise start: the run's
+    ground truth. A request by ``d`` at ``t`` is malicious iff
+    ``t >= starts.get(d, inf)``, that is, at or after any of its
+    device's compromise starts."""
 
     starts: dict[str, int] = {}
     for plan in config.compromises:
@@ -1227,26 +1214,12 @@ def _log_events(loop: _Loop, rows: Iterable[int]) -> list[EdrEvent]:
 def _alert_chains(loop: _Loop, rules: Sequence[AlertRule]) -> list[EdrEvent]:
     """The events, in id order, of every device on which some rule fires.
 
-    An event's only parent is its device's previous event, so every
-    alert's ancestry lies on its own device's chain, and these events
-    hold all of it. They are the only events built as objects. Every
-    row is first checked as ``build_graph`` checks a log: each parent
-    exists and is strictly earlier.
+    An event's only parent is its device's previous event, and only
+    when that is strictly earlier (``_Loop.emit``), so every alert's
+    ancestry lies on its own device's chain, and these events hold all
+    of it. They are the only events built as objects.
     """
 
-    parents = np.frombuffer(loop.parents, dtype=np.int64)
-    times = np.frombuffer(loop.times, dtype=np.uint64)
-    children = np.flatnonzero(parents >= 0)
-    of = parents[children]
-    faults = children[(of >= children)
-                      | (times[np.minimum(of, children)] >= times[children])]
-    if faults.size:
-        row = int(faults[0])
-        parent = int(parents[row])
-        raise GraphError(
-            f"dangling parent: event {row} references {parent}"
-            if parent >= row else
-            f"causality: event {row} is not later than its parent {parent}")
     fires = np.array([any(rule.admits(*pair) for rule in rules)
                       for pair in loop.pairs], dtype=bool)
     devices = np.frombuffer(loop.triplet_of, dtype=np.uint64) // loop.slots

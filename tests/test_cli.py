@@ -708,6 +708,52 @@ class TestReputation:
         assert err.count("\n") == 1
 
 
+# (id, ledger document, its one-line refusal). The ledger holds the
+# peer ids and counts; its reader checks only the document's shape.
+MALFORMED_LEDGERS = [
+    ("peer_not_a_string", {"peers": ["b", 1], "interactions": {}},
+     "peer id must be a non-empty string, got 1"),
+    ("peer_empty", {"peers": ["a", ""], "interactions": {}},
+     "peer id must be a non-empty string, got ''"),
+    ("peers_not_a_list", {"peers": "ab", "interactions": {}},
+     "peers must be a list"),
+    ("duplicate_peers", {"peers": ["a", "a"], "interactions": {}},
+     "duplicate peer ids"),
+    ("self_pair_zero_counts",
+     {"peers": ["a", "b"], "interactions": {"a→a": {"sat": 0, "unsat": 0}}},
+     "ledger key 'a→a': self interactions are undefined"),
+    ("unknown_peer_zero_counts",
+     {"peers": ["a", "b"], "interactions": {"a→c": {"sat": 0, "unsat": 0}}},
+     "ledger key 'a→c': unknown peer 'c'"),
+    ("empty_peer_in_key",
+     {"peers": ["a", "b"], "interactions": {"a→": {"sat": 1, "unsat": 0}}},
+     "ledger key 'a→': unknown peer ''"),
+    ("key_without_separator",
+     {"peers": ["a", "b"], "interactions": {"ab": {"sat": 1, "unsat": 0}}},
+     "malformed ledger key 'ab'"),
+    ("float_count",
+     {"peers": ["a", "b"], "interactions": {"a→b": {"sat": 1.5, "unsat": 0}}},
+     "ledger key 'a→b': count must be a non-negative integer, got 1.5"),
+    ("bool_count",
+     {"peers": ["a", "b"], "interactions": {"a→b": {"sat": 1, "unsat": True}}},
+     "ledger key 'a→b': count must be a non-negative integer, got True"),
+    ("negative_count",
+     {"peers": ["a", "b"], "interactions": {"a→b": {"sat": -1, "unsat": 0}}},
+     "ledger key 'a→b': count must be a non-negative integer, got -1"),
+]
+
+
+@pytest.mark.parametrize("ledger, message",
+                         [case[1:] for case in MALFORMED_LEDGERS],
+                         ids=[case[0] for case in MALFORMED_LEDGERS])
+def test_malformed_ledger_exits_1_with_one_line(capsys, tmp_path, ledger,
+                                                message):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(ledger), encoding="utf-8")
+    assert run_cli(capsys, "reputation", "--ledger", str(path),
+                   "--pretrusted", "a") == (1, "", f"error: {message}\n")
+
+
 DEEP_JSON = "[" * 200_000
 RECURSION = ("maximum recursion depth exceeded while decoding a JSON array "
              "from a unicode string")

@@ -23,7 +23,6 @@ from trustgate.engine import (
     TrustPolicy,
     audit_line,
     behavioral_score,
-    combined_score,
     decide,
     make_record,
     parse_audit_line,
@@ -300,18 +299,22 @@ class TestBehavioralScoreExactness:
 
 
 class TestCombinedScore:
+    # make_record blends alpha * behavioral + (1 - alpha) * reputation.
     def test_blend(self):
-        assert combined_score(1.0, 0.0, 0.5) == 0.5
-        assert combined_score(0.8, 0.4, 1.0) == 0.8
-        assert combined_score(0.8, 0.4, 0.0) == 0.4
+        t = Triplet("u", "d", "r")
+        assert make_record(t, 1.0, 0.0, 0.5, 7).combined == 0.5
+        assert make_record(t, 0.8, 0.4, 1.0, 7).combined == 0.8
+        assert make_record(t, 0.8, 0.4, 0.0, 7).combined == 0.4
 
     def test_range_validation(self):
-        with pytest.raises(EngineError):
-            combined_score(1.5, 0.5, 0.5)
-        with pytest.raises(EngineError):
-            combined_score(0.5, -0.1, 0.5)
-        with pytest.raises(EngineError):
-            combined_score(0.5, 0.5, 2.0)
+        for scores, message in (
+                ((1.5, 0.5, 0.5), "behavioral must lie in [0, 1], got 1.5"),
+                ((0.5, -0.1, 0.5), "reputation must lie in [0, 1], got -0.1"),
+                ((0.5, 0.5, 2.0), "alpha must lie in [0, 1], got 2.0"),
+                ((0.5, 0.5, math.nan), "alpha must lie in [0, 1], got nan")):
+            with pytest.raises(EngineError) as info:
+                make_record(Triplet("u", "d", "r"), *scores, 7)
+            assert str(info.value) == message
 
 
 class TestPolicyValidation:

@@ -2,8 +2,8 @@
 module binds an import it never uses; every public top-level function
 and class has a reader outside the tests; JSON documents are read in
 one place and written in one format; only ``model`` tells a bool from
-an int or states the id rule; ``EdrEvent``'s hand-written constructor
-takes exactly its fields."""
+an int, tests for an int or states the id rule; ``EdrEvent``'s
+hand-written constructor takes exactly its fields."""
 
 from __future__ import annotations
 
@@ -144,23 +144,29 @@ def test_only_model_formats_json_documents():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-def bool_guard_lines(source: str) -> list[int]:
-    """Lines of the ``isinstance`` calls that name ``bool``."""
+def guard_lines(source: str, name: str) -> list[int]:
+    """Lines of the ``isinstance`` calls that name the type ``name``."""
 
     return sorted(
         node.lineno for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id == "isinstance"
-        and any(isinstance(n, ast.Name) and n.id == "bool"
+        and any(isinstance(n, ast.Name) and n.id == name
                 for arg in node.args[1:] for n in ast.walk(arg)))
 
 
+GUARDS = (
+    "isinstance(x, bool)\nisinstance(x, int)\n"
+    "isinstance(x, (int, bool))\ntype(x) is bool\nbool(x)\nint(x)\n"
+)
+
+
 def test_bool_guard_scan_finds_calls():
-    source = (
-        "isinstance(x, bool)\nisinstance(x, int)\n"
-        "isinstance(x, (int, bool))\ntype(x) is bool\nbool(x)\n"
-    )
-    assert bool_guard_lines(source) == [1, 3]
+    assert guard_lines(GUARDS, "bool") == [1, 3]
+
+
+def test_int_guard_scan_finds_calls():
+    assert guard_lines(GUARDS, "int") == [2, 3]
 
 
 def outside_model(scan) -> dict[str, list[int]]:
@@ -179,7 +185,13 @@ def outside_model(scan) -> dict[str, list[int]]:
 def test_only_model_tells_bools_from_ints():
     # bool is an int subclass; model.is_int is the one test that tells
     # them apart.
-    assert outside_model(bool_guard_lines) == {}
+    assert outside_model(lambda source: guard_lines(source, "bool")) == {}
+
+
+def test_only_model_tests_for_ints():
+    # An isinstance test for int admits a bool; every other module asks
+    # model.is_int instead.
+    assert outside_model(lambda source: guard_lines(source, "int")) == {}
 
 
 def id_rule_lines(source: str) -> list[int]:

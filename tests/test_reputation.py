@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from trustgate.reputation import (
     normalize,
     trust_vector_to_obj,
 )
+from trustgate.simnet import ScenarioError, reference_scenario
 
 from conftest import ledger_to_obj
 
@@ -33,6 +36,30 @@ def random_ledger(rng: random.Random, n: int,
             ledger.record_sat(p, q, rng.randrange(0, 20))
             ledger.record_unsat(p, q, rng.randrange(0, 6))
     return ledger
+
+
+# (id, epsilon, the refusal): an int is compared exactly, so one past
+# the float range is refused as infinity is.
+EPSILON_CASES = [
+    ("zero", 0.0, "epsilon must be a finite positive number, got 0.0"),
+    ("negative", -1e-9,
+     "epsilon must be a finite positive number, got -1e-09"),
+    ("nan", math.nan, "epsilon must be a finite positive number, got nan"),
+    ("inf", math.inf, "epsilon must be a finite positive number, got inf"),
+    ("past_float_range", 10**400,
+     f"epsilon must be a finite positive number, got {10**400}"),
+    ("string", "x", "epsilon must be a number, got 'x'"),
+    ("bool", True, "epsilon must be a number, got True"),
+]
+
+DAMPING_CASES = [
+    ("one", 1.0, "damping must lie in [0, 1)"),
+    ("negative", -0.1, "damping must lie in [0, 1)"),
+    ("nan", math.nan, "damping must lie in [0, 1)"),
+    ("past_float_range", 10**400, "damping must lie in [0, 1)"),
+    ("string", "x", "damping must be a number, got 'x'"),
+    ("none", None, "damping must be a number, got None"),
+]
 
 
 class TestLedger:
@@ -371,16 +398,29 @@ class TestGlobalTrust:
         with pytest.raises(ReputationError):
             global_trust(local, ("peer-00",), a=1.0)
 
-    @pytest.mark.parametrize("epsilon,message", [
-        (0.0, "epsilon must be positive"),
-        (-1e-9, "epsilon must be positive"),
-        (float("nan"), "epsilon must be finite, got nan"),
-        (float("inf"), "epsilon must be finite, got inf"),
-    ])
+    @pytest.mark.parametrize("epsilon, message",
+                             [case[1:] for case in EPSILON_CASES],
+                             ids=[case[0] for case in EPSILON_CASES])
     def test_epsilon_validation(self, epsilon, message):
+        # The iteration and a scenario refuse an epsilon alike.
         local = normalize(random_ledger(random.Random(61), 5))
         with pytest.raises(ReputationError) as exc:
             global_trust(local, ("peer-00",), epsilon=epsilon)
+        assert str(exc.value) == message
+        with pytest.raises(ScenarioError) as exc:
+            replace(reference_scenario(42), epsilon=epsilon)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("damping, message",
+                             [case[1:] for case in DAMPING_CASES],
+                             ids=[case[0] for case in DAMPING_CASES])
+    def test_damping_validation(self, damping, message):
+        local = normalize(random_ledger(random.Random(61), 5))
+        with pytest.raises(ReputationError) as exc:
+            global_trust(local, ("peer-00",), a=damping)
+        assert str(exc.value) == message
+        with pytest.raises(ScenarioError) as exc:
+            replace(reference_scenario(42), damping=damping)
         assert str(exc.value) == message
 
     def test_damping_keeps_pretrusted_floor(self):
@@ -418,7 +458,7 @@ class TestWireFormat:
         ledger = InteractionLedger(peers=("a", "b", "mute"))
         ledger.record_sat("a", "b")
         back = ledger_from_obj(ledger_to_obj(ledger))
-        assert back.peers == ("a", "b", "mute")
+        assert back == ledger
         assert normalize(back).zero_rows == ("b", "mute")
 
     def test_malformed_keys_rejected(self):

@@ -25,7 +25,7 @@ from trustgate.model import (
     format_json,
     read_events,
 )
-from trustgate.provenance import AlertRule, GraphError, build_graph
+from trustgate.provenance import AlertRule, build_graph
 from trustgate.secretshare import ThresholdPolicy
 from trustgate.store import archive_batch
 from trustgate.simnet import (
@@ -60,7 +60,6 @@ from trustgate.simnet import (
     _decision_summary,
     _log_events,
     _pair_table,
-    _reduction,
     _schedule,
     _simulate,
 )
@@ -218,7 +217,7 @@ NESTED_TYPE_CASES = [
      "user_id must be a non-empty string, got ['x']"),
     ("resource_id_empty",
      lambda o: o["policy"]["thresholds"].update({"": 0.5}),
-     "malformed scenario: resource_id must be a non-empty string, got ''"),
+     "policy: resource_id must be a non-empty string, got ''"),
     ("device_id_int_without_pretrusted",
      lambda o: (o.pop("pretrusted"), o["devices"][0].update(device_id=5)),
      "device_id must be a non-empty string, got 5"),
@@ -243,10 +242,14 @@ NESTED_TYPE_CASES = [
     ("duration_negative",
      lambda o: o.update(duration=-1),
      "duration -1 outside the unsigned 64-bit range"),
+    # A policy fault names the block once: a fault the policy parser
+    # names itself, and one it wraps, read alike.
     ("resource_threshold_past_float_range",
      lambda o: o["policy"]["thresholds"].update({"res-open": 10**400}),
-     "malformed scenario: malformed policy: int too large to convert to "
-     "float"),
+     "policy: int too large to convert to float"),
+    ("resource_threshold_above_one",
+     lambda o: o["policy"]["thresholds"].update({"res-open": 1.5}),
+     "policy: threshold for res-open must lie in [0, 1]"),
     ("epsilon_past_float_range",
      lambda o: o.update(epsilon=10**400),
      f"epsilon must be a finite positive number, got {10**400}"),
@@ -443,9 +446,7 @@ class TestScenarioValidation:
 
     def test_compromise_time_lookup(self):
         config = small_scenario()
-        assert not config.malicious("dev-03", 299)
-        assert config.malicious("dev-03", 300)
-        assert not config.malicious("dev-01", 300)
+        assert _compromise_starts(config) == {"dev-03": 300}
         assert config.first_compromise_time() == 300
 
     def test_compromise_starts_equal_the_malicious_predicate(self):
@@ -457,10 +458,13 @@ class TestScenarioValidation:
         ))
         starts = _compromise_starts(config)
         assert starts == {"dev-03": 300, "dev-02": 40}
+        # Ground truth: a request at or after any of its device's
+        # compromise starts is malicious.
         for device in ("dev-01", "dev-02", "dev-03", "dev-04"):
             for t in (0, 39, 40, 41, 299, 300, 301, 499, 500, 899):
-                assert (t >= starts.get(device, math.inf)) == (
-                    config.malicious(device, t))
+                assert (t >= starts.get(device, math.inf)) == any(
+                    p.device_id == device and t >= p.start_time
+                    for p in config.compromises)
 
     def test_attribute_profile_validation(self):
         with pytest.raises(ScenarioError, match="rate"):
@@ -597,12 +601,12 @@ class TestConfigSerialization:
         with pytest.raises(ScenarioError) as info:
             config_from_obj(obj)
         assert str(info.value) == (
-            "malformed scenario: threshold for res-open must lie in [0, 1]")
+            "policy: threshold for res-open must lie in [0, 1]")
         obj = config_to_obj(small_scenario())
         obj["policy"]["sensitivity"]["res-open"] = "secretive"
         with pytest.raises(ScenarioError) as info:
             config_from_obj(obj)
-        assert str(info.value) == ("malformed scenario: unknown sensitivity "
+        assert str(info.value) == ("policy: unknown sensitivity "
                                    "'secretive' for res-open")
 
     def test_reference_scenario_shape(self):
@@ -1378,16 +1382,6 @@ class TestColumnLog:
 
         monkeypatch.setattr("trustgate.simnet.audit_line", refuse)
         assert run(reference_scenario(42), None).total_requests > 0
-
-    def test_reduction_checks_parents(self):
-        loop, _ = _simulate(reference_scenario(42))
-        row = next(r for r, parent in enumerate(loop.parents) if parent >= 0)
-        loop.times[row] = loop.times[loop.parents[row]]
-        with pytest.raises(GraphError, match=f"causality: event {row} "):
-            _reduction(loop, default_rules())
-        loop.parents[row] = row
-        with pytest.raises(GraphError, match=f"dangling parent: event {row} "):
-            _reduction(loop, default_rules())
 
     def test_times_past_64_bits(self, tmp_path):
         # A run's times lie below its duration, which is an unsigned

@@ -359,7 +359,7 @@ class TestAccessTable:
                          "--out", str(out)])
             err = capsys.readouterr().err
             assert code == 1
-            assert err == f"error: malformed scenario: {message}\n"
+            assert err == f"error: policy: {message}\n"
             assert not out.exists()
 
     def test_round_trip(self, tmp_path):
